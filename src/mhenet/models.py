@@ -21,13 +21,17 @@ least-squares problem.  Five kinds are supported:
 
 Gradients of windowed squared-error losses are computed by exact
 backward accumulation through the unrolled recursion (no truncation).
-All functions are pure; sequences may carry a batch axis so that many
-rollouts share one vectorized pass.
+All functions are pure.  One forward kernel per kind serves both a batch
+of sequences under one weight vector and a batch of weight vectors on
+one sequence, so many rollouts share one vectorized pass.  The LSTM
+gates and the GRU update/reset gates are stacked into one affine map
+when the weights are unpacked; the stored parameter layout is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import json
 
 import numpy as np
@@ -101,11 +105,13 @@ def state_size(spec: ModelSpec) -> int:
     return 0                          # linear
 
 
+@functools.cache
 def _layout(spec: ModelSpec):
     """Mapping name -> (slice, shape) into the flat parameter vector.
 
     Trainable blocks come first so that ``param_count`` is a prefix
     length; for the ESN the frozen reservoir blocks follow the readout.
+    The result is cached per spec and shared: callers must not mutate it.
     """
     blocks = []
     if spec.kind == "lstm":
@@ -138,10 +144,9 @@ def _layout(spec: ModelSpec):
 
 def param_count(spec: ModelSpec) -> int:
     """Number of trainable scalars (ESN: readout only)."""
-    layout, total = _layout(spec)
     if spec.kind == "esn":
         return spec.n_y * (spec.n_h + 1)
-    return total
+    return values_size(spec)
 
 
 def values_size(spec: ModelSpec) -> int:
@@ -233,8 +238,32 @@ def _sigmoid(a):
     return 0.5 * (1.0 + np.tanh(0.5 * a))
 
 
-def _unpack(params: ParamVector):
-    return {name: params.view(name) for name in _layout(params.spec)[0]}
+# Gates that share one input and are stacked into one affine map at
+# unpack time, in stored-layout order.
+_STACKED = {"lstm": "fioc", "gru": "zr"}
+
+
+def _unpack(spec: ModelSpec, values):
+    """Weight blocks by name, from (values_size,) or (B, values_size) values.
+
+    A batch of vectors gives blocks with a leading (B,) axis.  The
+    ``_STACKED`` gates become one matrix ``Wg`` and one bias ``bg``.
+    """
+    lead = values.shape[:-1]
+    P = {name: values[..., sl].reshape(lead + shape)
+         for name, (sl, shape) in _layout(spec)[0].items()}
+    gates = _STACKED.get(spec.kind, "")
+    if gates:
+        P["Wg"] = np.concatenate([P.pop(f"W{g}") for g in gates], axis=-2)
+        P["bg"] = np.concatenate([P.pop(f"b{g}") for g in gates], axis=-1)
+    return P
+
+
+def _mm(W, x):
+    """x @ W.T, where W is (m, n) or a batch (B, m, n) and x is (..., B, n)."""
+    if W.ndim == 2:
+        return x @ W.T
+    return np.einsum("bij,...bj->...bi", W, x, optimize=True)
 
 
 def zero_state(spec: ModelSpec, batch: int | None = None) -> np.ndarray:
@@ -256,116 +285,87 @@ def nnarx_state(spec: ModelSpec, us, ys) -> np.ndarray:
     return np.concatenate([np.concatenate([u, y]) for u, y in zip(us, ys)])
 
 
-def _rollout(spec, P, x0, inputs, want_cache):
-    """Batched forward pass.
+# One step of each recurrent kind: (y_t, x_{t+1}, intermediates kept for
+# the backward pass) from the state x_t (B, S) and the input u_t (B, n_u).
 
-    x0: (B, S), inputs: (T, B, n_u).  Returns outputs (T, B, n_y),
-    states (T+1, B, S) and a cache of intermediates for the backward
-    pass (None when not requested).
+def _lstm_cell(spec, P, x, u):
+    n_h = spec.n_h
+    c, h = x[:, :n_h], x[:, n_h:]
+    y = _mm(P["C"], h) + P["d"]
+    z = np.concatenate([u, h], axis=1)
+    a = _mm(P["Wg"], z) + P["bg"]
+    m = np.abs(a) < CLIP
+    a = np.clip(a, -CLIP, CLIP)
+    s = _sigmoid(a[:, :3 * n_h])              # [f | i | o]
+    g = np.tanh(a[:, 3 * n_h:])
+    c2 = s[:, :n_h] * c + s[:, n_h:2 * n_h] * g
+    tc2 = np.tanh(c2)
+    return y, np.concatenate([c2, s[:, 2 * n_h:] * tc2], axis=1), (z, s, g, tc2, m)
+
+
+def _gru_cell(spec, P, h, u):
+    n_h = spec.n_h
+    y = _mm(P["C"], h) + P["d"]
+    zin = np.concatenate([u, h], axis=1)
+    a = _mm(P["Wg"], zin) + P["bg"]
+    m = np.abs(a) < CLIP
+    s = _sigmoid(np.clip(a, -CLIP, CLIP))     # [z | r]
+    zg, r = s[:, :n_h], s[:, n_h:]
+    nin = np.concatenate([u, r * h], axis=1)
+    an = _mm(P["Wn"], nin) + P["bn"]
+    mn = np.abs(an) < CLIP
+    n = np.tanh(np.clip(an, -CLIP, CLIP))
+    return y, (1.0 - zg) * h + zg * n, (zin, nin, s, n, m, mn)
+
+
+def _esn_cell(spec, P, h, u):
+    y = _mm(P["C"], h) + P["d"]
+    pre = _mm(P["Win"], u) + _mm(P["W"], h) + P["bres"]
+    a = spec.leak_rate
+    return y, (1.0 - a) * h + a * np.tanh(np.clip(pre, -CLIP, CLIP)), ()
+
+
+def _nnarx_cell(spec, P, x, u):
+    # the state is the regressor; the model output is fed back into it
+    a1 = _mm(P["W1"], x) + P["b1"]
+    m1 = np.abs(a1) < CLIP
+    h1 = np.tanh(np.clip(a1, -CLIP, CLIP))
+    y = _mm(P["W2"], h1) + P["b2"]
+    return y, np.concatenate([x[:, spec.n_u + spec.n_y:], u, y], axis=1), (h1, m1)
+
+
+_CELLS = {"lstm": _lstm_cell, "gru": _gru_cell, "esn": _esn_cell,
+          "nnarx": _nnarx_cell}
+
+
+def _rollout(spec, P, x0, inputs, keep):
+    """The forward kernel behind every rollout.
+
+    x0: (B, S), inputs: (T, B, n_u), P from ``_unpack``: either one
+    weight vector for all B sequences or one per sequence.  ``keep`` is
+    ``"outputs"``, ``"states"`` or ``"cache"``.  Returns outputs
+    (T, B, n_y), states (T+1, B, S) unless only outputs are kept, and
+    the per-step intermediates for the backward pass when ``keep`` is
+    ``"cache"`` (None otherwise).
     """
     T, B = inputs.shape[0], inputs.shape[1]
-    S = x0.shape[1]
-    states = np.empty((T + 1, B, S))
-    states[0] = x0
-    outputs = np.empty((T, B, spec.n_y))
-    cache = {} if want_cache else None
-    n_h = spec.n_h
-
+    states = None
+    if keep != "outputs":
+        states = np.empty((T + 1, B, x0.shape[1]))
+        states[0] = x0
+    cache = [] if keep == "cache" else None
     if spec.kind == "linear":
-        K = P["K"]
-        outputs[:] = inputs @ K.T
-        return outputs, states, cache
+        return _mm(P["K"], inputs), states, cache
 
-    if spec.kind == "lstm":
-        if want_cache:
-            for k in ("z", "f", "i", "o", "g", "tc2", "mf", "mi", "mo", "mc"):
-                cache[k] = []
-        Wf, bf, Wi, bi = P["Wf"], P["bf"], P["Wi"], P["bi"]
-        Wo, bo, Wc, bc = P["Wo"], P["bo"], P["Wc"], P["bc"]
-        C, d = P["C"], P["d"]
-        x = x0
-        for t in range(T):
-            c, h = x[:, :n_h], x[:, n_h:]
-            outputs[t] = h @ C.T + d
-            z = np.concatenate([inputs[t], h], axis=1)
-            af = z @ Wf.T + bf
-            ai = z @ Wi.T + bi
-            ao = z @ Wo.T + bo
-            ac = z @ Wc.T + bc
-            mf, mi = np.abs(af) < CLIP, np.abs(ai) < CLIP
-            mo, mc = np.abs(ao) < CLIP, np.abs(ac) < CLIP
-            f = _sigmoid(np.clip(af, -CLIP, CLIP))
-            i = _sigmoid(np.clip(ai, -CLIP, CLIP))
-            o = _sigmoid(np.clip(ao, -CLIP, CLIP))
-            g = np.tanh(np.clip(ac, -CLIP, CLIP))
-            c2 = f * c + i * g
-            tc2 = np.tanh(c2)
-            h2 = o * tc2
-            x = np.concatenate([c2, h2], axis=1)
-            states[t + 1] = x
-            if want_cache:
-                for k, v in (("z", z), ("f", f), ("i", i), ("o", o), ("g", g),
-                             ("tc2", tc2), ("mf", mf), ("mi", mi), ("mo", mo), ("mc", mc)):
-                    cache[k].append(v)
-        return outputs, states, cache
-
-    if spec.kind == "gru":
-        if want_cache:
-            for k in ("zin", "nin", "zg", "r", "n", "mz", "mr", "mn"):
-                cache[k] = []
-        Wz, bz, Wr, br, Wn, bn = P["Wz"], P["bz"], P["Wr"], P["br"], P["Wn"], P["bn"]
-        C, d = P["C"], P["d"]
-        h = x0
-        for t in range(T):
-            outputs[t] = h @ C.T + d
-            zin = np.concatenate([inputs[t], h], axis=1)
-            az = zin @ Wz.T + bz
-            ar = zin @ Wr.T + br
-            mz, mr = np.abs(az) < CLIP, np.abs(ar) < CLIP
-            zg = _sigmoid(np.clip(az, -CLIP, CLIP))
-            r = _sigmoid(np.clip(ar, -CLIP, CLIP))
-            nin = np.concatenate([inputs[t], r * h], axis=1)
-            an = nin @ Wn.T + bn
-            mn = np.abs(an) < CLIP
-            n = np.tanh(np.clip(an, -CLIP, CLIP))
-            h = (1.0 - zg) * h + zg * n
-            states[t + 1] = h
-            if want_cache:
-                for k, v in (("zin", zin), ("nin", nin), ("zg", zg), ("r", r),
-                             ("n", n), ("mz", mz), ("mr", mr), ("mn", mn)):
-                    cache[k].append(v)
-        return outputs, states, cache
-
-    if spec.kind == "esn":
-        Win, W, bres = P["Win"], P["W"], P["bres"]
-        C, d = P["C"], P["d"]
-        a = spec.leak_rate
-        h = x0
-        for t in range(T):
-            outputs[t] = h @ C.T + d
-            pre = inputs[t] @ Win.T + h @ W.T + bres
-            h = (1.0 - a) * h + a * np.tanh(np.clip(pre, -CLIP, CLIP))
-            states[t + 1] = h
-        return outputs, states, cache
-
-    # nnarx: state is the regressor, model output is fed back
-    if want_cache:
-        cache["h1"] = []
-        cache["m1"] = []
-    W1, b1, W2, b2 = P["W1"], P["b1"], P["W2"], P["b2"]
-    blk = spec.n_u + spec.n_y
+    cell = _CELLS[spec.kind]
+    outputs = np.empty((T, B, spec.n_y))
     x = x0
     for t in range(T):
-        a1 = x @ W1.T + b1
-        m1 = np.abs(a1) < CLIP
-        h1 = np.tanh(np.clip(a1, -CLIP, CLIP))
-        y = h1 @ W2.T + b2
-        outputs[t] = y
-        x = np.concatenate([x[:, blk:], inputs[t], y], axis=1)
-        states[t + 1] = x
-        if want_cache:
-            cache["h1"].append(h1)
-            cache["m1"].append(m1)
+        outputs[t], x, saved = cell(spec, P, x, inputs[t])
+        if states is not None:
+            states[t + 1] = x
+        if cache is not None:
+            cache.append(saved)
     return outputs, states, cache
 
 
@@ -381,65 +381,13 @@ def batch_param_outputs(spec: ModelSpec, values_batch, x0, inputs) -> np.ndarray
     vb = np.asarray(values_batch, dtype=float)
     if vb.ndim != 2 or vb.shape[1] != values_size(spec):
         raise DimensionError("values_batch must be (B, values_size)")
-    inputs = np.asarray(inputs, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    B, T = vb.shape[0], inputs.shape[0]
-    layout = _layout(spec)[0]
-    P = {name: vb[:, sl].reshape((B,) + shape) for name, (sl, shape) in layout.items()}
-    outputs = np.empty((T, B, spec.n_y))
-    n_h = spec.n_h
-
-    if spec.kind == "linear":
-        # (T, n_u) x (B, n_y, n_u) -> (T, B, n_y)
-        return np.einsum("tj,bij->tbi", inputs, P["K"], optimize=True)
-
-    def mm(W, z):
-        return np.einsum("bij,bj->bi", W, z, optimize=True)
-
-    if spec.kind == "lstm":
-        c = np.tile(x0[:n_h], (B, 1))
-        h = np.tile(x0[n_h:], (B, 1))
-        for t in range(T):
-            outputs[t] = mm(P["C"], h) + P["d"]
-            z = np.concatenate([np.tile(inputs[t], (B, 1)), h], axis=1)
-            f = _sigmoid(np.clip(mm(P["Wf"], z) + P["bf"], -CLIP, CLIP))
-            i = _sigmoid(np.clip(mm(P["Wi"], z) + P["bi"], -CLIP, CLIP))
-            o = _sigmoid(np.clip(mm(P["Wo"], z) + P["bo"], -CLIP, CLIP))
-            g = np.tanh(np.clip(mm(P["Wc"], z) + P["bc"], -CLIP, CLIP))
-            c = f * c + i * g
-            h = o * np.tanh(c)
-        return outputs
-
-    if spec.kind == "gru":
-        h = np.tile(x0, (B, 1))
-        for t in range(T):
-            outputs[t] = mm(P["C"], h) + P["d"]
-            u_t = np.tile(inputs[t], (B, 1))
-            z = np.concatenate([u_t, h], axis=1)
-            zg = _sigmoid(np.clip(mm(P["Wz"], z) + P["bz"], -CLIP, CLIP))
-            r = _sigmoid(np.clip(mm(P["Wr"], z) + P["br"], -CLIP, CLIP))
-            nin = np.concatenate([u_t, r * h], axis=1)
-            n = np.tanh(np.clip(mm(P["Wn"], nin) + P["bn"], -CLIP, CLIP))
-            h = (1.0 - zg) * h + zg * n
-        return outputs
-
-    if spec.kind == "esn":
-        h = np.tile(x0, (B, 1))
-        a = spec.leak_rate
-        for t in range(T):
-            outputs[t] = mm(P["C"], h) + P["d"]
-            pre = mm(P["Win"], np.tile(inputs[t], (B, 1))) + mm(P["W"], h) + P["bres"]
-            h = (1.0 - a) * h + a * np.tanh(np.clip(pre, -CLIP, CLIP))
-        return outputs
-
-    # nnarx
-    blk = spec.n_u + spec.n_y
-    x = np.tile(x0, (B, 1))
-    for t in range(T):
-        h1 = np.tanh(np.clip(mm(P["W1"], x) + P["b1"], -CLIP, CLIP))
-        y = mm(P["W2"], h1) + P["b2"]
-        outputs[t] = y
-        x = np.concatenate([x[:, blk:], np.tile(inputs[t], (B, 1)), y], axis=1)
+    x0, inputs = _check_io(spec, x0, inputs)
+    if x0.ndim != 1 or inputs.ndim != 2:
+        raise DimensionError("x0 must be (state,) and inputs (T, n_u)")
+    B = vb.shape[0]
+    outputs, _, _ = _rollout(spec, _unpack(spec, vb), np.tile(x0, (B, 1)),
+                             np.broadcast_to(inputs[:, None, :], (len(inputs), B, spec.n_u)),
+                             "outputs")
     return outputs
 
 
@@ -451,21 +399,14 @@ def output_jacobian(spec: ModelSpec, params: ParamVector, x0, inputs,
     the sensitivity to trainable coordinate j, all columns evaluated in
     one batched pass.
     """
-    mask = trainable_mask(spec)
-    idx = np.flatnonzero(mask)
-    base = params.values
-    batch = np.tile(base, (2 * len(idx) + 1, 1))
-    for col, j in enumerate(idx):
-        batch[2 * col, j] += h
-        batch[2 * col + 1, j] -= h
-    outs = batch_param_outputs(spec, batch, np.asarray(x0, dtype=float),
-                               np.asarray(inputs, dtype=float))
-    T = outs.shape[0]
-    y0 = outs[:, -1, :]
-    J = np.empty((T * spec.n_y, len(idx)))
-    for col in range(len(idx)):
-        J[:, col] = ((outs[:, 2 * col, :] - outs[:, 2 * col + 1, :]) / (2 * h)).ravel()
-    return y0, J
+    n = param_count(spec)           # the trainable coordinates are a prefix
+    cols = np.arange(n)
+    batch = np.tile(params.values, (2 * n + 1, 1))
+    batch[2 * cols, cols] += h
+    batch[2 * cols + 1, cols] -= h
+    outs = batch_param_outputs(spec, batch, x0, inputs)
+    J = ((outs[:, 0:-1:2] - outs[:, 1:-1:2]) / (2 * h)).transpose(0, 2, 1)
+    return outs[:, -1, :], J.reshape(-1, n)      # row t * n_y + i
 
 
 def _check_io(spec, x0, inputs):
@@ -481,8 +422,8 @@ def _check_io(spec, x0, inputs):
 def forward_step(spec: ModelSpec, params: ParamVector, state, u):
     """One step of (f, g): returns (next_state, y)."""
     state, u = _check_io(spec, np.atleast_1d(np.asarray(state, dtype=float)), u)
-    P = _unpack(params)
-    outputs, states, _ = _rollout(spec, P, state[None, :], np.asarray(u, dtype=float)[None, None, :], False)
+    outputs, states, _ = _rollout(spec, _unpack(spec, params.values), state[None, :],
+                                  u[None, None, :], "states")
     next_state, y = states[1, 0], outputs[0, 0]
     if not (np.all(np.isfinite(next_state)) and np.all(np.isfinite(y))):
         raise NumericalBlowupError("non-finite result in forward_step", step=0)
@@ -504,7 +445,7 @@ def simulate(spec: ModelSpec, params: ParamVector, x0, inputs):
         inputs = inputs[:, None, :]
         x0 = x0[None, :] if x0.ndim == 1 else x0
     x0, inputs = _check_io(spec, x0, inputs)
-    outputs, states, _ = _rollout(spec, _unpack(params), x0, inputs, False)
+    outputs, states, _ = _rollout(spec, _unpack(spec, params.values), x0, inputs, "states")
     if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(states))):
         ok = (np.all(np.isfinite(outputs), axis=(1, 2))
               & np.all(np.isfinite(states[1:]), axis=(1, 2)))
@@ -536,116 +477,90 @@ def window_loss_and_gradient(spec: ModelSpec, params: ParamVector, x0,
     if targets.shape[-1] != spec.n_y:
         raise DimensionError(f"target width {targets.shape[-1]} != {spec.n_y}")
     x0, inputs = _check_io(spec, x0, inputs)
-    T = inputs.shape[0]
+    T, B = inputs.shape[0], inputs.shape[1]
     w = np.ones(T) if step_weights is None else np.asarray(step_weights, dtype=float)
 
-    P = _unpack(params)
-    outputs, states, cache = _rollout(spec, P, x0, inputs, True)
+    P = _unpack(spec, params.values)
+    outputs, states, cache = _rollout(spec, P, x0, inputs, "cache")
     res = outputs - targets
     loss = float(np.sum(w[:, None, None] * res * res))
     dy = 2.0 * w[:, None, None] * res          # (T, B, n_y)
+    n_h, n_u = spec.n_h, spec.n_u
 
-    grads = {name: np.zeros(shape) for name, (sl, shape) in _layout(spec)[0].items()}
-    n_h = spec.n_h
-
+    grads = {}
+    if spec.kind in ("lstm", "gru", "esn"):
+        # affine readout of the hidden state (the last n_h state entries);
+        # for the ESN it is all that is trainable
+        grads["C"] = np.einsum("tbi,tbj->ij", dy, states[:-1, :, -n_h:])
+        grads["d"] = dy.sum(axis=(0, 1))
     if spec.kind == "linear":
-        K = P["K"]
         # y_t = K u_t
         grads["K"] = np.einsum("tbi,tbj->ij", dy, inputs)
-    elif spec.kind == "esn":
-        # readout only; states never depend on trainable entries
-        H = states[:-1]                         # (T, B, n_h)
-        grads["C"] = np.einsum("tbi,tbj->ij", dy, H)
-        grads["d"] = dy.sum(axis=(0, 1))
     elif spec.kind == "lstm":
-        C = P["C"]
-        Wf, Wi, Wo, Wc = P["Wf"], P["Wi"], P["Wo"], P["Wc"]
-        dc_next = np.zeros((inputs.shape[1], n_h))
+        C, Wg = P["C"], P["Wg"]
+        gW, gb = np.zeros(Wg.shape), np.zeros(4 * n_h)
+        dc_next = np.zeros((B, n_h))
         dh_next = np.zeros_like(dc_next)
         for t in range(T - 1, -1, -1):
-            z, f, i = cache["z"][t], cache["f"][t], cache["i"][t]
-            o, g, tc2 = cache["o"][t], cache["g"][t], cache["tc2"][t]
+            z, s, g, tc2, m = cache[t]
+            f, i, o = s[:, :n_h], s[:, n_h:2 * n_h], s[:, 2 * n_h:]
             c_t = states[t][:, :n_h]
-            h_t = states[t][:, n_h:]
             do = dh_next * tc2
             dc2 = dc_next + dh_next * o * (1.0 - tc2 * tc2)
-            df, di, dg = dc2 * c_t, dc2 * g, dc2 * i
-            dc_t = dc2 * f
-            daf = df * f * (1.0 - f) * cache["mf"][t]
-            dai = di * i * (1.0 - i) * cache["mi"][t]
-            dao = do * o * (1.0 - o) * cache["mo"][t]
-            dac = dg * (1.0 - g * g) * cache["mc"][t]
-            grads["Wf"] += daf.T @ z
-            grads["bf"] += daf.sum(0)
-            grads["Wi"] += dai.T @ z
-            grads["bi"] += dai.sum(0)
-            grads["Wo"] += dao.T @ z
-            grads["bo"] += dao.sum(0)
-            grads["Wc"] += dac.T @ z
-            grads["bc"] += dac.sum(0)
-            dz = daf @ Wf + dai @ Wi + dao @ Wo + dac @ Wc
-            dh_t = dz[:, spec.n_u:]
-            grads["C"] += dy[t].T @ h_t
-            grads["d"] += dy[t].sum(0)
-            dh_t = dh_t + dy[t] @ C
-            dc_next, dh_next = dc_t, dh_t
+            ds = np.concatenate([dc2 * c_t, dc2 * g, do], axis=1) * s * (1.0 - s)
+            da = np.concatenate([ds, dc2 * i * (1.0 - g * g)], axis=1) * m
+            gW += da.T @ z
+            gb += da.sum(0)
+            dc_next = dc2 * f
+            dh_next = (da @ Wg)[:, n_u:] + dy[t] @ C
     elif spec.kind == "gru":
-        C = P["C"]
-        Wz, Wr, Wn = P["Wz"], P["Wr"], P["Wn"]
-        dh_next = np.zeros((inputs.shape[1], n_h))
+        C, Wg, Wn = P["C"], P["Wg"], P["Wn"]
+        gW, gb = np.zeros(Wg.shape), np.zeros(2 * n_h)
+        gWn, gbn = np.zeros(Wn.shape), np.zeros(n_h)
+        dh_next = np.zeros((B, n_h))
         for t in range(T - 1, -1, -1):
-            zin, nin = cache["zin"][t], cache["nin"][t]
-            zg, r, n = cache["zg"][t], cache["r"][t], cache["n"][t]
+            zin, nin, s, n, m, mn = cache[t]
+            zg, r = s[:, :n_h], s[:, n_h:]
             h_t = states[t]
-            dzg = dh_next * (n - h_t)
-            dn = dh_next * zg
-            dh_t = dh_next * (1.0 - zg)
-            dan = dn * (1.0 - n * n) * cache["mn"][t]
-            grads["Wn"] += dan.T @ nin
-            grads["bn"] += dan.sum(0)
-            dnin = dan @ Wn
-            drh = dnin[:, spec.n_u:]
-            dr = drh * h_t
-            dh_t = dh_t + drh * r
-            dar = dr * r * (1.0 - r) * cache["mr"][t]
-            daz = dzg * zg * (1.0 - zg) * cache["mz"][t]
-            grads["Wr"] += dar.T @ zin
-            grads["br"] += dar.sum(0)
-            grads["Wz"] += daz.T @ zin
-            grads["bz"] += daz.sum(0)
-            dzin = dar @ Wr + daz @ Wz
-            dh_t = dh_t + dzin[:, spec.n_u:]
-            grads["C"] += dy[t].T @ h_t
-            grads["d"] += dy[t].sum(0)
-            dh_t = dh_t + dy[t] @ C
-            dh_next = dh_t
-    else:  # nnarx
+            dan = dh_next * zg * (1.0 - n * n) * mn
+            gWn += dan.T @ nin
+            gbn += dan.sum(0)
+            drh = (dan @ Wn)[:, n_u:]
+            dh_t = dh_next * (1.0 - zg) + drh * r
+            ds = np.concatenate([dh_next * (n - h_t), drh * h_t], axis=1) * s * (1.0 - s) * m
+            gW += ds.T @ zin
+            gb += ds.sum(0)
+            dh_next = dh_t + (ds @ Wg)[:, n_u:] + dy[t] @ C
+        grads.update(Wn=gWn, bn=gbn)
+    elif spec.kind == "nnarx":
         W1, W2 = P["W1"], P["W2"]
-        blk = spec.n_u + spec.n_y
+        blk = n_u + spec.n_y
         S = state_size(spec)
-        dx_next = np.zeros((inputs.shape[1], S))
+        gW1, gb1 = np.zeros(W1.shape), np.zeros(spec.mlp_width)
+        gW2, gb2 = np.zeros(W2.shape), np.zeros(spec.n_y)
+        dx_next = np.zeros((B, S))
         for t in range(T - 1, -1, -1):
-            h1 = cache["h1"][t]
-            x_t = states[t]
+            h1, m1 = cache[t]
             # x_{t+1} = [x_t[blk:], u_t, y_t]
             dy_tot = dy[t] + dx_next[:, S - spec.n_y:]
             dx_t = np.zeros_like(dx_next)
             dx_t[:, blk:] = dx_next[:, :S - blk]
-            grads["W2"] += dy_tot.T @ h1
-            grads["b2"] += dy_tot.sum(0)
-            dh1 = dy_tot @ W2
-            da1 = dh1 * (1.0 - h1 * h1) * cache["m1"][t]
-            grads["W1"] += da1.T @ x_t
-            grads["b1"] += da1.sum(0)
+            gW2 += dy_tot.T @ h1
+            gb2 += dy_tot.sum(0)
+            da1 = (dy_tot @ W2) * (1.0 - h1 * h1) * m1
+            gW1 += da1.T @ states[t]
+            gb1 += da1.sum(0)
             dx_t += da1 @ W1
             dx_next = dx_t
+        grads.update(W1=gW1, b1=gb1, W2=gW2, b2=gb2)
+    for k, g in enumerate(_STACKED.get(spec.kind, "")):
+        # the stacked gates' gradient, split back into the stored blocks
+        grads[f"W{g}"], grads[f"b{g}"] = gW[k * n_h:(k + 1) * n_h], gb[k * n_h:(k + 1) * n_h]
 
+    # grads holds the trainable blocks, which lead the stored layout
     flat = np.zeros(values_size(spec))
-    layout = _layout(spec)[0]
-    for name, g in grads.items():
-        if spec.kind == "esn" and name in ("Win", "W", "bres"):
-            continue
-        flat[layout[name][0]] = np.ravel(g)
+    flat[:param_count(spec)] = np.concatenate(
+        [np.ravel(grads[name]) for name in _layout(spec)[0] if name in grads])
     if not (np.isfinite(loss) and np.all(np.isfinite(flat))):
         raise NumericalBlowupError("non-finite loss or gradient")
     return loss, flat

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mhenet import models
 from mhenet.models import ModelSpec
@@ -141,8 +142,9 @@ class TestSimulate:
             models.simulate(spec, p, np.zeros(0), u)
         assert exc.value.step == 2
 
-    def test_batched_matches_single(self, rng):
-        spec = ALL_SPECS["gru"]
+    @pytest.mark.parametrize("kind", list(ALL_SPECS))
+    def test_batched_matches_single(self, kind, rng):
+        spec = ALL_SPECS[kind]
         p = random_params(spec, rng)
         T, B = 7, 3
         x0 = rng.normal(size=(B, models.state_size(spec)))
@@ -152,6 +154,69 @@ class TestSimulate:
             y1, x1 = models.simulate(spec, p, x0[b], u[:, b])
             assert np.allclose(ys[:, b], y1, atol=1e-14)
             assert np.allclose(xs[:, b], x1, atol=1e-14)
+
+
+@st.composite
+def specs(draw):
+    """Any kind with small random dimensions."""
+    kind = draw(st.sampled_from(models.KINDS))
+    n_u, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    if kind == "nnarx":
+        return ModelSpec(kind, n_u, 0, n_y, order=draw(st.integers(1, 3)),
+                         mlp_width=draw(st.integers(1, 6)))
+    if kind == "linear":
+        return ModelSpec(kind, n_u, 0, n_y)
+    return ModelSpec(kind, n_u, draw(st.integers(1, 12)), n_y)
+
+
+class TestBatchParamOutputs:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=specs(), B=st.integers(1, 6), T=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_simulate(self, spec, B, T, seed):
+        rng = np.random.default_rng(seed)
+        vb = np.stack([random_params(spec, rng).values for _ in range(B)])
+        x0 = rng.normal(scale=0.3, size=models.state_size(spec))
+        u = rng.normal(size=(T, spec.n_u))
+        outs = models.batch_param_outputs(spec, vb, x0, u)
+        assert outs.shape == (T, B, spec.n_y)
+        for b in range(B):
+            y, _ = models.simulate(spec, models.ParamVector(spec, vb[b]), x0, u)
+            np.testing.assert_allclose(outs[:, b], y, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", list(ALL_SPECS))
+    def test_wrong_state_or_input_width_raises(self, kind, rng):
+        spec = ALL_SPECS[kind]
+        vb = random_params(spec, rng).values[None, :]
+        x0 = np.zeros(models.state_size(spec))
+        u = rng.normal(size=(4, spec.n_u))
+        with pytest.raises(models.DimensionError):
+            models.batch_param_outputs(spec, vb, np.zeros(len(x0) + 1), u)
+        with pytest.raises(models.DimensionError):
+            models.batch_param_outputs(spec, vb, x0, u[:, :-1])
+
+
+class TestOutputJacobian:
+    @pytest.mark.parametrize("kind", list(ALL_SPECS))
+    def test_matches_columnwise_differences_of_simulate(self, kind, rng):
+        spec = ALL_SPECS[kind]
+        p = random_params(spec, rng)
+        x0 = rng.normal(scale=0.3, size=models.state_size(spec))
+        u = rng.normal(size=(5, spec.n_u))
+        h = 1e-6
+        y0, J = models.output_jacobian(spec, p, x0, u, h=h)
+        n = models.param_count(spec)
+        assert J.shape == (5 * spec.n_y, n)
+        np.testing.assert_allclose(y0, models.simulate(spec, p, x0, u)[0], rtol=0, atol=1e-14)
+        for j in range(n):
+            vp, vm = p.values.copy(), p.values.copy()
+            vp[j] += h
+            vm[j] -= h
+            yp, _ = models.simulate(spec, p.replace_values(vp), x0, u)
+            ym, _ = models.simulate(spec, p.replace_values(vm), x0, u)
+            # outputs agree to round-off, which the 1/(2h) quotient scales up
+            np.testing.assert_allclose(J[:, j], ((yp - ym) / (2 * h)).ravel(),
+                                       rtol=0, atol=1e-8)
 
 
 class TestWindowLossAndGradient:
