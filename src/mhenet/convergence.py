@@ -12,9 +12,8 @@ where delta lower-bounds the identifiability ratio
 
 of windowed output-error energy to weight-error energy.  delta is not
 computable globally; this module delivers a sampled surrogate (minimum
-of the ratio over drawn perturbations and windows, optionally refined
-by gradient descent on the ratio) and scopes all verdicts to that
-sample.
+of the ratio over drawn perturbations and windows) and scopes all
+verdicts to that sample.
 """
 
 from __future__ import annotations
@@ -49,12 +48,7 @@ class DeltaSamplerConfig:
     n_samples: int = 200
     radius: float = 1.0          # perturbation norm upper bound
     seed: int = 0
-    refine_steps: int = 0        # gradient-descent steps on the ratio per sample
-    refine_from: int = 8         # how many of the best samples to refine
     probe_smallest: int = 0      # least-identifiable directions per window to probe
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 @dataclass
@@ -66,20 +60,6 @@ class DeltaEstimate:
     argmin_perturbation: np.ndarray
 
 
-def _ratio_and_grad(spec, theta_true, window, d, mask):
-    """ratio = ||Gamma||^2/||d||^2 and its gradient w.r.t. d (trainable)."""
-    vals = theta_true.values.copy()
-    vals[mask] += d
-    cand = theta_true.replace_values(vals)
-    targets, _ = models.simulate(spec, theta_true, window.x_init, window.inputs)
-    fit, grad = models.window_loss_and_gradient(
-        spec, cand, window.x_init, window.inputs, targets)
-    nd2 = float(d @ d)
-    ratio = fit / nd2
-    g = grad[mask] / nd2 - 2.0 * fit * d / nd2 ** 2
-    return ratio, g
-
-
 def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
                    config: DeltaSamplerConfig,
                    extra_perturbations=None) -> DeltaEstimate:
@@ -87,9 +67,7 @@ def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
 
     Draws random weight perturbations within the radius, evaluates the
     output-error/weight-error ratio on every window, and reports the
-    minimum.  Optional refinement descends the ratio from the best draws
-    (every refinement iterate counts as a sample).  Deterministic per
-    seed.
+    minimum.  Deterministic per seed.
     """
     if not windows:
         raise ValueError("need at least one window")
@@ -136,37 +114,8 @@ def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
     for d in perturbations:
         for wi in range(len(windows)):
             records.append((ratio_of(d, wi), wi, d))
-    n_evaluated = len(records)
-    records.sort(key=lambda r: r[0])
-
-    if config.refine_steps > 0:
-        seen = []
-        for ratio0, wi, d0 in records[:config.refine_from]:
-            d = d0.copy()
-            lr = 0.5 * np.linalg.norm(d) ** 2 / max(ratio0 * np.linalg.norm(d), 1e-30)
-            cur = ratio0
-            for _ in range(config.refine_steps):
-                r, g = _ratio_and_grad(spec, theta_true, windows[wi], d, mask)
-                step = lr * g
-                d_new = d - step
-                # keep the perturbation inside the sampling ball
-                nrm = np.linalg.norm(d_new)
-                if nrm > config.radius:
-                    d_new *= config.radius / nrm
-                if nrm < 1e-12:
-                    break
-                r_new = ratio_of(d_new, wi)
-                n_evaluated += 1
-                if r_new < cur:
-                    d, cur = d_new, r_new
-                    lr *= 1.2
-                else:
-                    lr *= 0.5
-            seen.append((cur, wi, d))
-        records = sorted(records + seen, key=lambda r: r[0])
-
-    best_ratio, best_wi, best_d = records[0]
-    return DeltaEstimate(delta_hat=best_ratio, n_samples=n_evaluated,
+    best_ratio, best_wi, best_d = min(records, key=lambda r: r[0])
+    return DeltaEstimate(delta_hat=best_ratio, n_samples=len(records),
                          config=config, argmin_window=best_wi,
                          argmin_perturbation=best_d)
 

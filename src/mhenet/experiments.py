@@ -25,7 +25,7 @@ import json
 import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -65,13 +65,6 @@ class ConvergeConfig:
             raise ConfigError("converge.eps0 must be positive")
         if self.horizon < 1 or self.n_updates < 1:
             raise ConfigError("converge.horizon and n_updates must be >= 1")
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -120,6 +113,15 @@ class ExperimentConfig:
             raise ConfigError("adapt_time must extend past the drift onset")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        # (mu, N) rows in one canonical form, so that a config built with an
+        # integer mu hashes the same as its JSON round trip
+        try:
+            grid = tuple((float(mu), int(N)) for mu, N in self.sweep_grid)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep_grid: expected [mu, N] rows: {exc}") from exc
+        if not grid or any(mu < 0 or N < 1 for mu, N in grid):
+            raise ConfigError("sweep_grid: needs rows [mu, N] with mu >= 0, N >= 1")
+        object.__setattr__(self, "sweep_grid", grid)
 
     # derived stage seeds
     @property
@@ -143,39 +145,13 @@ class ExperimentConfig:
         return self.seed + 13
 
     def to_dict(self):
-        return {
-            "tag": self.tag, "seed": self.seed, "out_dir": self.out_dir,
-            "plant": self.plant.to_dict(), "drift": self.drift.to_dict(),
-            "dataset": self.dataset.to_dict(), "model": self.model.to_dict(),
-            "train": self.train.to_dict(), "mhe": self.mhe.to_dict(),
-            "converge": self.converge.to_dict(),
-            "sweep_grid": [list(row) for row in self.sweep_grid],
-            "n_eval_sequences": self.n_eval_sequences,
-            "adapt_time": self.adapt_time, "model_dir": self.model_dir,
-            "jobs": self.jobs,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        parsers = {"plant": plant.PlantParams.from_dict,
-                   "drift": plant.DriftSchedule.from_dict,
-                   "dataset": plant.DatasetConfig.from_dict,
-                   "model": ModelSpec.from_dict,
-                   "train": training.TrainConfig.from_dict,
-                   "mhe": mhe.MheConfig.from_dict,
-                   "converge": ConvergeConfig.from_dict}
-        for name, parse in parsers.items():
-            if name in d:
-                try:
-                    d[name] = parse(d[name])
-                except (TypeError, ValueError, KeyError) as exc:
-                    raise ConfigError(f"{name}: {exc}") from exc
-        if "sweep_grid" in d:
-            d["sweep_grid"] = tuple((float(mu), int(N)) for mu, N in d["sweep_grid"])
         try:
-            return cls(**d)
-        except TypeError as exc:
+            return plant.config_from_dict(cls, d)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def config_hash(self) -> str:
@@ -343,8 +319,8 @@ def _run_train(config, out, artifacts, metrics, walls):
                     "train_mse": train_rep.average,
                     "test_mse": test_rep.average,
                     "channel_test_mse": [float(v) for v in test_rep.channel_mse]})
-    emit_plotdata(out, "fig3", config=config, params=params, scaler=scaler, ds=ds)
-    emit_plotdata(out, "fig4", config=config, params=params, scaler=scaler, ds=ds)
+    for fig in ("fig3", "fig4"):
+        emit_plotdata(out, fig, config, params=params, scaler=scaler, ds=ds)
     for name in ("fig3.csv", "fig4.csv"):
         _record_artifact(artifacts, out, out / name)
 
@@ -428,11 +404,10 @@ def _run_adapt(config, out, artifacts, metrics, walls):
         "mse_reduction": 1.0 - ad.average / un.average,
         "mean_solve_time": float(np.mean([c.wall_time for c in checkpoints])),
     })
-    emit_plotdata(out, "fig5", config=config)
-    emit_plotdata(out, "fig6", config=config, params=params, scaler=scaler,
-                  adapted=adapted)
-    emit_plotdata(out, "fig7", config=config, params=params, scaler=scaler,
-                  adapted=adapted)
+    emit_plotdata(out, "fig5", config)
+    for fig in ("fig6", "fig7"):
+        emit_plotdata(out, fig, config, params=params, scaler=scaler,
+                      ds=eval_ds, adapted=adapted)
     for name in ("fig5.csv", "fig6.csv", "fig7.csv"):
         _record_artifact(artifacts, out, out / name)
 
@@ -582,20 +557,19 @@ def _open_loop_prediction(config, params, scaler, sequence):
     return scaler.unscale_y(pred)
 
 
-def emit_plotdata(out_dir, figure_tag, config=None, params=None, scaler=None,
+def emit_plotdata(out_dir, figure_tag, config, params=None, scaler=None,
                   ds=None, adapted=None):
     """Figure-data CSVs: time series for ground truth and model predictions.
 
-    fig3/fig4: open-loop prediction of xA2/xB2 vs truth on a test sequence
-    (train-run artifacts).  fig5: the drifting kA trace.  fig6/fig7:
-    truth vs unadapted vs adapted prediction of xA2/xB2 on a post-drift
-    evaluation sequence (adapt-run artifacts).
+    fig3/fig4: open-loop prediction of xA2/xB2 by ``params`` vs truth on
+    the first test sequence of the training dataset ``ds``.  fig5: the
+    drifting kA trace (needs only ``config``).  fig6/fig7: truth vs the
+    unadapted ``params`` vs the ``adapted`` prediction of xA2/xB2 on the
+    first sequence of the drifted evaluation set ``ds``.
     """
     out = pathlib.Path(out_dir)
     if figure_tag not in FIGURE_TAGS:
         raise ValueError(f"unknown figure tag {figure_tag!r}")
-    if config is None:
-        config = load_config(out / "config.json")
     if figure_tag == "fig5":
         ts = np.arange(0.0, config.adapt_time, config.dataset.tau)
         kas = plant.drift_value(config.drift, ts)
@@ -603,36 +577,20 @@ def emit_plotdata(out_dir, figure_tag, config=None, params=None, scaler=None,
                    [[float(t), float(v)] for t, v in zip(ts, kas)])
         return out / "fig5.csv"
 
-    if params is None or scaler is None:
-        with open(out / ("unadapted_params.json" if figure_tag in ("fig6", "fig7")
-                         else "params.json")) as fh:
-            params = ParamVector.from_json(fh.read())
-        with open(out / "scaler.json") as fh:
-            scaler = training.Scaler.from_json(fh.read())
-
+    seq = ds.test[0]
+    pred = _open_loop_prediction(config, params, scaler, seq)
     if figure_tag in ("fig3", "fig4"):
-        if ds is None:
-            ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset)
-        seq = ds.test[0]
         channel = 1 if figure_tag == "fig3" else 2   # xA2 / xB2
-        pred = _open_loop_prediction(config, params, scaler, seq)
         _write_csv(out / f"{figure_tag}.csv", ("t", "truth", "prediction"),
                    [[float(t), float(a), float(b)] for t, a, b in
                     zip(seq.t, seq.y[:, channel], pred[:, channel])])
         return out / f"{figure_tag}.csv"
 
-    # fig6 / fig7: unadapted vs adapted on the drifted evaluation set
-    if adapted is None:
-        with open(out / "adapted_params.json") as fh:
-            adapted = ParamVector.from_json(fh.read())
-    eval_ds = _eval_dataset(config)
-    seq = eval_ds.test[0]
     channel = 1 if figure_tag == "fig6" else 2
-    pred_un = _open_loop_prediction(config, params, scaler, seq)
     pred_ad = _open_loop_prediction(config, adapted, scaler, seq)
     _write_csv(out / f"{figure_tag}.csv",
                ("t", "truth", "unadapted", "adapted"),
                [[float(t), float(a), float(b), float(c)] for t, a, b, c in
-                zip(seq.t, seq.y[:, channel], pred_un[:, channel],
+                zip(seq.t, seq.y[:, channel], pred[:, channel],
                     pred_ad[:, channel])])
     return out / f"{figure_tag}.csv"

@@ -53,13 +53,6 @@ class MheConfig:
         if self.solver not in ("lm", "lbfgs"):
             raise ValueError(f"unknown solver {self.solver!r}")
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class IOSample:

@@ -30,7 +30,7 @@ when the weights are unpacked; the stored parameter layout is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 import functools
 import json
 
@@ -81,17 +81,6 @@ class ModelSpec:
             raise ValueError("nnarx needs order >= 1 and mlp_width >= 1")
         if self.kind == "esn" and not (0.0 < self.spectral_radius < 1.0):
             raise ValueError("esn spectral radius target must lie in (0, 1)")
-
-    def to_dict(self):
-        return {
-            "kind": self.kind, "n_u": self.n_u, "n_h": self.n_h,
-            "n_y": self.n_y, "order": self.order, "mlp_width": self.mlp_width,
-            "spectral_radius": self.spectral_radius, "leak_rate": self.leak_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def state_size(spec: ModelSpec) -> int:
@@ -188,7 +177,7 @@ class ParamVector:
 
     def to_json(self, created_at=None) -> str:
         return json.dumps({
-            "spec": self.spec.to_dict(),
+            "spec": asdict(self.spec),
             "values": [float(v) for v in self.values],
             "seed": self.seed,
             "scheme": self.scheme,
@@ -198,7 +187,7 @@ class ParamVector:
     @classmethod
     def from_json(cls, text) -> "ParamVector":
         d = json.loads(text)
-        return cls(ModelSpec.from_dict(d["spec"]), np.array(d["values"]),
+        return cls(ModelSpec(**d["spec"]), np.array(d["values"]),
                    seed=d.get("seed"), scheme=d.get("scheme"))
 
 

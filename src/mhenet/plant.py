@@ -22,7 +22,8 @@ import csv
 import hashlib
 import json
 import pathlib
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -56,13 +57,6 @@ class PlantParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 # Nominal operating input used to center excitation signals:
 # [H1, xA1, xB1, T1, F20, Q2]
@@ -85,13 +79,6 @@ class DriftSchedule:
             raise ValueError("t_start must precede t_end")
         if self.shape != "ramp":
             raise ValueError(f"unknown drift shape {self.shape!r}")
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def drift_value(schedule: DriftSchedule, t) -> float | np.ndarray:
@@ -157,29 +144,24 @@ def step(state, inp, params: PlantParams, dt: float, substeps: int = 10) -> np.n
 _STEADY_STATE_CACHE = {}
 
 
-def steady_state(params: PlantParams, nominal_input=None, horizon_s: float = 60.0) -> np.ndarray:
-    """Operating point with vanishing derivatives under a constant input.
+def steady_state(params: PlantParams) -> np.ndarray:
+    """Operating point with vanishing derivatives under the nominal input.
 
-    A forward simulation settles near the attractor, then a damped
+    A 60 s forward simulation settles near the attractor, then a damped
     Newton refinement drives the residual below 1e-9 per channel.
-    Results for the default nominal input are cached per parameter set.
+    Results are cached per parameter set.
     """
-    cache_key = (params, horizon_s) if nominal_input is None else None
-    if cache_key is not None and cache_key in _STEADY_STATE_CACHE:
-        return _STEADY_STATE_CACHE[cache_key].copy()
-    u = NOMINAL_INPUT if nominal_input is None else np.asarray(nominal_input, dtype=float)
-    x = np.array([1.0, 0.5, 0.2, params.T0])
-    n = int(horizon_s / TAU)
-    for _ in range(n):
-        x = step(x, u, params, TAU, substeps=5)
-    sol = optimize.root(lambda s: derivatives(s, u, params), x, tol=1e-13)
-    x = sol.x
-    resid = derivatives(x, u, params)
-    if np.max(np.abs(resid)) > 1e-9:
-        raise RuntimeError(f"steady state refinement failed, residual {resid}")
-    if cache_key is not None:
-        _STEADY_STATE_CACHE[cache_key] = x.copy()
-    return x
+    if params not in _STEADY_STATE_CACHE:
+        x = np.array([1.0, 0.5, 0.2, params.T0])
+        for _ in range(int(60.0 / TAU)):
+            x = step(x, NOMINAL_INPUT, params, TAU, substeps=5)
+        x = optimize.root(lambda s: derivatives(s, NOMINAL_INPUT, params), x,
+                          tol=1e-13).x
+        resid = derivatives(x, NOMINAL_INPUT, params)
+        if np.max(np.abs(resid)) > 1e-9:
+            raise RuntimeError(f"steady state refinement failed, residual {resid}")
+        _STEADY_STATE_CACHE[params] = x
+    return _STEADY_STATE_CACHE[params].copy()
 
 
 @dataclass(frozen=True)
@@ -203,15 +185,6 @@ class ExcitationConfig:
     @property
     def hold_steps(self):
         return int(round(self.hold_time / self.tau))
-
-    def to_dict(self):
-        return {"lo": list(self.lo), "hi": list(self.hi),
-                "hold_time": self.hold_time, "tau": self.tau}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(lo=tuple(d["lo"]), hi=tuple(d["hi"]),
-                   hold_time=d["hold_time"], tau=d["tau"])
 
 
 def default_excitation(params: PlantParams = PlantParams(), q2_span: float = 0.6) -> ExcitationConfig:
@@ -260,18 +233,6 @@ class DatasetConfig:
     def __post_init__(self):
         if self.n_train + self.n_test > self.n_sequences:
             raise ValueError("split sizes exceed n_sequences")
-
-    def to_dict(self):
-        return {"n_sequences": self.n_sequences, "seq_len": self.seq_len,
-                "n_train": self.n_train, "n_test": self.n_test, "tau": self.tau,
-                "substeps": self.substeps, "excitation": self.excitation.to_dict(),
-                "kA": self.kA}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["excitation"] = ExcitationConfig.from_dict(d["excitation"])
-        return cls(**d)
 
 
 @dataclass
@@ -368,6 +329,30 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
+def config_from_dict(cls, data):
+    """Rebuild config dataclass ``cls`` from its ``dataclasses.asdict`` form.
+
+    Nested dataclass fields are rebuilt recursively and JSON lists become
+    tuples again for fields annotated ``tuple``, so a JSON round trip
+    gives an equal config.  An error inside a nested field is re-raised
+    as ValueError prefixed with that field's name.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(data)
+    for f in fields(cls):
+        hint, value = hints[f.name], kwargs.get(f.name)
+        if is_dataclass(hint) and f.name in kwargs:
+            try:
+                kwargs[f.name] = config_from_dict(hint, value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{f.name}: {exc}") from exc
+        elif hint is tuple and isinstance(value, list):
+            kwargs[f.name] = tuple(value)
+    return cls(**kwargs)
+
+
 def save_dataset(directory, dataset: Dataset):
     """One CSV per sequence plus a JSON manifest with per-file checksums."""
     directory = pathlib.Path(directory)
@@ -378,7 +363,7 @@ def save_dataset(directory, dataset: Dataset):
         save_sequence_csv(directory / name, seq)
         files.append(name)
         checksums[name] = file_sha256(directory / name)
-    manifest = {"seed": dataset.seed, "config": dataset.config.to_dict(),
+    manifest = {"seed": dataset.seed, "config": asdict(dataset.config),
                 "train_idx": list(dataset.train_idx),
                 "test_idx": list(dataset.test_idx),
                 "files": files, "checksums": checksums}
@@ -397,7 +382,8 @@ def load_dataset(directory, verify: bool = True) -> Dataset:
             raise ValueError(f"checksum mismatch for {name}")
         sequences.append(load_sequence_csv(directory / name))
     return Dataset(sequences, manifest["train_idx"], manifest["test_idx"],
-                   DatasetConfig.from_dict(manifest["config"]), manifest["seed"])
+                   config_from_dict(DatasetConfig, manifest["config"]),
+                   manifest["seed"])
 
 
 def drift_run(total_time: float, schedule: DriftSchedule, excitation: ExcitationConfig,

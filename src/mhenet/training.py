@@ -70,13 +70,6 @@ class TrainConfig:
     patience: int = 50                 # early stop after this many stale epochs
     init_scheme: str = "uniform"
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class EvalReport:
@@ -89,11 +82,6 @@ class EvalReport:
     @property
     def average(self):
         return float(np.mean(self.channel_mse))
-
-    def to_dict(self):
-        return {"channel_mse": [float(v) for v in self.channel_mse],
-                "average": self.average, "n_sequences": self.n_sequences,
-                "washout": self.washout}
 
 
 def _stack(sequences, scaler):

@@ -59,6 +59,19 @@ def trained_model(tmp_path_factory):
     return config, manifest, cached
 
 
+class TestAcceptanceCache:
+    # Key of the committed trained benchmark model.  A config change that
+    # moves it makes the next run retrain for 11-22 min; such a retrain is
+    # announced and the new cache directory committed with this constant.
+    TRAIN_KEY = "da19a5be3ee606ad"
+
+    def test_config_json_and_key_pinned(self):
+        config = full_scale_config("train", "unused")
+        assert config.config_hash()[:16] == self.TRAIN_KEY
+        committed = CACHE_DIR / f"train_{self.TRAIN_KEY}" / "config.json"
+        assert committed.read_text() == json.dumps(config.to_dict(), indent=1)
+
+
 class TestCriterion1Gradients:
     """BPTT gradients vs central finite differences, all architectures."""
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -30,6 +31,20 @@ def tiny_config(tag, out_dir, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# one non-default instance of every config dataclass
+CONFIG_EXAMPLES = [
+    plant.PlantParams(kA=0.326),
+    plant.DriftSchedule(t_start=4.0, t_end=8.0),
+    plant.default_excitation(q2_span=0.4),
+    plant.DatasetConfig(n_sequences=5, seq_len=120, n_train=3, n_test=2, kA=0.3),
+    ModelSpec("esn", 3, 5, 2, spectral_radius=0.8, leak_rate=0.5),
+    training.TrainConfig(batch_size=8, init_scheme="zeros"),
+    mhe.MheConfig(N=5, mu=0.2, solver="lbfgs", observer="oracle"),
+    experiments.ConvergeConfig(horizon=40, eps0=0.5),
+    tiny_config("sweep", "runs/x", model_dir="m"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +79,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match="drift"):
             ExperimentConfig.from_dict(d)
 
+    def test_error_names_nested_path(self, tmp_path):
+        d = tiny_config("train", tmp_path).to_dict()
+        d["dataset"]["excitation"]["lo"] = [0.0]
+        with pytest.raises(ConfigError, match="dataset: excitation: need bounds"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("config", CONFIG_EXAMPLES,
+                             ids=lambda c: type(c).__name__)
+    def test_every_config_roundtrips(self, config):
+        text = json.dumps(dataclasses.asdict(config), indent=1)
+        back = plant.config_from_dict(type(config), json.loads(text))
+        assert back == config
+        assert json.dumps(dataclasses.asdict(back), indent=1) == text
+
+    def test_integer_mu_roundtrip_keeps_hash(self, tmp_path):
+        cfg = tiny_config("sweep", tmp_path, sweep_grid=((1, 10),))
+        loaded = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert loaded == cfg
+        assert loaded.config_hash() == cfg.config_hash()
+
+    @pytest.mark.parametrize("grid", [[[0.1]], [["a", 3]], 5, [], [[0.1, 0]]],
+                             ids=["short-row", "non-numeric", "not-a-list",
+                                  "empty", "zero-horizon"])
+    def test_bad_sweep_grid_is_config_error(self, tmp_path, capsys, grid):
+        d = {"tag": "sweep", "sweep_grid": grid}
+        with pytest.raises(ConfigError, match="sweep_grid"):
+            ExperimentConfig.from_dict(d)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["sweep", "--config", str(p)]) == 1
+        assert "config error: sweep_grid" in capsys.readouterr().err
+
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -79,6 +126,7 @@ class TestSimulate:
         assert manifest.verify_artifacts(tmp_path)
         ds = plant.load_dataset(tmp_path / "dataset")
         assert len(ds.sequences) == 5
+        assert ds.config == config.dataset
         regen = plant.collect_dataset(config.dataset, seed=config.seed_dataset)
         assert np.allclose(ds.sequences[0].u, regen.sequences[0].u)
         assert np.allclose(ds.sequences[0].y, regen.sequences[0].y)

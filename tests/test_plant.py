@@ -16,10 +16,6 @@ class TestPlantParams:
         with pytest.raises(ValueError, match="kA"):
             PlantParams(kA=-0.1)
 
-    def test_dict_roundtrip(self):
-        p = PlantParams(kA=0.326)
-        assert PlantParams.from_dict(p.to_dict()) == p
-
 
 class TestRateCoefficients:
     def test_hand_arithmetic_at_nominal_temperature(self):
