@@ -55,8 +55,6 @@ def resolve_config(args) -> ExperimentConfig:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError("jobs: must be >= 1")
         overrides["jobs"] = args.jobs
     if overrides:
         config = dataclasses.replace(config, **overrides)

@@ -26,6 +26,7 @@ import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -62,9 +63,9 @@ class ConvergeConfig:
 
     def __post_init__(self):
         if not 0.0 < self.eps0:
-            raise ConfigError("converge.eps0 must be positive")
+            raise ConfigError("eps0 must be positive")
         if self.horizon < 1 or self.n_updates < 1:
-            raise ConfigError("converge.horizon and n_updates must be >= 1")
+            raise ConfigError("horizon and n_updates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -112,13 +113,16 @@ class ExperimentConfig:
         if self.adapt_time <= self.drift.t_start:
             raise ConfigError("adapt_time must extend past the drift onset")
         if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+            raise ConfigError("jobs: must be >= 1")
         # (mu, N) rows in one canonical form, so that a config built with an
         # integer mu hashes the same as its JSON round trip
         try:
             grid = tuple((float(mu), int(N)) for mu, N in self.sweep_grid)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"sweep_grid: expected [mu, N] rows: {exc}") from exc
+        if any(isinstance(N, bool) or N != n
+               for (_, N), (_, n) in zip(self.sweep_grid, grid)):
+            raise ConfigError("sweep_grid: horizon N must be an integer")
         if not grid or any(mu < 0 or N < 1 for mu, N in grid):
             raise ConfigError("sweep_grid: needs rows [mu, N] with mu >= 0, N >= 1")
         object.__setattr__(self, "sweep_grid", grid)
@@ -347,33 +351,41 @@ def _run_drift_eval(config, out, artifacts, metrics, walls):
                     "average_ratio": post.average / pre.average})
 
 
-def _adapt_once(config, params, scaler, mu, N):
-    """One adaptation run along the drift trajectory; returns results."""
+def _drift_data(config, scaler):
+    """The drift run, its scaled copy and the drifted evaluation set; they
+    depend on the seeds only, so every (mu, N) row shares them."""
     run = plant.drift_run(config.adapt_time, config.drift,
                           config.dataset.excitation, seed=config.seed_drift,
                           params=config.plant, substeps=config.dataset.substeps)
     scaled = plant.Sequence(u=scaler.scale_u(run.u), y=scaler.scale_y(run.y),
                             tau=run.tau)
+    return run, scaled, _eval_dataset(config)
+
+
+def _adapt_row(config, params, scaler, scaled, eval_ds, mu, N):
+    """(checkpoints, run_stats, wall time, EvalReport of the last solution)
+    of one (mu, N) adaptation; top-level so that a process pool can run it."""
     cfg = replace(config.mhe, mu=mu, N=N)
     t0 = time.perf_counter()
     checkpoints, stats = mhe.run_adaptation(config.model, params,
                                             mhe.sequence_stream(scaled), cfg)
     wall = time.perf_counter() - t0
-    return run, checkpoints, stats, wall
-
-
-def _evaluate_adapted(config, adapted, scaler, eval_ds):
-    return training.evaluate_mse(config.model, adapted, eval_ds.test,
-                                 config.train.washout, scaler)
+    if not checkpoints:
+        raise RuntimeError(f"adaptation (mu={mu}, N={N}) produced no checkpoints")
+    report = training.evaluate_mse(config.model, checkpoints[-1].solution,
+                                   eval_ds.test, config.train.washout, scaler)
+    return checkpoints, stats, wall, report
 
 
 def _run_adapt(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config)
-    run, checkpoints, stats, wall = _adapt_once(config, params, scaler,
-                                                config.mhe.mu, config.mhe.N)
-    walls["adapt"] = wall
-    if not checkpoints:
-        raise RuntimeError("adaptation produced no checkpoints")
+    t0 = time.perf_counter()
+    run, scaled, eval_ds = _drift_data(config, scaler)
+    walls["drift_data"] = time.perf_counter() - t0
+    checkpoints, stats, walls["adapt"], ad = _adapt_row(
+        config, params, scaler, scaled, eval_ds, config.mhe.mu, config.mhe.N)
+    un = training.evaluate_mse(config.model, params, eval_ds.test,
+                               config.train.washout, scaler)
     adapted = checkpoints[-1].solution
     plant.save_sequence_csv(out / "drift_run.csv", run)
     mhe.save_checkpoints(out / "checkpoints.jsonl", checkpoints)
@@ -383,11 +395,6 @@ def _run_adapt(config, out, artifacts, metrics, walls):
         fh.write(params.to_json())
     with open(out / "scaler.json", "w") as fh:
         fh.write(scaler.to_json())
-    t0 = time.perf_counter()
-    eval_ds = _eval_dataset(config)
-    un = _evaluate_adapted(config, params, scaler, eval_ds)
-    ad = _evaluate_adapted(config, adapted, scaler, eval_ds)
-    walls["evaluate"] = time.perf_counter() - t0
     header = ("model",) + plant.STATE_COLUMNS + ("average",)
     _write_csv(out / "adapt_eval.csv", header,
                [_mse_row("unadapted", un), _mse_row("adapted", ad)])
@@ -412,40 +419,32 @@ def _run_adapt(config, out, artifacts, metrics, walls):
         _record_artifact(artifacts, out, out / name)
 
 
-def _sweep_row(args):
-    """One grid row (top-level so a process pool can run rows in parallel)."""
-    config_dict, mu, N = args
-    config = ExperimentConfig.from_dict(config_dict)
-    params, scaler = _load_model(config)
-    _, checkpoints, _, wall = _adapt_once(config, params, scaler, mu, N)
-    eval_ds = _eval_dataset(config)
-    rep = _evaluate_adapted(config, checkpoints[-1].solution, scaler, eval_ds)
-    mean_solve = float(np.mean([c.wall_time for c in checkpoints]))
-    return {"mu": mu, "N": N, "adapt_time_s": wall, "solve_time_s": mean_solve,
-            "channel_mse": [float(v) for v in rep.channel_mse],
-            "average": rep.average}
-
-
 def _run_sweep(config, out, artifacts, metrics, walls):
-    _load_model(config)  # fail fast on config errors before spawning work
-    jobs = [(config.to_dict(), mu, N) for mu, N in config.sweep_grid]
+    params, scaler = _load_model(config)
+    t0 = time.perf_counter()
+    _, scaled, eval_ds = _drift_data(config, scaler)
+    walls["drift_data"] = time.perf_counter() - t0
+    row = partial(_adapt_row, config, params, scaler, scaled, eval_ds)
+    mus, Ns = zip(*config.sweep_grid)
     t0 = time.perf_counter()
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
+            results = list(pool.map(row, mus, Ns))
     else:
-        rows = [_sweep_row(j) for j in jobs]
+        results = list(map(row, mus, Ns))
     walls["sweep"] = time.perf_counter() - t0
+    rows, table = [], []
+    for mu, N, (checkpoints, _, wall, rep) in zip(mus, Ns, results):
+        channel = [float(v) for v in rep.channel_mse]
+        rows.append({"mu": mu, "N": N, "channel_mse": channel, "average": rep.average})
+        solve = float(np.mean([c.wall_time for c in checkpoints]))
+        table.append([mu, N, wall, solve] + channel + [rep.average])
     header = ("mu", "N", "adapt_time_s", "solve_time_s") \
         + plant.STATE_COLUMNS + ("average",)
-    _write_csv(out / "sweep.csv", header,
-               [[r["mu"], r["N"], r["adapt_time_s"], r["solve_time_s"]]
-                + r["channel_mse"] + [r["average"]] for r in rows])
+    _write_csv(out / "sweep.csv", header, table)
     _record_artifact(artifacts, out, out / "sweep.csv")
     best = min(rows, key=lambda r: r["average"])
-    metrics.update({"rows": [{k: r[k] for k in ("mu", "N", "channel_mse", "average")}
-                             for r in rows],
-                    "best_mu": best["mu"], "best_N": best["N"],
+    metrics.update({"rows": rows, "best_mu": best["mu"], "best_N": best["N"],
                     "best_average": best["average"]})
 
 

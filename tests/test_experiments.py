@@ -99,9 +99,11 @@ class TestConfig:
         assert loaded == cfg
         assert loaded.config_hash() == cfg.config_hash()
 
-    @pytest.mark.parametrize("grid", [[[0.1]], [["a", 3]], 5, [], [[0.1, 0]]],
+    @pytest.mark.parametrize("grid", [[[0.1]], [["a", 3]], 5, [], [[0.1, 0]],
+                                      [[0.1, 10.7]], [[0.1, True]]],
                              ids=["short-row", "non-numeric", "not-a-list",
-                                  "empty", "zero-horizon"])
+                                  "empty", "zero-horizon", "fractional-horizon",
+                                  "boolean-horizon"])
     def test_bad_sweep_grid_is_config_error(self, tmp_path, capsys, grid):
         d = {"tag": "sweep", "sweep_grid": grid}
         with pytest.raises(ConfigError, match="sweep_grid"):
@@ -110,6 +112,13 @@ class TestConfig:
         p.write_text(json.dumps(d))
         assert cli.main(["sweep", "--config", str(p)]) == 1
         assert "config error: sweep_grid" in capsys.readouterr().err
+
+    def test_converge_error_named_once(self, tmp_path):
+        d = tiny_config("converge", tmp_path).to_dict()
+        d["converge"]["eps0"] = 0.0
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(d)
+        assert str(info.value) == "converge: eps0 must be positive"
 
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -208,16 +217,40 @@ class TestAdapt:
         assert manifest.status == "failed"
 
 
+@pytest.fixture(scope="module")
+def sweep_run(train_run, tmp_path_factory):
+    _, _, model_out = train_run
+    out = tmp_path_factory.mktemp("sweep_run")
+    config = tiny_config("sweep", out, model_dir=str(model_out))
+    return config, experiments.run(config), out
+
+
 class TestSweep:
-    def test_table_shape_and_best(self, train_run, tmp_path):
-        _, _, model_out = train_run
-        config = tiny_config("sweep", tmp_path, model_dir=str(model_out))
-        manifest = experiments.run(config)
-        rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+    def test_table_shape_and_best(self, sweep_run):
+        config, manifest, out = sweep_run
+        rows = (out / "sweep.csv").read_text().strip().split("\n")
         assert rows[0] == "mu,N,adapt_time_s,solve_time_s,H2,xA2,xB2,T2,average"
         assert len(rows) == 1 + len(config.sweep_grid)
         averages = [r["average"] for r in manifest.metrics["rows"]]
         assert manifest.metrics["best_average"] == min(averages)
+
+    def test_process_pool_matches_serial(self, sweep_run, tmp_path):
+        config, serial, _ = sweep_run
+        assert config.jobs == 1
+        pooled = experiments.run(
+            dataclasses.replace(config, out_dir=str(tmp_path), jobs=2))
+        assert pooled.status == "ok"
+        assert pooled.summary()["metrics"] == serial.summary()["metrics"]
+
+    def test_failed_run_leaves_failed_manifest(self, train_run, tmp_path):
+        _, _, model_out = train_run
+        config = tiny_config("sweep", tmp_path, model_dir=str(model_out),
+                             drift=plant.DriftSchedule(t_start=0.5, t_end=1.0),
+                             adapt_time=2.0)  # too short for any update
+        with pytest.raises(RuntimeError, match="no checkpoints"):
+            experiments.run(config)
+        manifest = RunManifest.load(tmp_path / "manifest.json")
+        assert manifest.status == "failed"
 
 
 class TestConverge:
@@ -265,6 +298,10 @@ class TestCli:
         bad.write_text(json.dumps({"tag": "train", "seed": "not-an-int"}))
         rc = cli.main(["train", "--config", str(bad)])
         assert rc == 1
+
+    def test_jobs_below_one_is_config_error(self, capsys):
+        assert cli.main(["sweep", "--jobs", "0"]) == 1
+        assert "config error: jobs" in capsys.readouterr().err
 
     def test_tag_mismatch_is_config_error(self, tmp_path):
         p = tmp_path / "c.json"
