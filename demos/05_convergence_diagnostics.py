@@ -65,9 +65,7 @@ print(f"mu = delta_hat/3 = {mu:.3e}  ->  rho_c = {rho_c:.4f} "
 seq = plant.Sequence(u=u, y=y, tau=0.1)
 cfg = mhe.MheConfig(N=N, mu=mu, washout=washout, observer="oracle",
                     solver="lm", max_iter=400, gtol=1e-14, ftol=3e-16)
-checkpoints, _ = mhe.run_adaptation(
-    spec, prior, mhe.sequence_stream(seq, spec, theta_true, with_states=True),
-    cfg)
+checkpoints, _ = mhe.run_adaptation(spec, prior, mhe.sequence_stream(seq, xs), cfg)
 report = convergence.track_error(checkpoints, theta_true,
                                  estimate.delta_hat, mu)
 

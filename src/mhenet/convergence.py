@@ -18,7 +18,7 @@ verdicts to that sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,14 +50,18 @@ class DeltaSamplerConfig:
     seed: int = 0
     probe_smallest: int = 0      # least-identifiable directions per window to probe
 
+    def __post_init__(self):
+        if not 0.0 < self.radius < np.inf or min(self.n_samples, self.probe_smallest) < 0:
+            raise ValueError("need 0 < radius < inf, n_samples >= 0, probe_smallest >= 0")
+
 
 @dataclass
 class DeltaEstimate:
     delta_hat: float
     n_samples: int
-    config: DeltaSamplerConfig
     argmin_window: int           # index of the window attaining the minimum
     argmin_perturbation: np.ndarray
+    ratios: np.ndarray           # (perturbation, window) output/weight error ratios
 
 
 def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
@@ -66,8 +70,9 @@ def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
     """Sampled lower-bound surrogate for the identifiability constant.
 
     Draws random weight perturbations within the radius, evaluates the
-    output-error/weight-error ratio on every window, and reports the
-    minimum.  Deterministic per seed.
+    output-error/weight-error ratio of every perturbation on every window
+    (one batched rollout per window), and reports the minimum; ties go to
+    the first perturbation, then the first window.  Deterministic per seed.
     """
     if not windows:
         raise ValueError("need at least one window")
@@ -79,11 +84,8 @@ def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
         d = rng.normal(size=n)
         d *= rng.uniform(0.1, 1.0) * config.radius / np.linalg.norm(d)
         perturbations.append(d)
-    if extra_perturbations is not None:
-        for d in extra_perturbations:
-            d = np.asarray(d, dtype=float)
-            if np.linalg.norm(d) > 0:
-                perturbations.append(d)
+    extra = [np.asarray(d, dtype=float) for d in extra_perturbations or ()]
+    perturbations += [d for d in extra if np.linalg.norm(d) > 0]
     if config.probe_smallest > 0:
         # Random draws concentrate near the bulk of the sensitivity spectrum
         # and can miss sloppy (weakly identifiable) directions by many orders
@@ -98,26 +100,26 @@ def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
                 # down to a small fraction of the radius as well
                 for frac in (1e-3, 1e-2, 0.1, 0.3, 1.0):
                     perturbations.append(frac * config.radius * v)
+    if not perturbations:
+        raise ValueError("no perturbations to evaluate")
 
-    targets_cache = [models.simulate(spec, theta_true, w.x_init, w.inputs)[0]
-                     for w in windows]
-
-    def ratio_of(d, wi):
-        vals = theta_true.values.copy()
-        vals[mask] += d
-        cand = theta_true.replace_values(vals)
-        pred, _ = models.simulate(spec, cand, windows[wi].x_init, windows[wi].inputs)
-        diff = (targets_cache[wi] - pred).ravel()
-        return float(diff @ diff) / float(d @ d)
-
-    records = []   # (ratio, window index, perturbation)
-    for d in perturbations:
-        for wi in range(len(windows)):
-            records.append((ratio_of(d, wi), wi, d))
-    best_ratio, best_wi, best_d = min(records, key=lambda r: r[0])
-    return DeltaEstimate(delta_hat=best_ratio, n_samples=len(records),
-                         config=config, argmin_window=best_wi,
-                         argmin_perturbation=best_d)
+    # row 0 is theta_true, row 1 + p its p-th perturbation: one batched
+    # rollout per window gives every ratio on that window
+    D = np.array(perturbations)
+    batch = np.tile(theta_true.values, (len(D) + 1, 1))
+    batch[1:, mask] += D
+    ratios = np.empty((len(D), len(windows)))
+    for wi, w in enumerate(windows):
+        outs = models.batch_param_outputs(spec, batch, w.x_init, w.inputs)
+        ratios[:, wi] = np.sum((outs[:, 1:] - outs[:, :1]) ** 2, axis=(0, 2))
+    ratios /= np.sum(D ** 2, axis=1)[:, None]
+    # row-major argmin: the first minimal (perturbation, window) pair
+    best_p, best_wi = np.unravel_index(np.argmin(ratios), ratios.shape)
+    return DeltaEstimate(delta_hat=float(ratios[best_p, best_wi]),
+                         n_samples=ratios.size,
+                         argmin_window=int(best_wi),
+                         argmin_perturbation=perturbations[best_p],
+                         ratios=ratios)
 
 
 def contraction_coefficient(mu: float, delta: float):
@@ -138,10 +140,6 @@ class ConvergenceReport:
     rho_c: float
     violations: list             # checkpoint indices exceeding rho_c * (1 + tol)
     tol: float
-
-    @property
-    def converged(self):
-        return len(self.epsilons) > 1 and self.epsilons[-1] < self.epsilons[0]
 
     def to_rows(self):
         rows = []

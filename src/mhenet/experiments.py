@@ -62,10 +62,18 @@ class ConvergeConfig:
     max_iter: int = 400
 
     def __post_init__(self):
+        for name, low in (("horizon", 1), ("washout", 0), ("n_updates", 1),
+                          ("hold_steps", 1), ("delta_samples", 0),
+                          ("probe_smallest", 0), ("max_iter", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}")
         if not 0.0 < self.eps0:
             raise ConfigError("eps0 must be positive")
-        if self.horizon < 1 or self.n_updates < 1:
-            raise ConfigError("horizon and n_updates must be >= 1")
+        if not np.isfinite(self.eps0):
+            raise ConfigError("eps0 must be finite")
+        if self.delta_samples == self.probe_smallest == 0:
+            raise ConfigError("delta_samples and probe_smallest cannot both be 0")
 
 
 @dataclass(frozen=True)
@@ -471,13 +479,9 @@ def _run_converge(config, out, artifacts, metrics, walls):
 
     # the update schedule is fixed by the stream, so the windows the run
     # will solve on are known in advance; estimate delta over exactly those
-    windows = []
-    k = washout + N
-    while k < T:
-        windows.append(mhe.HorizonWindow(inputs=u[k - N:k + 1],
-                                         outputs=y[k - N:k + 1],
-                                         x_init=xs[k - N], k=k))
-        k += N
+    windows = [mhe.HorizonWindow(inputs=u[k - N:k + 1], outputs=y[k - N:k + 1],
+                                 x_init=xs[k - N], k=k)
+               for k in range(washout + N, T, N)]
     t0 = time.perf_counter()
     sampler = convergence.DeltaSamplerConfig(
         n_samples=cc.delta_samples, radius=2.0 * np.sqrt(eps0),
@@ -490,8 +494,7 @@ def _run_converge(config, out, artifacts, metrics, walls):
     cfg = replace(config.mhe, N=N, mu=mu, washout=washout, observer="oracle",
                   solver="lm", max_iter=cc.max_iter, gtol=1e-14, ftol=3e-16)
     t1 = time.perf_counter()
-    checkpoints, _ = mhe.run_adaptation(
-        spec, prior, mhe.sequence_stream(seq, spec, theta_o, with_states=True), cfg)
+    checkpoints, _ = mhe.run_adaptation(spec, prior, mhe.sequence_stream(seq, xs), cfg)
     walls["adapt"] = time.perf_counter() - t1
     report = convergence.track_error(checkpoints, theta_o, estimate.delta_hat, mu)
 

@@ -42,10 +42,12 @@ class MheConfig:
     solver: str = "lm"           # "lm" (Levenberg-Marquardt) | "lbfgs"
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        for name, low in (("N", 1), ("washout", 0), ("max_iter", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError("mu must be nonnegative and finite")
         if self.gtol <= 0 or self.ftol <= 0:
             raise ValueError("tolerances must be positive")
         if self.observer not in ("washout", "oracle"):
@@ -72,10 +74,6 @@ class HorizonWindow:
     outputs: np.ndarray   # (N+1, n_y)
     x_init: np.ndarray
     k: int                # time index of the last sample
-
-    @property
-    def N(self):
-        return len(self.inputs) - 1
 
 
 @dataclass
@@ -311,21 +309,17 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
     return checkpoints, {"peak_buffered": peak, "buffer_capacity": maxlen}
 
 
-def sequence_stream(sequence, spec=None, params=None, with_states=False):
+def sequence_stream(sequence, states=None):
     """IOSample stream over a recorded sequence.
 
-    When ``with_states`` the matched model (spec, params) is rolled out
-    alongside to attach the true model state to every sample (for the
-    oracle observer in matched-twin studies).
+    ``states`` (at least T rows), when given, attaches ``states[t]``, the
+    model state before sample t, to sample t: the true twin state the
+    oracle observer needs in matched-twin studies, e.g. the states a
+    ``models.simulate`` of the twin already returned.
     """
-    if with_states:
-        x = models.zero_state(spec)
-        for t in range(len(sequence.u)):
-            yield IOSample(u=sequence.u[t], y=sequence.y[t], t=t, x=x.copy())
-            x, _ = models.forward_step(spec, params, x, sequence.u[t])
-    else:
-        for t in range(len(sequence.u)):
-            yield IOSample(u=sequence.u[t], y=sequence.y[t], t=t)
+    for t in range(len(sequence.u)):
+        yield IOSample(u=sequence.u[t], y=sequence.y[t], t=t,
+                       x=None if states is None else states[t])
 
 
 def save_checkpoints(path, checkpoints):

@@ -362,10 +362,10 @@ def batch_param_outputs(spec: ModelSpec, values_batch, x0, inputs) -> np.ndarray
     """Rollout outputs for a batch of parameter vectors on one window.
 
     ``values_batch`` is (B, values_size); all rollouts share ``x0``
-    (state,) and ``inputs`` (T, n_u).  Returns (T, B, n_y).  This is the
-    workhorse behind finite-difference Jacobians and identifiability
-    sampling, where hundreds of nearby weight vectors are evaluated on
-    the same data.
+    (state,) and ``inputs`` (T, n_u).  Returns (T, B, n_y); wrong shapes
+    raise DimensionError.  This is the workhorse behind
+    ``output_jacobian`` and ``convergence.estimate_delta``, which evaluate
+    hundreds of nearby weight vectors on the same window.
     """
     vb = np.asarray(values_batch, dtype=float)
     if vb.ndim != 2 or vb.shape[1] != values_size(spec):

@@ -65,7 +65,7 @@ NOMINAL_INPUT = np.array([1.0, 0.8, 0.1, 313.0, 0.1, 0.0])
 
 @dataclass(frozen=True)
 class DriftSchedule:
-    """Ramp of one plant parameter (only kA is exercised here)."""
+    """Ramp of one plant parameter; only kA can drift."""
 
     param_name: str = "kA"
     start_value: float = 0.336
@@ -77,8 +77,9 @@ class DriftSchedule:
     def __post_init__(self):
         if self.t_start >= self.t_end:
             raise ValueError("t_start must precede t_end")
-        if self.shape != "ramp":
-            raise ValueError(f"unknown drift shape {self.shape!r}")
+        if (self.param_name, self.shape) != ("kA", "ramp"):
+            raise ValueError(f"only a ramp of kA is supported, "
+                             f"got {self.shape!r} of {self.param_name!r}")
 
 
 def drift_value(schedule: DriftSchedule, t) -> float | np.ndarray:
@@ -176,6 +177,8 @@ class ExcitationConfig:
     def __post_init__(self):
         if len(self.lo) != 6 or len(self.hi) != 6:
             raise ValueError("need bounds for all 6 input channels")
+        if not np.all(np.isfinite([*self.lo, *self.hi])):
+            raise ValueError("bounds must be finite")
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise ValueError("bounds must satisfy lo <= hi per channel")
         hold_steps = self.hold_time / self.tau

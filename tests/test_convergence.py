@@ -5,7 +5,7 @@ from mhenet import convergence as cv
 from mhenet import mhe, models
 from mhenet.models import ModelSpec
 
-from conftest import random_params
+from conftest import ALL_SPECS, random_params
 
 SCALAR = ModelSpec("linear", 1, 0, 1)
 
@@ -158,6 +158,52 @@ class TestEstimateDelta:
         theta_o = models.ParamVector(SCALAR, [2.0])
         with pytest.raises(ValueError):
             cv.estimate_delta(SCALAR, theta_o, [], cv.DeltaSamplerConfig())
+
+    def test_no_perturbations_rejected(self):
+        theta_o = models.ParamVector(SCALAR, [2.0])
+        with pytest.raises(ValueError, match="no perturbations to evaluate"):
+            cv.estimate_delta(SCALAR, theta_o, [scalar_window([1.0])],
+                              cv.DeltaSamplerConfig(n_samples=0),
+                              extra_perturbations=[np.zeros(1)])
+
+    @pytest.mark.parametrize("bad", [dict(radius=0.0), dict(radius=-1.0),
+                                     dict(radius=np.nan), dict(radius=np.inf),
+                                     dict(n_samples=-1), dict(probe_smallest=-1)],
+                             ids=["zero-radius", "negative-radius", "nan-radius",
+                                  "inf-radius", "negative-samples", "negative-probe"])
+    def test_bad_sampler_config_rejected(self, bad):
+        with pytest.raises(ValueError):
+            cv.DeltaSamplerConfig(**bad)
+
+    @pytest.mark.parametrize("kind", sorted(ALL_SPECS))
+    def test_batched_ratios_match_per_pair_oracle(self, kind, rng):
+        spec = ALL_SPECS[kind]
+        theta_o = random_params(spec, rng, scale=0.2)
+        mask = models.trainable_mask(spec)
+        windows = [mhe.HorizonWindow(inputs=rng.normal(size=(8, spec.n_u)),
+                                     outputs=np.zeros((8, spec.n_y)),
+                                     x_init=rng.normal(scale=0.2,
+                                                       size=models.state_size(spec)),
+                                     k=7)
+                   for _ in range(3)]
+        ds = [s * rng.normal(size=int(mask.sum())) for s in (0.01, 0.3, 0.05, 0.1, 0.5)]
+        oracle = np.empty((len(ds), len(windows)))
+        for p, d in enumerate(ds):
+            vals = theta_o.values.copy()
+            vals[mask] += d
+            cand = theta_o.replace_values(vals)
+            for wi, w in enumerate(windows):
+                g = cv.output_error_stack(spec, theta_o, cand, w)
+                oracle[p, wi] = float(g @ g) / float(d @ d)
+        est = cv.estimate_delta(spec, theta_o, windows,
+                                cv.DeltaSamplerConfig(n_samples=0),
+                                extra_perturbations=ds)
+        np.testing.assert_allclose(est.ratios, oracle, rtol=1e-12)
+        best_p, best_wi = np.unravel_index(np.argmin(oracle), oracle.shape)
+        assert est.delta_hat == pytest.approx(oracle[best_p, best_wi], rel=1e-12)
+        assert est.argmin_window == best_wi
+        assert np.array_equal(est.argmin_perturbation, ds[best_p])
+        assert est.n_samples == oracle.size
 
 
 class TestContractionCoefficient:

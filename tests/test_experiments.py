@@ -47,6 +47,19 @@ CONFIG_EXAMPLES = [
 ]
 
 
+# out-of-range values that must be refused when the config loads, not at run time
+BAD_CONVERGE_OR_MHE = [
+    ("converge", {"hold_steps": 0}), ("converge", {"washout": -1}),
+    ("converge", {"delta_samples": -1}), ("converge", {"probe_smallest": -1}),
+    ("converge", {"max_iter": 0}), ("converge", {"horizon": 2.5}),
+    ("converge", {"delta_samples": 0, "probe_smallest": 0}),
+    ("converge", {"eps0": float("inf")}),
+    ("mhe", {"N": 2.5}), ("mhe", {"N": True}), ("mhe", {"washout": 1.5}),
+    ("mhe", {"max_iter": 2.5}), ("mhe", {"max_iter": 0}), ("mhe", {"washout": -1}),
+    ("mhe", {"mu": float("nan")}), ("mhe", {"mu": float("inf")}),
+]
+
+
 @pytest.fixture(scope="module")
 def train_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("train_run")
@@ -119,6 +132,19 @@ class TestConfig:
         with pytest.raises(ConfigError) as info:
             ExperimentConfig.from_dict(d)
         assert str(info.value) == "converge: eps0 must be positive"
+
+    @pytest.mark.parametrize("section,bad", BAD_CONVERGE_OR_MHE, ids=[
+        f"{section}-" + "-".join(f"{k}={v}" for k, v in bad.items())
+        for section, bad in BAD_CONVERGE_OR_MHE])
+    def test_bad_converge_or_mhe_value_is_config_error(self, tmp_path, capsys,
+                                                       section, bad):
+        d = {"tag": "converge", section: bad}
+        with pytest.raises(ConfigError, match=f"^{section}: "):
+            ExperimentConfig.from_dict(d)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["converge", "--config", str(p)]) == 1
+        assert f"config error: {section}: " in capsys.readouterr().err
 
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "broken.json"

@@ -5,7 +5,7 @@ from mhenet import mhe, models
 from mhenet.models import ModelSpec
 from mhenet.plant import Sequence
 
-from conftest import random_params
+from conftest import ALL_SPECS, random_params
 
 SCALAR = ModelSpec("linear", 1, 0, 1)
 
@@ -153,19 +153,39 @@ class TestReconstructInitialState:
             mhe.reconstruct_initial_state(spec, p, np.zeros((3, 2)), np.zeros((3, 1)), washout=10)
 
 
+class TestSequenceStream:
+    @pytest.mark.parametrize("kind", sorted(ALL_SPECS))
+    def test_states_match_forward_step_roll(self, kind, rng):
+        # the states a simulate call returns are exactly the states a
+        # step-by-step roll of the same model reaches
+        spec = ALL_SPECS[kind]
+        p = random_params(spec, rng, scale=0.2)
+        u = rng.normal(size=(30, spec.n_u))
+        y, xs = models.simulate(spec, p, models.zero_state(spec), u)
+        seq = Sequence(u=u, y=y, tau=0.1)
+        x = models.zero_state(spec)
+        samples = list(mhe.sequence_stream(seq, xs))
+        assert [s.t for s in samples] == list(range(len(u)))
+        for s in samples:
+            assert np.array_equal(s.u, u[s.t]) and np.array_equal(s.y, y[s.t])
+            assert np.array_equal(s.x, x)
+            x, _ = models.forward_step(spec, p, x, u[s.t])
+        assert all(s.x is None for s in mhe.sequence_stream(seq))
+
+
 class TestRunAdaptation:
     def _matched_run(self, rng, mu=0.5, N=5, washout=20, n_samples=200, perturb=0.0):
         spec = ModelSpec("gru", 2, 3, 2)
         theta_o = random_params(spec, rng, scale=0.2)
         u = rng.normal(size=(n_samples, 2))
-        y, _ = models.simulate(spec, theta_o, models.zero_state(spec), u)
+        y, xs = models.simulate(spec, theta_o, models.zero_state(spec), u)
         seq = Sequence(u=u, y=y, tau=0.1)
         start = theta_o
         if perturb:
             d = rng.normal(size=len(theta_o.values))
             start = theta_o.replace_values(theta_o.values + perturb * d / np.linalg.norm(d))
         cfg = mhe.MheConfig(N=N, mu=mu, washout=washout, observer="oracle")
-        stream = mhe.sequence_stream(seq, spec, theta_o, with_states=True)
+        stream = mhe.sequence_stream(seq, xs)
         ckpts, stats = mhe.run_adaptation(spec, start, stream, cfg)
         return spec, theta_o, ckpts, stats, cfg
 

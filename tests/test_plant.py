@@ -109,6 +109,11 @@ class TestDrift:
         with pytest.raises(ValueError):
             DriftSchedule(t_start=200.0, t_end=100.0)
 
+    def test_only_ka_can_drift(self):
+        # drift_run always ramps kA, so another name would be ignored
+        with pytest.raises(ValueError, match="kA"):
+            DriftSchedule(param_name="kB")
+
     def test_drift_run_departs_from_nominal(self):
         exc = plant.default_excitation()
         sched = DriftSchedule(t_start=5.0, t_end=10.0)
@@ -147,6 +152,13 @@ class TestExcitation:
             ExcitationConfig(lo=(1,) * 6, hi=(0,) * 6)
         with pytest.raises(ValueError, match="hold_time"):
             ExcitationConfig(lo=(0,) * 6, hi=(1,) * 6, hold_time=0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bounds_rejected(self, bad):
+        # NaN passes the lo <= hi comparison, so finiteness needs its own check
+        for lo, hi in [((bad,) + (0,) * 5, (1,) * 6), ((0,) * 6, (1,) * 5 + (bad,))]:
+            with pytest.raises(ValueError, match="finite"):
+                ExcitationConfig(lo=lo, hi=hi)
 
 
 class TestSimulatePlant:
