@@ -13,7 +13,18 @@ a computed steady state.  A slow ramp of the rate constant kA models
 plant drift.
 
 All state/derivative functions accept a batch axis (B, 4)/(B, 6) so
-that many sequences integrate in one vectorized pass.
+that many sequences integrate in one vectorized pass.  The balances are
+written once, in ``_rhs``, over four channel rows: ``tuple(state.T)``
+gives numpy scalars for a (4,) state and (B,) arrays for a (B, 4)
+batch, so a single trajectory pays scalar rather than array dispatch
+and one code path serves both.  ``step`` computes the input terms once
+per sample, since they are constant over its 4 * substeps stages.
+Every product keeps Python's left-to-right order, so the rows give the
+bits of the plain (..., 4) array form that the tests keep as a
+reference; ``np.exp`` is used rather than ``math.exp`` for the same
+reason, as the two can differ in the last place.  Every stage refuses a
+non-finite or non-positive H2 or T2, and ``step`` refuses a result that
+is non-finite or leaves that domain.
 """
 
 from __future__ import annotations
@@ -90,56 +101,57 @@ def drift_value(schedule: DriftSchedule, t) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
+def _arrhenius(p: PlantParams, T2):
+    return p.kA * np.exp(-p.EA_over_R / T2), p.kB * np.exp(-p.EB_over_R / T2)
+
+
 def rate_coefficients(T2, params: PlantParams):
     """Arrhenius rates (kA2, kB2) at temperature T2."""
-    T2 = np.asarray(T2, dtype=float)
-    if np.any(T2 <= 0):
-        raise ValueError("temperature must be positive")
-    kA2 = params.kA * np.exp(-params.EA_over_R / T2)
-    kB2 = params.kB * np.exp(-params.EB_over_R / T2)
-    return kA2, kB2
+    if not ((T2 := np.asarray(T2, dtype=float)) > 0).all():
+        raise ValueError("temperature T2 is non-finite or non-positive")
+    return _arrhenius(params, T2)
+
+
+def _feed_terms(p: PlantParams, inp):
+    H1, xA1, xB1, T1, F20, Q2 = np.asarray(inp, dtype=float).T
+    F1 = p.kv1 * H1
+    return (F20 + F1, F20 * p.xA0 + F1 * xA1, F1 * xB1, F20 * p.T0 + F1 * T1,
+            Q2, p.rho * p.A2)
+
+
+def _rhs(p: PlantParams, c, H2, xA2, xB2, T2):
+    """The balances on channel rows; ``c = _feed_terms(p, u)`` is held per sample."""
+    if not ((H2 > 0) & (T2 > 0)).all():  # one reduction; NaN fails it too
+        raise ValueError("H2 or temperature T2 is non-finite or non-positive")
+    (kA2, kB2), (inflow, feedA, feedB, feedT, Q2, rhoA) = _arrhenius(p, T2), c
+    F2, hold = p.kv2 * H2, rhoA * H2
+    return ((inflow - F2) / rhoA,
+            (feedA - F2 * xA2) / hold - kA2 * xA2,
+            (feedB - F2 * xB2) / hold + kA2 * xA2 - kB2 * xB2,
+            ((feedT - F2 * T2) / hold - (kA2 * xA2 * p.dHA + kB2 * xB2 * p.dHB) / p.Cp
+             + Q2 / (hold * p.Cp)))
 
 
 def derivatives(state, inp, params: PlantParams) -> np.ndarray:
-    """Right-hand side of the four balance ODEs, per second.
-
-    ``state`` is (..., 4) = [H2, xA2, xB2, T2]; ``inp`` is (..., 6).
-    """
-    state = np.asarray(state, dtype=float)
-    inp = np.asarray(inp, dtype=float)
-    H2, xA2, xB2, T2 = (state[..., i] for i in range(4))
-    H1, xA1, xB1, T1, F20, Q2 = (inp[..., i] for i in range(6))
-    if np.any(H2 <= 0):
-        raise ValueError("H2 must be positive (level balance divides by H2)")
-    kA2, kB2 = rate_coefficients(T2, params)
-    F1 = params.kv1 * H1
-    F2 = params.kv2 * H2
-    rhoA = params.rho * params.A2
-    hold = rhoA * H2
-    dH2 = (F20 + F1 - F2) / rhoA
-    dxA2 = (F20 * params.xA0 + F1 * xA1 - F2 * xA2) / hold - kA2 * xA2
-    dxB2 = (F1 * xB1 - F2 * xB2) / hold + kA2 * xA2 - kB2 * xB2
-    dT2 = ((F20 * params.T0 + F1 * T1 - F2 * T2) / hold
-           - (kA2 * xA2 * params.dHA + kB2 * xB2 * params.dHB) / params.Cp
-           + Q2 / (hold * params.Cp))
-    return np.stack([dH2, dxA2, dxB2, dT2], axis=-1)
+    """Right-hand side of the balances per second; state (..., 4), inp (..., 6)."""
+    return np.array(_rhs(params, _feed_terms(params, inp), *np.asarray(state, float).T)).T
 
 
 def step(state, inp, params: PlantParams, dt: float, substeps: int = 10) -> np.ndarray:
     """Classical RK4 over dt/substeps with the input held constant."""
     if dt <= 0 or substeps < 1:
         raise ValueError("dt must be positive and substeps >= 1")
-    x = np.asarray(state, dtype=float)
-    h = dt / substeps
+    c, h, x = _feed_terms(params, inp), dt / substeps, tuple(np.asarray(state, float).T)
     for _ in range(substeps):
-        k1 = derivatives(x, inp, params)
-        k2 = derivatives(x + 0.5 * h * k1, inp, params)
-        k3 = derivatives(x + 0.5 * h * k2, inp, params)
-        k4 = derivatives(x + h * k3, inp, params)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if np.any(x[..., 0] <= 0) or np.any(x[..., 3] <= 0):
-        raise ValueError("state left the validity domain (H2 or T2 <= 0)")
-    return x
+        k1 = _rhs(params, c, *x)
+        k2 = _rhs(params, c, *[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+        k3 = _rhs(params, c, *[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+        k4 = _rhs(params, c, *[xi + h * ki for xi, ki in zip(x, k3)])
+        x = tuple(xi + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                  for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4))
+    if not (np.isfinite(x).all() and ((x[0] > 0) & (x[3] > 0)).all()):
+        raise ValueError("non-finite or non-positive plant data: the state left its domain")
+    return np.array(x).T
 
 
 _STEADY_STATE_CACHE = {}
@@ -234,6 +246,13 @@ class DatasetConfig:
     kA: float | None = None   # override rate constant (drifted-plant datasets)
 
     def __post_init__(self):
+        for name, low in (("n_sequences", 1), ("seq_len", 2), ("n_train", 0),
+                          ("n_test", 0), ("substeps", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive and finite")
         if self.n_train + self.n_test > self.n_sequences:
             raise ValueError("split sizes exceed n_sequences")
 
@@ -320,6 +339,8 @@ def load_sequence_csv(path) -> Sequence:
         if header != SEQUENCE_CSV_COLUMNS:
             raise ValueError(f"unexpected sequence CSV header {header}")
         rows = np.array([[float(v) for v in row] for row in reader])
+    if len(rows) == 0:
+        raise ValueError(f"sequence CSV {path} has no samples")
     tau = rows[1, 0] - rows[0, 0] if len(rows) > 1 else TAU
     return Sequence(u=rows[:, 1:7], y=rows[:, 7:11], tau=float(tau))
 

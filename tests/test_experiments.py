@@ -47,8 +47,9 @@ CONFIG_EXAMPLES = [
 ]
 
 
-# out-of-range values that must be refused when the config loads, not at run time
-BAD_CONVERGE_OR_MHE = [
+# out-of-range section values that must be refused when the config loads,
+# not at run time
+BAD_SECTION_VALUES = [
     ("converge", {"hold_steps": 0}), ("converge", {"washout": -1}),
     ("converge", {"delta_samples": -1}), ("converge", {"probe_smallest": -1}),
     ("converge", {"max_iter": 0}), ("converge", {"horizon": 2.5}),
@@ -57,6 +58,10 @@ BAD_CONVERGE_OR_MHE = [
     ("mhe", {"N": 2.5}), ("mhe", {"N": True}), ("mhe", {"washout": 1.5}),
     ("mhe", {"max_iter": 2.5}), ("mhe", {"max_iter": 0}), ("mhe", {"washout": -1}),
     ("mhe", {"mu": float("nan")}), ("mhe", {"mu": float("inf")}),
+    ("dataset", {"n_sequences": 0, "n_train": 0, "n_test": 0}),
+    ("dataset", {"seq_len": 0}), ("dataset", {"substeps": 0}),
+    ("dataset", {"substeps": 1.5}), ("dataset", {"tau": 0.0}),
+    ("dataset", {"n_train": -1}), ("dataset", {"n_test": -1}),
 ]
 
 
@@ -133,9 +138,9 @@ class TestConfig:
             ExperimentConfig.from_dict(d)
         assert str(info.value) == "converge: eps0 must be positive"
 
-    @pytest.mark.parametrize("section,bad", BAD_CONVERGE_OR_MHE, ids=[
+    @pytest.mark.parametrize("section,bad", BAD_SECTION_VALUES, ids=[
         f"{section}-" + "-".join(f"{k}={v}" for k, v in bad.items())
-        for section, bad in BAD_CONVERGE_OR_MHE])
+        for section, bad in BAD_SECTION_VALUES])
     def test_bad_converge_or_mhe_value_is_config_error(self, tmp_path, capsys,
                                                        section, bad):
         d = {"tag": "converge", section: bad}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import reference_derivatives, reference_plant, reference_step
 from mhenet import plant
 from mhenet.plant import (DatasetConfig, DriftSchedule, ExcitationConfig,
                           PlantParams, NOMINAL_INPUT, TAU)
@@ -69,6 +70,81 @@ class TestStep:
     def test_invalid_dt(self):
         with pytest.raises(ValueError):
             plant.step(np.ones(4), NOMINAL_INPUT, PlantParams(), -0.1)
+
+    # an inf meets -inf (a RuntimeWarning) before the stage check sees the NaN
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("batch", [None, 3], ids=["single", "batched"])
+    @pytest.mark.parametrize("where,channel,bad", [
+        ("input", 3, np.nan), ("input", 5, np.inf), ("input", 1, -np.inf),
+        ("state", 1, np.nan), ("state", slice(None), np.nan), ("state", 3, np.inf)],
+        ids=["T1-nan", "Q2-inf", "xA1-neginf", "xA2-nan", "state-nan", "T2-inf"])
+    def test_non_finite_data_raises(self, batch, where, channel, bad):
+        # one bad row refuses the whole batch
+        p = PlantParams()
+        x = np.tile(plant.steady_state(p), (batch or 1, 1))
+        u = np.tile(NOMINAL_INPUT, (batch or 1, 1))
+        (u if where == "input" else x)[-1, channel] = bad
+        if batch is None:
+            x, u = x[0], u[0]
+        with pytest.raises(ValueError, match="non-finite or non-positive"):
+            plant.step(x, u, p, TAU)
+
+    @pytest.mark.parametrize("channel,value", [(0, -0.5), (0, 0.0), (3, 0.0)])
+    def test_one_out_of_domain_row_raises(self, channel, value):
+        p = PlantParams()
+        x = np.tile(plant.steady_state(p), (4, 1))
+        x[2, channel] = value
+        with pytest.raises(ValueError, match="non-finite or non-positive"):
+            plant.step(x, np.tile(NOMINAL_INPUT, (4, 1)), p, TAU)
+
+    def test_step_ending_out_of_domain_raises(self):
+        # with a negative feed one long RK4 step ends at T2 < 0, although
+        # all four stages stay inside the domain
+        u = np.array([0.0, 0.8, 0.1, 313.0, -0.4, 0.0])
+        with pytest.raises(ValueError, match="left its domain"):
+            plant.step([1.4, 0.5, 0.2, 308.0], u, PlantParams(), 0.6, substeps=1)
+
+
+class TestKernelParity:
+    """The channel-row kernel gives the bits of the reference array kernel."""
+
+    def test_steady_state(self):
+        p = PlantParams(kA=0.331)
+        fast = plant.steady_state(p)
+        with reference_plant():
+            assert np.array_equal(fast, plant.steady_state(p))
+
+    def test_drift_run_with_ramp_inside(self):
+        exc = plant.default_excitation()
+        sched = DriftSchedule(t_start=20.0, t_end=40.0)
+        fast = plant.drift_run(60.0, sched, exc, seed=11)
+        with reference_plant():
+            ref = plant.drift_run(60.0, sched, exc, seed=11)
+        assert np.array_equal(fast.u, ref.u)
+        assert np.array_equal(fast.y, ref.y)
+
+    def test_collect_dataset(self):
+        cfg = DatasetConfig(n_sequences=6, seq_len=150, n_train=4, n_test=2)
+        fast = plant.collect_dataset(cfg, seed=9)
+        with reference_plant():
+            ref = plant.collect_dataset(cfg, seed=9)
+        for a, b in zip(fast.sequences, ref.sequences):
+            assert np.array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (7, 4)], ids=["4", "1x4", "7x4"])
+    def test_random_steps_and_derivatives(self, rng, shape):
+        exc = plant.default_excitation()
+        for _ in range(10):
+            p = PlantParams(kA=rng.uniform(0.3, 0.36))
+            x = rng.uniform([0.8, 0.1, 0.05, 300.0], [1.6, 0.9, 0.5, 330.0],
+                            size=shape)
+            u = rng.uniform(exc.lo, exc.hi, size=shape[:-1] + (6,))
+            dt, substeps = rng.uniform(0.01, 0.5), int(rng.integers(1, 12))
+            fast = plant.step(x, u, p, dt, substeps)
+            assert fast.shape == shape
+            assert np.array_equal(fast, reference_step(x, u, p, dt, substeps))
+            assert np.array_equal(plant.derivatives(x, u, p),
+                                  reference_derivatives(x, u, p))
 
 
 class TestSteadyState:
@@ -212,3 +288,20 @@ class TestCollectDataset:
     def test_split_overflow_rejected(self):
         with pytest.raises(ValueError, match="split"):
             DatasetConfig(n_sequences=3, n_train=3, n_test=1)
+
+    @pytest.mark.parametrize("bad", [
+        {"n_sequences": 0, "n_train": 0, "n_test": 0}, {"seq_len": 0},
+        {"seq_len": 1}, {"substeps": 0}, {"substeps": 2.5}, {"substeps": True},
+        {"tau": 0.0}, {"tau": np.nan}, {"tau": np.inf}, {"n_train": -1},
+        {"n_test": -2}], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_bad_sizes_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            DatasetConfig(**bad)
+
+
+class TestSequenceCsv:
+    def test_header_only_raises(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(plant.SEQUENCE_CSV_COLUMNS) + "\n")
+        with pytest.raises(ValueError, match="no samples"):
+            plant.load_sequence_csv(path)
