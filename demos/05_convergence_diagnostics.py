@@ -66,7 +66,7 @@ seq = plant.Sequence(u=u, y=y, tau=0.1)
 cfg = mhe.MheConfig(N=N, mu=mu, washout=washout, observer="oracle",
                     solver="lm", max_iter=400, gtol=1e-14, ftol=3e-16)
 checkpoints, _ = mhe.run_adaptation(spec, prior, mhe.sequence_stream(seq, xs), cfg)
-report = convergence.track_error(checkpoints, theta_true,
+report = convergence.track_error(checkpoints, prior, theta_true,
                                  estimate.delta_hat, mu)
 
 print(f"\n{'k':>5} {'eps_k':>12} {'ratio':>8}   bound rho_c = {rho_c:.4f}")

@@ -149,19 +149,21 @@ class ConvergenceReport:
         return rows
 
 
-def track_error(checkpoints, theta_true: ParamVector, delta_hat: float,
-                mu: float, tol: float = 0.01) -> ConvergenceReport:
-    """Per-update weight-error trajectory vs the theoretical contraction."""
+def track_error(checkpoints, initial: ParamVector, theta_true: ParamVector,
+                delta_hat: float, mu: float, tol: float = 0.01) -> ConvergenceReport:
+    """Per-update weight-error trajectory vs the theoretical contraction.
+
+    ``initial`` is the run's starting weights, the prior of the first
+    update; every later prior is the previous checkpoint's solution.
+    """
     rho_c, _ = contraction_coefficient(mu, delta_hat)
     ks, eps, ratios, violations = [], [], [], []
-    prev = None
+    prev = epsilon(theta_true, initial)
     for i, c in enumerate(checkpoints):
         e = epsilon(theta_true, c.solution)
-        if i == 0:
-            prev = epsilon(theta_true, c.prior)
         ks.append(c.k)
         eps.append(e)
-        if prev is not None and prev > 0:
+        if prev > 0:
             r = e / prev
             ratios.append(r)
             if e > rho_c * prev * (1.0 + tol):

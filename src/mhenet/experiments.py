@@ -116,8 +116,9 @@ class ExperimentConfig:
             raise ConfigError("jobs: must be an integer")
         if not isinstance(self.adapt_time, (int, float)):
             raise ConfigError("adapt_time: must be a number")
-        if self.n_eval_sequences < 1:
-            raise ConfigError("n_eval_sequences must be >= 1")
+        if (not isinstance(self.n_eval_sequences, int)
+                or isinstance(self.n_eval_sequences, bool) or self.n_eval_sequences < 1):
+            raise ConfigError("n_eval_sequences: must be an integer >= 1")
         if self.adapt_time <= self.drift.t_start:
             raise ConfigError("adapt_time must extend past the drift onset")
         if self.jobs < 1:
@@ -195,7 +196,7 @@ class RunManifest:
     config: dict
     artifacts: dict          # name -> {path, sha256, bytes}
     metrics: dict
-    wall_times: dict         # stage -> seconds (excluded from comparisons)
+    wall_times: dict         # stage -> seconds, a list for sweep rows (not compared)
     status: str = "ok"
 
     def summary(self) -> dict:
@@ -417,7 +418,6 @@ def _run_adapt(config, out, artifacts, metrics, walls):
         "channel_unadapted": [float(v) for v in un.channel_mse],
         "channel_adapted": [float(v) for v in ad.channel_mse],
         "mse_reduction": 1.0 - ad.average / un.average,
-        "mean_solve_time": float(np.mean([c.wall_time for c in checkpoints])),
     })
     emit_plotdata(out, "fig5", config)
     for fig in ("fig6", "fig7"):
@@ -441,14 +441,13 @@ def _run_sweep(config, out, artifacts, metrics, walls):
     else:
         results = list(map(row, mus, Ns))
     walls["sweep"] = time.perf_counter() - t0
+    walls["sweep_rows"] = [wall for _, _, wall, _ in results]
     rows, table = [], []
-    for mu, N, (checkpoints, _, wall, rep) in zip(mus, Ns, results):
+    for mu, N, (_, _, _, rep) in zip(mus, Ns, results):
         channel = [float(v) for v in rep.channel_mse]
         rows.append({"mu": mu, "N": N, "channel_mse": channel, "average": rep.average})
-        solve = float(np.mean([c.wall_time for c in checkpoints]))
-        table.append([mu, N, wall, solve] + channel + [rep.average])
-    header = ("mu", "N", "adapt_time_s", "solve_time_s") \
-        + plant.STATE_COLUMNS + ("average",)
+        table.append([mu, N] + channel + [rep.average])
+    header = ("mu", "N") + plant.STATE_COLUMNS + ("average",)
     _write_csv(out / "sweep.csv", header, table)
     _record_artifact(artifacts, out, out / "sweep.csv")
     best = min(rows, key=lambda r: r["average"])
@@ -496,7 +495,8 @@ def _run_converge(config, out, artifacts, metrics, walls):
     t1 = time.perf_counter()
     checkpoints, _ = mhe.run_adaptation(spec, prior, mhe.sequence_stream(seq, xs), cfg)
     walls["adapt"] = time.perf_counter() - t1
-    report = convergence.track_error(checkpoints, theta_o, estimate.delta_hat, mu)
+    report = convergence.track_error(checkpoints, prior, theta_o,
+                                     estimate.delta_hat, mu)
 
     _write_csv(out / "convergence.csv",
                ("k", "epsilon", "ratio", "rho_c", "violated"),

@@ -13,14 +13,23 @@ information.
 
 The stream consumer is bounded-memory: it never buffers more than
 washout + N + 1 samples regardless of stream length.
+
+Each update yields one ``AdaptCheckpoint``: the time index k, the
+solution, the fit/prior/total costs at it, the solver's iteration and
+evaluation counts, and whether it reported convergence, with its
+message.  The record holds no prior and no wall-clock time.  The prior
+of update i is the solution of update i-1, and that of update 0 is the
+run's initial parameters, so a run is rebuilt from its initial
+parameters and its records: ``[initial] + [c.solution for c in
+checkpoints[:-1]]`` are the priors.  Without wall times the JSONL file
+is a deterministic function of the run's inputs.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
-import time
 import warnings
 
 import numpy as np
@@ -78,38 +87,30 @@ class HorizonWindow:
 
 @dataclass
 class AdaptCheckpoint:
+    """One update: its solution and how the solver reached it.
+
+    ``prior_cost`` is ||solution - prior||^2 over the trainable weights;
+    ``total_cost = fit_cost + mu * prior_cost``.  On fallback the solution
+    is the prior itself and ``prior_cost`` is 0.
+    """
+
     k: int
-    prior: ParamVector
     solution: ParamVector
     fit_cost: float
     prior_cost: float
     total_cost: float
     iterations: int
     n_evals: int
-    wall_time: float
+    converged: bool
+    message: str
 
     def to_json(self):
-        return json.dumps({
-            "k": self.k,
-            "fit_cost": self.fit_cost,
-            "prior_cost": self.prior_cost,
-            "total_cost": self.total_cost,
-            "iterations": self.iterations,
-            "n_evals": self.n_evals,
-            "wall_time": self.wall_time,
-            "prior": [float(v) for v in self.prior.values],
-            "solution": [float(v) for v in self.solution.values],
-        })
+        return json.dumps({**vars(self), "solution": self.solution.values.tolist()})
 
     @classmethod
     def from_json(cls, text, spec: ModelSpec):
         d = json.loads(text)
-        return cls(k=d["k"],
-                   prior=ParamVector(spec, np.array(d["prior"])),
-                   solution=ParamVector(spec, np.array(d["solution"])),
-                   fit_cost=d["fit_cost"], prior_cost=d["prior_cost"],
-                   total_cost=d["total_cost"], iterations=d["iterations"],
-                   n_evals=d["n_evals"], wall_time=d["wall_time"])
+        return cls(**{**d, "solution": ParamVector(spec, np.array(d["solution"]))})
 
 
 def reconstruct_initial_state(spec: ModelSpec, params: ParamVector,
@@ -141,24 +142,13 @@ def reconstruct_initial_state(spec: ModelSpec, params: ParamVector,
 def mhe_cost(spec: ModelSpec, candidate: ParamVector, window: HorizonWindow,
              prior: ParamVector, mu: float):
     """(total, fit, prior_term) of the horizon objective at ``candidate``."""
-    fit, _ = models.window_loss_and_gradient(
-        spec, candidate, window.x_init, window.inputs, window.outputs)
+    pred, _ = models.simulate(spec, candidate, window.x_init, window.inputs)
+    res = pred - window.outputs
+    fit = float(np.sum(res * res))
     mask = models.trainable_mask(spec)
     dv = (candidate.values - prior.values)[mask]
     prior_term = float(dv @ dv)
     return fit + mu * prior_term, fit, prior_term
-
-
-@dataclass
-class SolveStats:
-    iterations: int
-    n_evals: int
-    converged: bool
-    message: str
-    fit_cost: float
-    prior_cost: float
-    total_cost: float
-    wall_time: float
 
 
 def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
@@ -170,14 +160,14 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
     Levenberg-Marquardt with a batched finite-difference Jacobian, or by
     L-BFGS-B with the analytic reverse-mode gradient.  Both warm-start
     at the prior; if the optimizer reports a point no better than the
-    prior, the prior is returned unchanged.
+    prior, the prior is returned unchanged.  Returns ``(solution,
+    AdaptCheckpoint)``.
     """
     mask = models.trainable_mask(spec)
     base = prior.values.copy()
     theta_p = base[mask]
     mu = config.mu
     sqmu = np.sqrt(mu)
-    t0 = time.perf_counter()
 
     def embed(theta_t):
         vals = base.copy()
@@ -243,11 +233,10 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
     if not np.isfinite(total) or total > total_prior:
         solution = prior
         total, fit, prior_term = total_prior, fit_prior, 0.0
-    stats = SolveStats(iterations=nit, n_evals=nfev,
-                       converged=success, message=message,
-                       fit_cost=fit, prior_cost=prior_term, total_cost=total,
-                       wall_time=time.perf_counter() - t0)
-    return solution, stats
+    return solution, AdaptCheckpoint(
+        k=window.k, solution=solution, fit_cost=fit, prior_cost=prior_term,
+        total_cost=total, iterations=nit, n_evals=nfev, converged=success,
+        message=message)
 
 
 def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
@@ -296,11 +285,7 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
             outputs=np.array([s.y for s in window_samples], dtype=float),
             x_init=np.asarray(x_init, dtype=float),
             k=sample.t)
-        solution, stats = solve_update(spec, window, prior, config)
-        ckpt = AdaptCheckpoint(k=sample.t, prior=prior, solution=solution,
-                               fit_cost=stats.fit_cost, prior_cost=stats.prior_cost,
-                               total_cost=stats.total_cost, iterations=stats.iterations,
-                               n_evals=stats.n_evals, wall_time=stats.wall_time)
+        solution, ckpt = solve_update(spec, window, prior, config)
         checkpoints.append(ckpt)
         if on_checkpoint is not None:
             on_checkpoint(ckpt)

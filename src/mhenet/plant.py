@@ -22,9 +22,10 @@ per sample, since they are constant over its 4 * substeps stages.
 Every product keeps Python's left-to-right order, so the rows give the
 bits of the plain (..., 4) array form that the tests keep as a
 reference; ``np.exp`` is used rather than ``math.exp`` for the same
-reason, as the two can differ in the last place.  Every stage refuses a
-non-finite or non-positive H2 or T2, and ``step`` refuses a result that
-is non-finite or leaves that domain.
+reason, as the two can differ in the last place.  ``step`` refuses a
+non-finite state or input on entry, every stage refuses a non-finite or
+non-positive H2 or T2, and ``step`` refuses a result that is non-finite
+or leaves that domain.
 """
 
 from __future__ import annotations
@@ -141,7 +142,11 @@ def step(state, inp, params: PlantParams, dt: float, substeps: int = 10) -> np.n
     """Classical RK4 over dt/substeps with the input held constant."""
     if dt <= 0 or substeps < 1:
         raise ValueError("dt must be positive and substeps >= 1")
-    c, h, x = _feed_terms(params, inp), dt / substeps, tuple(np.asarray(state, float).T)
+    state, inp = np.asarray(state, float), np.asarray(inp, float)
+    # checked before any arithmetic: an inf would meet -inf in a stage first
+    if not (np.isfinite(state).all() and np.isfinite(inp).all()):
+        raise ValueError("non-finite or non-positive plant data: non-finite state or input")
+    c, h, x = _feed_terms(params, inp), dt / substeps, tuple(state.T)
     for _ in range(substeps):
         k1 = _rhs(params, c, *x)
         k2 = _rhs(params, c, *[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])

@@ -271,11 +271,14 @@ class TestCriterion10Reproducibility:
                                                 probe_smallest=1, max_iter=60),
             n_eval_sequences=2, adapt_time=20.0, **overrides)
 
-    def test_three_tags_rerun_identically(self, tmp_path):
+    def test_six_tags_rerun_identically(self, tmp_path):
         results = {}
-        for tag in ("simulate", "train", "converge"):
-            m1 = experiments.run(self._tiny(tag, tmp_path / f"{tag}_a"))
-            m2 = experiments.run(self._tiny(tag, tmp_path / f"{tag}_b"))
+        for tag in experiments.TAGS:
+            # the stages downstream of training read the first train run
+            model = ({"model_dir": str(tmp_path / "train_a")}
+                     if tag in ("drift-eval", "adapt", "sweep") else {})
+            m1 = experiments.run(self._tiny(tag, tmp_path / f"{tag}_a", **model))
+            m2 = experiments.run(self._tiny(tag, tmp_path / f"{tag}_b", **model))
             results[tag] = (m1.summary() == m2.summary())
         ok = all(results.values())
         _report("criterion 10", ok,

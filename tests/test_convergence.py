@@ -241,16 +241,23 @@ class TestNormInequality:
 
 
 class TestTrackError:
-    def _ckpt(self, spec, prior, sol, k):
-        return mhe.AdaptCheckpoint(k=k, prior=prior, solution=sol, fit_cost=0.0,
-                                   prior_cost=0.0, total_cost=0.0, iterations=1,
-                                   n_evals=1, wall_time=0.0)
+    def _chain(self, initial, solutions, ks):
+        """Records of a run from ``initial``; each prior is the previous
+        solution, as in ``run_adaptation``."""
+        ckpts, prior = [], initial
+        for sol, k in zip(solutions, ks):
+            dv = sol.values - prior.values
+            ckpts.append(mhe.AdaptCheckpoint(
+                k=k, solution=sol, fit_cost=0.0, prior_cost=float(dv @ dv),
+                total_cost=0.0, iterations=1, n_evals=1, converged=True, message=""))
+            prior = sol
+        return ckpts
 
     def test_truth_throughout_gives_zero_epsilons(self, rng):
         spec = ModelSpec("linear", 2, 0, 1)
         t = models.ParamVector(spec, [1.0, 2.0])
-        ckpts = [self._ckpt(spec, t, t, k) for k in (5, 10, 15)]
-        rep = cv.track_error(ckpts, t, delta_hat=1.0, mu=0.1)
+        ckpts = self._chain(t, [t, t, t], (5, 10, 15))
+        rep = cv.track_error(ckpts, t, t, delta_hat=1.0, mu=0.1)
         assert rep.epsilons == [0.0, 0.0, 0.0]
         assert all(np.isnan(r) for r in rep.ratios)
         assert rep.violations == []
@@ -264,19 +271,29 @@ class TestTrackError:
                               x_init=np.zeros(0), k=1)
         sol, _ = mhe.solve_update(SCALAR, w, prior, mhe.MheConfig(N=1, mu=2.0))
         assert sol.values[0] == pytest.approx(1.0, abs=1e-8)
-        rep = cv.track_error([self._ckpt(SCALAR, prior, sol, 1)], theta_o,
+        rep = cv.track_error(self._chain(prior, [sol], [1]), prior, theta_o,
                              delta_hat=5.0, mu=2.0)
         assert rep.epsilons[0] == pytest.approx(1.0, abs=1e-7)
         assert rep.ratios[0] == pytest.approx(0.25, abs=1e-7)
         assert rep.rho_c == pytest.approx(2.0 / 3.0)
         assert rep.violations == []
 
+    def test_later_ratios_use_previous_solution(self):
+        # eps 4 (initial) -> 1 -> 0.25: both ratios 0.25
+        theta_o = models.ParamVector(SCALAR, [2.0])
+        initial = models.ParamVector(SCALAR, [0.0])
+        sols = [models.ParamVector(SCALAR, [v]) for v in (1.0, 1.5)]
+        rep = cv.track_error(self._chain(initial, sols, [1, 2]), initial, theta_o,
+                             delta_hat=5.0, mu=2.0)
+        assert rep.epsilons == [1.0, 0.25]
+        assert rep.ratios == [0.25, 0.25]
+
     def test_violation_flagged(self):
         spec = ModelSpec("linear", 1, 0, 1)
         theta_o = models.ParamVector(spec, [2.0])
         prior = models.ParamVector(spec, [0.0])     # eps 4
         stuck = models.ParamVector(spec, [0.1])     # eps 3.61, ratio ~0.9
-        rep = cv.track_error([self._ckpt(spec, prior, stuck, 1)], theta_o,
+        rep = cv.track_error(self._chain(prior, [stuck], [1]), prior, theta_o,
                              delta_hat=10.0, mu=1.0)  # rho_c = 2/10.5 ~ 0.19
         assert rep.violations == [0]
 
@@ -284,7 +301,7 @@ class TestTrackError:
         spec = ModelSpec("linear", 1, 0, 1)
         t = models.ParamVector(spec, [1.0])
         p = models.ParamVector(spec, [0.0])
-        rep = cv.track_error([self._ckpt(spec, p, t, 3)], t, delta_hat=1.0, mu=0.1)
+        rep = cv.track_error(self._chain(p, [t], [3]), p, t, delta_hat=1.0, mu=0.1)
         rows = rep.to_rows()
         assert rows[0]["k"] == 3
         assert set(rows[0]) == {"k", "epsilon", "ratio", "rho_c", "violated"}

@@ -151,6 +151,17 @@ class TestConfig:
         assert cli.main(["converge", "--config", str(p)]) == 1
         assert f"config error: {section}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [2.5, True, 0, "3"],
+                             ids=["fractional", "boolean", "zero", "string"])
+    def test_bad_n_eval_sequences_is_config_error(self, tmp_path, capsys, value):
+        d = {"tag": "drift-eval", "n_eval_sequences": value}
+        with pytest.raises(ConfigError, match="^n_eval_sequences: "):
+            ExperimentConfig.from_dict(d)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["drift-eval", "--config", str(p)]) == 1
+        assert "config error: n_eval_sequences: " in capsys.readouterr().err
+
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -260,7 +271,7 @@ class TestSweep:
     def test_table_shape_and_best(self, sweep_run):
         config, manifest, out = sweep_run
         rows = (out / "sweep.csv").read_text().strip().split("\n")
-        assert rows[0] == "mu,N,adapt_time_s,solve_time_s,H2,xA2,xB2,T2,average"
+        assert rows[0] == "mu,N,H2,xA2,xB2,T2,average"
         assert len(rows) == 1 + len(config.sweep_grid)
         averages = [r["average"] for r in manifest.metrics["rows"]]
         assert manifest.metrics["best_average"] == min(averages)
@@ -271,7 +282,8 @@ class TestSweep:
         pooled = experiments.run(
             dataclasses.replace(config, out_dir=str(tmp_path), jobs=2))
         assert pooled.status == "ok"
-        assert pooled.summary()["metrics"] == serial.summary()["metrics"]
+        assert pooled.summary() == serial.summary()
+        assert len(pooled.wall_times["sweep_rows"]) == len(config.sweep_grid)
 
     def test_failed_run_leaves_failed_manifest(self, train_run, tmp_path):
         _, _, model_out = train_run

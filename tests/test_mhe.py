@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -174,16 +177,21 @@ class TestSequenceStream:
 
 
 class TestRunAdaptation:
-    def _matched_run(self, rng, mu=0.5, N=5, washout=20, n_samples=200, perturb=0.0):
+    def _matched_data(self, rng, n_samples=200, perturb=0.0):
+        """A GRU twin's (spec, theta_o, start, sequence, states); ``start``
+        is theta_o moved by ``perturb`` in a random direction."""
         spec = ModelSpec("gru", 2, 3, 2)
         theta_o = random_params(spec, rng, scale=0.2)
         u = rng.normal(size=(n_samples, 2))
         y, xs = models.simulate(spec, theta_o, models.zero_state(spec), u)
-        seq = Sequence(u=u, y=y, tau=0.1)
         start = theta_o
         if perturb:
             d = rng.normal(size=len(theta_o.values))
             start = theta_o.replace_values(theta_o.values + perturb * d / np.linalg.norm(d))
+        return spec, theta_o, start, Sequence(u=u, y=y, tau=0.1), xs
+
+    def _matched_run(self, rng, mu=0.5, N=5, washout=20, n_samples=200, perturb=0.0):
+        spec, theta_o, start, seq, xs = self._matched_data(rng, n_samples, perturb)
         cfg = mhe.MheConfig(N=N, mu=mu, washout=washout, observer="oracle")
         stream = mhe.sequence_stream(seq, xs)
         ckpts, stats = mhe.run_adaptation(spec, start, stream, cfg)
@@ -201,12 +209,18 @@ class TestRunAdaptation:
         assert stats["peak_buffered"] == cfg.washout + cfg.N + 1
 
     def test_descent_recorded_in_checkpoints(self, rng):
-        spec, theta_o, ckpts, stats, cfg = self._matched_run(rng, perturb=0.3)
-        for c in ckpts:
-            prior_total, _, _ = mhe.mhe_cost(spec, c.prior,
-                                             mhe.HorizonWindow(np.zeros((1, 2)), np.zeros((1, 2)),
-                                                               np.zeros(3), 0), c.prior, cfg.mu)
-            assert c.total_cost == pytest.approx(c.fit_cost + cfg.mu * c.prior_cost, abs=1e-9)
+        spec, _, start, seq, xs = self._matched_data(rng, perturb=0.3)
+        cfg = mhe.MheConfig(N=5, mu=0.5, washout=20, observer="oracle")
+        ckpts, _ = mhe.run_adaptation(spec, start, mhe.sequence_stream(seq, xs), cfg)
+        # each prior is the previous solution, the first the run's start
+        priors = [start] + [c.solution for c in ckpts[:-1]]
+        for c, prior in zip(ckpts, priors):
+            lo = c.k - cfg.N
+            w = mhe.HorizonWindow(inputs=seq.u[lo:c.k + 1], outputs=seq.y[lo:c.k + 1],
+                                  x_init=xs[lo], k=c.k)
+            assert (c.total_cost, c.fit_cost, c.prior_cost) == \
+                mhe.mhe_cost(spec, c.solution, w, prior, cfg.mu)
+            assert c.total_cost <= mhe.mhe_cost(spec, prior, w, prior, cfg.mu)[0]
 
     def test_stream_gap_aborts(self, rng):
         spec = ModelSpec("linear", 1, 0, 1)
@@ -216,11 +230,22 @@ class TestRunAdaptation:
         with pytest.raises(ValueError, match="gap"):
             mhe.run_adaptation(spec, p, iter(samples), mhe.MheConfig(N=1, washout=0))
 
+    def test_oracle_observer_requires_states(self, rng):
+        spec, _, start, seq, _ = self._matched_data(rng, n_samples=40)
+        cfg = mhe.MheConfig(N=5, washout=20, observer="oracle")
+        with pytest.raises(ValueError, match="oracle observer requires samples carrying states"):
+            mhe.run_adaptation(spec, start, mhe.sequence_stream(seq), cfg)
+
     def test_checkpoint_jsonl_roundtrip(self, rng, tmp_path):
         spec, theta_o, ckpts, stats, cfg = self._matched_run(rng, perturb=0.2)
         path = tmp_path / "ckpts.jsonl"
         mhe.save_checkpoints(path, ckpts)
         loaded = mhe.load_checkpoints(path, spec)
         assert len(loaded) == len(ckpts)
-        assert np.array_equal(loaded[-1].solution.values, ckpts[-1].solution.values)
-        assert loaded[0].k == ckpts[0].k
+        names = [f.name for f in dataclasses.fields(mhe.AdaptCheckpoint)]
+        assert list(json.loads(path.read_text().splitlines()[0])) == names
+        for a, b in zip(loaded, ckpts):
+            assert np.array_equal(a.solution.values, b.solution.values)
+            for name in names:
+                if name != "solution":
+                    assert getattr(a, name) == getattr(b, name), name

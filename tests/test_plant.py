@@ -71,8 +71,9 @@ class TestStep:
         with pytest.raises(ValueError):
             plant.step(np.ones(4), NOMINAL_INPUT, PlantParams(), -0.1)
 
-    # an inf meets -inf (a RuntimeWarning) before the stage check sees the NaN
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # refused on entry, before any arithmetic: an inf would otherwise meet
+    # -inf in a stage and print a RuntimeWarning first
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("batch", [None, 3], ids=["single", "batched"])
     @pytest.mark.parametrize("where,channel,bad", [
         ("input", 3, np.nan), ("input", 5, np.inf), ("input", 1, -np.inf),
