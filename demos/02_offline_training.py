@@ -30,7 +30,7 @@ cfg = training.TrainConfig(epochs=400, learning_rate=1e-2, washout=50, seed=1)
 params, history = training.train_offline(spec, ds, cfg, scaler=scaler)
 
 print("\nTraining history (best-so-far normalized train MSE):")
-for epoch, train_mse, _ in history[:: max(1, len(history) // 8)]:
+for epoch, train_mse in history[:: max(1, len(history) // 8)]:
     print(f"  epoch {epoch:4d}   {train_mse:.4e}")
 print(f"  epoch {history[-1][0]:4d}   {history[-1][1]:.4e}  (final)")
 

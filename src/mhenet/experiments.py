@@ -62,12 +62,10 @@ class ConvergeConfig:
     max_iter: int = 400
 
     def __post_init__(self):
-        for name, low in (("horizon", 1), ("washout", 0), ("n_updates", 1),
-                          ("hold_steps", 1), ("delta_samples", 0),
-                          ("probe_smallest", 0), ("max_iter", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}")
+        plant.check_fields(self, ints=(("horizon", 1), ("washout", 0), ("n_updates", 1),
+                                       ("hold_steps", 1), ("delta_samples", 0),
+                                       ("probe_smallest", 0), ("max_iter", 1)),
+                           error=ConfigError)
         if not 0.0 < self.eps0:
             raise ConfigError("eps0 must be positive")
         if not np.isfinite(self.eps0):
@@ -110,19 +108,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.tag not in TAGS:
             raise ConfigError(f"tag: expected one of {TAGS}, got {self.tag!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed: must be an integer")
-        if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
-            raise ConfigError("jobs: must be an integer")
-        if not isinstance(self.adapt_time, (int, float)):
-            raise ConfigError("adapt_time: must be a number")
-        if (not isinstance(self.n_eval_sequences, int)
-                or isinstance(self.n_eval_sequences, bool) or self.n_eval_sequences < 1):
-            raise ConfigError("n_eval_sequences: must be an integer >= 1")
+        plant.check_fields(self, ints=(("seed", 0), ("jobs", 1), ("n_eval_sequences", 1)),
+                           positive=("adapt_time",), error=ConfigError)
         if self.adapt_time <= self.drift.t_start:
             raise ConfigError("adapt_time must extend past the drift onset")
-        if self.jobs < 1:
-            raise ConfigError("jobs: must be >= 1")
         # (mu, N) rows in one canonical form, so that a config built with an
         # integer mu hashes the same as its JSON round trip
         try:
@@ -320,8 +309,8 @@ def _run_train(config, out, artifacts, metrics, walls):
         fh.write(params.to_json())
     with open(out / "scaler.json", "w") as fh:
         fh.write(scaler.to_json())
-    _write_csv(out / "history.csv", ("epoch", "train_mse", "test_mse"),
-               [(int(e), float(tr), float(te)) for e, tr, te in history])
+    _write_csv(out / "history.csv", ("epoch", "train_mse"),
+               [(int(e), float(tr)) for e, tr in history])
     train_rep = training.evaluate_mse(config.model, params, ds.train,
                                       cfg.washout, scaler)
     test_rep = training.evaluate_mse(config.model, params, ds.test,

@@ -37,6 +37,7 @@ from scipy import optimize
 
 from . import models
 from .models import ModelSpec, ParamVector
+from .plant import check_fields
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,10 @@ class MheConfig:
     solver: str = "lm"           # "lm" (Levenberg-Marquardt) | "lbfgs"
 
     def __post_init__(self):
-        for name, low in (("N", 1), ("washout", 0), ("max_iter", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}")
+        check_fields(self, ints=(("N", 1), ("washout", 0), ("max_iter", 1)),
+                     positive=("gtol", "ftol"))
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ValueError("mu must be nonnegative and finite")
-        if self.gtol <= 0 or self.ftol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.observer not in ("washout", "oracle"):
             raise ValueError(f"unknown observer {self.observer!r}")
         if self.solver not in ("lm", "lbfgs"):
@@ -157,11 +154,11 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
 
     The objective is a nonlinear least-squares problem (output residuals
     over the window plus sqrt(mu)-scaled prior residuals), solved by
-    Levenberg-Marquardt with a batched finite-difference Jacobian, or by
-    L-BFGS-B with the analytic reverse-mode gradient.  Both warm-start
-    at the prior; if the optimizer reports a point no better than the
-    prior, the prior is returned unchanged.  Returns ``(solution,
-    AdaptCheckpoint)``.
+    Levenberg-Marquardt with the exact output Jacobian, or by L-BFGS-B
+    with the exact window gradient; both derivatives come from the same
+    reverse pass of ``models``.  Both warm-start at the prior; if the
+    optimizer reports a point no better than the prior, the prior is
+    returned unchanged.  Returns ``(solution, AdaptCheckpoint)``.
     """
     mask = models.trainable_mask(spec)
     base = prior.values.copy()

@@ -19,13 +19,16 @@ least-squares problem.  Five kinds are supported:
 * ``linear`` -- stateless map y = K u, mainly useful as an analytically
   solvable stand-in in tests and diagnostics.
 
-Gradients of windowed squared-error losses are computed by exact
-backward accumulation through the unrolled recursion (no truncation).
 All functions are pure.  One forward kernel per kind serves both a batch
 of sequences under one weight vector and a batch of weight vectors on
 one sequence, so many rollouts share one vectorized pass.  The LSTM
 gates and the GRU update/reset gates are stacked into one affine map
 when the weights are unpacked; the stored parameter layout is unchanged.
+
+Derivatives are exact reverse-mode accumulation through the unrolled
+recursion (no truncation).  Beside each forward cell is its backward
+step; one reverse loop over them gives the window-loss gradient, seeded
+with the residuals, and the output Jacobian, seeded with every output.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ import json
 import numpy as np
 
 KINDS = ("lstm", "gru", "esn", "nnarx", "linear")
+INIT_SCHEMES = ("zeros", "uniform")
+
+_FROZEN = ("Win", "W", "bres")    # the ESN reservoir: never trained
 
 # Pre-activations are clamped here before sigmoids/tanh; a no-op in the
 # benchmark's operating range, it only guards against overflow blow-ups.
@@ -199,13 +205,13 @@ def init_params(spec: ModelSpec, seed: int, scheme: str = "uniform") -> ParamVec
     and rescaled so its spectral radius equals the spec target; the
     chosen scheme only affects the readout.
     """
-    if scheme not in ("zeros", "uniform"):
+    if scheme not in INIT_SCHEMES:
         raise ValueError(f"unknown init scheme {scheme!r}")
     rng = np.random.default_rng(seed)
     layout, total = _layout(spec)
     values = np.zeros(total)
     for name, (sl, shape) in layout.items():
-        if name in ("Win", "W", "bres"):
+        if name in _FROZEN:
             continue  # reservoir handled below
         if scheme == "uniform" and len(shape) == 2:
             r = 1.0 / np.sqrt(shape[1])
@@ -327,6 +333,46 @@ _CELLS = {"lstm": _lstm_cell, "gru": _gru_cell, "esn": _esn_cell,
           "nnarx": _nnarx_cell}
 
 
+# Backward steps: from the adjoints dx of x_{t+1} and dy of y_t (R, ...),
+# the adjoint of x_t and, per affine map, (weight, bias, pre-activation
+# adjoint, input).  Readouts, the ESN's only weights, are left to _backward.
+
+def _lstm_back(spec, P, x, saved, dx, dy):
+    n_h = spec.n_h
+    z, s, g, tc2, m = saved
+    dc, dh = dx[:, :n_h], dx[:, n_h:]
+    dc2 = dc + dh * s[:, 2 * n_h:] * (1.0 - tc2 * tc2)
+    ds = np.concatenate([dc2 * x[:, :n_h], dc2 * g, dh * tc2], axis=1) * s * (1.0 - s)
+    da = np.concatenate([ds, dc2 * s[:, n_h:2 * n_h] * (1.0 - g * g)], axis=1) * m
+    dh = (da @ P["Wg"])[:, spec.n_u:] + dy @ P["C"]
+    return np.concatenate([dc2 * s[:, :n_h], dh], axis=1), (("Wg", "bg", da, z),)
+
+
+def _gru_back(spec, P, h, saved, dx, dy):
+    n_h, n_u = spec.n_h, spec.n_u
+    zin, nin, s, n, m, mn = saved
+    zg, r = s[:, :n_h], s[:, n_h:]
+    dan = dx * zg * (1.0 - n * n) * mn
+    drh = (dan @ P["Wn"])[:, n_u:]
+    ds = np.concatenate([dx * (n - h), drh * h], axis=1) * s * (1.0 - s) * m
+    dh = dx * (1.0 - zg) + drh * r + (ds @ P["Wg"])[:, n_u:] + dy @ P["C"]
+    return dh, (("Wn", "bn", dan, nin), ("Wg", "bg", ds, zin))
+
+
+def _nnarx_back(spec, P, x, saved, dx, dy):
+    # x_{t+1} = [x_t[blk:], u_t, y_t]: y_t is also fed back into the state
+    h1, m1 = saved
+    S, blk = dx.shape[1], spec.n_u + spec.n_y
+    dy = dy + dx[:, S - spec.n_y:]
+    da1 = (dy @ P["W2"]) * (1.0 - h1 * h1) * m1
+    dx_t = da1 @ P["W1"]
+    dx_t[:, blk:] += dx[:, :S - blk]
+    return dx_t, (("W2", "b2", dy, h1), ("W1", "b1", da1, x))
+
+
+_BACKS = {"lstm": _lstm_back, "gru": _gru_back, "nnarx": _nnarx_back}
+
+
 def _rollout(spec, P, x0, inputs, keep):
     """The forward kernel behind every rollout.
 
@@ -358,65 +404,102 @@ def _rollout(spec, P, x0, inputs, keep):
     return outputs, states, cache
 
 
+def _backward(spec, P, inputs, states, cache, dy, rows):
+    """The reverse pass of a ``_rollout``, seeded with ``dy`` (T, R, n_y),
+    the adjoint of every output.  Returns the gradient summed over the R
+    rows, (param_count,), or with ``rows`` one gradient per row, (R,
+    param_count); the R rows then seed one sequence with the T*n_y one-hot
+    outputs in output order, so rows before t*n_y are still zero at step t
+    and only the rows from there on are computed.
+    """
+    n_h, lead = spec.n_h, (dy.shape[1:2] if rows else ())
+    grads = {name: np.zeros(lead + a.shape) for name, a in P.items()
+             if name not in _FROZEN}
+    # sum_t dy_t z_t^T, per row of one sequence (c) or summed over sequences
+    readout = "tbi,tcj->bij" if rows else "tbi,tbj->ij"
+    if spec.kind == "linear":
+        grads["K"] = np.einsum(readout, dy, inputs)                 # y_t = K u_t
+    elif spec.kind in ("lstm", "gru", "esn"):
+        grads["C"] = np.einsum(readout, dy, states[:-1, :, -n_h:])  # h_t is last
+        grads["d"] = dy.sum(axis=0 if rows else (0, 1))
+    back = _BACKS.get(spec.kind)
+    dx = np.zeros(dy.shape[1:2] + states.shape[2:])
+    for t in range(len(dy) - 1, -1, -1) if back else ():
+        lo = t * spec.n_y if rows else 0
+        dx[lo:], maps = back(spec, P, states[t], cache[t], dx[lo:], dy[t, lo:])
+        for W, b, a, z in maps:
+            grads[W][lo:] += a[:, :, None] * z[:, None, :] if rows else a.T @ z
+            grads[b][lo:] += a if rows else a.sum(0)
+    for k, g in enumerate(_STACKED.get(spec.kind, "")):
+        rk = slice(k * n_h, (k + 1) * n_h)      # stacked gate k: a stored block
+        grads[f"W{g}"], grads[f"b{g}"] = grads["Wg"][..., rk, :], grads["bg"][..., rk]
+    # the trainable blocks lead the stored layout
+    return np.concatenate([grads[name].reshape(lead + (-1,))
+                           for name in _layout(spec)[0] if name in grads], axis=-1)
+
+
 def batch_param_outputs(spec: ModelSpec, values_batch, x0, inputs) -> np.ndarray:
     """Rollout outputs for a batch of parameter vectors on one window.
 
     ``values_batch`` is (B, values_size); all rollouts share ``x0``
     (state,) and ``inputs`` (T, n_u).  Returns (T, B, n_y); wrong shapes
-    raise DimensionError.  This is the workhorse behind
-    ``output_jacobian`` and ``convergence.estimate_delta``, which evaluate
-    hundreds of nearby weight vectors on the same window.
+    raise DimensionError.  ``convergence.estimate_delta`` evaluates
+    hundreds of nearby weight vectors on the same window through it.
     """
     vb = np.asarray(values_batch, dtype=float)
     if vb.ndim != 2 or vb.shape[1] != values_size(spec):
         raise DimensionError("values_batch must be (B, values_size)")
-    x0, inputs = _check_io(spec, x0, inputs)
-    if x0.ndim != 1 or inputs.ndim != 2:
-        raise DimensionError("x0 must be (state,) and inputs (T, n_u)")
+    x0, inputs = _check_io(spec, x0, inputs, window=True)
     B = vb.shape[0]
-    outputs, _, _ = _rollout(spec, _unpack(spec, vb), np.tile(x0, (B, 1)),
-                             np.broadcast_to(inputs[:, None, :], (len(inputs), B, spec.n_u)),
-                             "outputs")
-    return outputs
+    return _rollout(spec, _unpack(spec, vb), np.tile(x0, (B, 1)),
+                    np.broadcast_to(inputs[:, None, :], (len(inputs), B, spec.n_u)),
+                    "outputs")[0]
 
 
-def output_jacobian(spec: ModelSpec, params: ParamVector, x0, inputs,
-                    h: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference Jacobian of the stacked rollout outputs.
+def output_jacobian(spec: ModelSpec, params: ParamVector, x0,
+                    inputs) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Jacobian of the stacked rollout outputs: one rollout, then one
+    reverse pass seeded with every output.
 
-    Returns (outputs (T, n_y), J (T*n_y, param_count)) where column j is
-    the sensitivity to trainable coordinate j, all columns evaluated in
-    one batched pass.
+    Returns (outputs (T, n_y), J (T*n_y, param_count)); row t * n_y + i
+    is the gradient of output i at step t w.r.t. the trainable prefix.
     """
-    n = param_count(spec)           # the trainable coordinates are a prefix
-    cols = np.arange(n)
-    batch = np.tile(params.values, (2 * n + 1, 1))
-    batch[2 * cols, cols] += h
-    batch[2 * cols + 1, cols] -= h
-    outs = batch_param_outputs(spec, batch, x0, inputs)
-    J = ((outs[:, 0:-1:2] - outs[:, 1:-1:2]) / (2 * h)).transpose(0, 2, 1)
-    return outs[:, -1, :], J.reshape(-1, n)      # row t * n_y + i
+    x0, inputs = _check_io(spec, x0, inputs, window=True)
+    T, R = len(inputs), len(inputs) * spec.n_y
+    P = _unpack(spec, params.values)
+    inputs = inputs[:, None, :]                       # a batch of one sequence
+    outputs, states, cache = _rollout(spec, P, x0[None, :], inputs, "cache")
+    # row r = t * n_y + i seeds output i at step t; all rows share the rollout
+    seeds = np.eye(R).reshape(T, spec.n_y, R).transpose(0, 2, 1)
+    return outputs[:, 0], _backward(spec, P, inputs, states, cache, seeds, rows=True)
 
 
-def _check_io(spec, x0, inputs):
+def _check_io(spec, x0, inputs, window=False):
+    """x0 and inputs as float arrays; a window is x0 (state,), inputs (T, n_u)."""
     x0 = np.asarray(x0, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
     if x0.shape[-1] != state_size(spec):
         raise DimensionError(f"state length {x0.shape[-1]} != {state_size(spec)}")
     if inputs.shape[-1] != spec.n_u:
         raise DimensionError(f"input width {inputs.shape[-1]} != {spec.n_u}")
+    if window and (x0.ndim != 1 or inputs.ndim != 2):
+        raise DimensionError("x0 must be (state,) and inputs (T, n_u)")
     return x0, inputs
+
+
+def _as_batch(spec, x0, inputs):
+    """(x0 (B, S), inputs (T, B, n_u), batched) from one sequence or a batch."""
+    x0, inputs = _check_io(spec, x0, inputs)
+    if inputs.ndim == 3:
+        return x0, inputs, True
+    return (x0[None, :] if x0.ndim == 1 else x0), inputs[:, None, :], False
 
 
 def forward_step(spec: ModelSpec, params: ParamVector, state, u):
     """One step of (f, g): returns (next_state, y)."""
-    state, u = _check_io(spec, np.atleast_1d(np.asarray(state, dtype=float)), u)
-    outputs, states, _ = _rollout(spec, _unpack(spec, params.values), state[None, :],
-                                  u[None, None, :], "states")
-    next_state, y = states[1, 0], outputs[0, 0]
-    if not (np.all(np.isfinite(next_state)) and np.all(np.isfinite(y))):
-        raise NumericalBlowupError("non-finite result in forward_step", step=0)
-    return next_state, y
+    outputs, states = simulate(spec, params, np.atleast_1d(np.asarray(state, dtype=float)),
+                               np.asarray(u, dtype=float)[None, :])
+    return states[1], outputs[0]
 
 
 def simulate(spec: ModelSpec, params: ParamVector, x0, inputs):
@@ -425,15 +508,9 @@ def simulate(spec: ModelSpec, params: ParamVector, x0, inputs):
     ``inputs`` is (T, n_u) or batched (T, B, n_u); outputs/states match.
     Aborts with the failing step index if values go non-finite.
     """
-    x0 = np.asarray(x0, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
+    x0, inputs, batched = _as_batch(spec, x0, inputs)
     if inputs.size == 0:
         raise ValueError("inputs must be nonempty")
-    batched = inputs.ndim == 3
-    if not batched:
-        inputs = inputs[:, None, :]
-        x0 = x0[None, :] if x0.ndim == 1 else x0
-    x0, inputs = _check_io(spec, x0, inputs)
     outputs, states, _ = _rollout(spec, _unpack(spec, params.values), x0, inputs, "states")
     if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(states))):
         ok = (np.all(np.isfinite(outputs), axis=(1, 2))
@@ -453,103 +530,22 @@ def window_loss_and_gradient(spec: ModelSpec, params: ParamVector, x0,
     entry of the stored parameter vector (zeros on frozen reservoir
     coordinates).  Accepts single sequences (T, n) or batches (T, B, n).
     """
-    x0 = np.asarray(x0, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
+    x0, inputs, batched = _as_batch(spec, x0, inputs)
     targets = np.asarray(targets, dtype=float)
-    batched = inputs.ndim == 3
-    if not batched:
-        inputs = inputs[:, None, :]
-        targets = targets[:, None, :]
-        x0 = x0[None, :] if x0.ndim == 1 else x0
+    targets = targets if batched else targets[:, None, :]
     if len(inputs) != len(targets):
         raise DimensionError("inputs and targets must have equal length")
     if targets.shape[-1] != spec.n_y:
         raise DimensionError(f"target width {targets.shape[-1]} != {spec.n_y}")
-    x0, inputs = _check_io(spec, x0, inputs)
-    T, B = inputs.shape[0], inputs.shape[1]
-    w = np.ones(T) if step_weights is None else np.asarray(step_weights, dtype=float)
+    w = np.ones(len(inputs)) if step_weights is None else np.asarray(step_weights, dtype=float)
 
     P = _unpack(spec, params.values)
     outputs, states, cache = _rollout(spec, P, x0, inputs, "cache")
     res = outputs - targets
     loss = float(np.sum(w[:, None, None] * res * res))
-    dy = 2.0 * w[:, None, None] * res          # (T, B, n_y)
-    n_h, n_u = spec.n_h, spec.n_u
-
-    grads = {}
-    if spec.kind in ("lstm", "gru", "esn"):
-        # affine readout of the hidden state (the last n_h state entries);
-        # for the ESN it is all that is trainable
-        grads["C"] = np.einsum("tbi,tbj->ij", dy, states[:-1, :, -n_h:])
-        grads["d"] = dy.sum(axis=(0, 1))
-    if spec.kind == "linear":
-        # y_t = K u_t
-        grads["K"] = np.einsum("tbi,tbj->ij", dy, inputs)
-    elif spec.kind == "lstm":
-        C, Wg = P["C"], P["Wg"]
-        gW, gb = np.zeros(Wg.shape), np.zeros(4 * n_h)
-        dc_next = np.zeros((B, n_h))
-        dh_next = np.zeros_like(dc_next)
-        for t in range(T - 1, -1, -1):
-            z, s, g, tc2, m = cache[t]
-            f, i, o = s[:, :n_h], s[:, n_h:2 * n_h], s[:, 2 * n_h:]
-            c_t = states[t][:, :n_h]
-            do = dh_next * tc2
-            dc2 = dc_next + dh_next * o * (1.0 - tc2 * tc2)
-            ds = np.concatenate([dc2 * c_t, dc2 * g, do], axis=1) * s * (1.0 - s)
-            da = np.concatenate([ds, dc2 * i * (1.0 - g * g)], axis=1) * m
-            gW += da.T @ z
-            gb += da.sum(0)
-            dc_next = dc2 * f
-            dh_next = (da @ Wg)[:, n_u:] + dy[t] @ C
-    elif spec.kind == "gru":
-        C, Wg, Wn = P["C"], P["Wg"], P["Wn"]
-        gW, gb = np.zeros(Wg.shape), np.zeros(2 * n_h)
-        gWn, gbn = np.zeros(Wn.shape), np.zeros(n_h)
-        dh_next = np.zeros((B, n_h))
-        for t in range(T - 1, -1, -1):
-            zin, nin, s, n, m, mn = cache[t]
-            zg, r = s[:, :n_h], s[:, n_h:]
-            h_t = states[t]
-            dan = dh_next * zg * (1.0 - n * n) * mn
-            gWn += dan.T @ nin
-            gbn += dan.sum(0)
-            drh = (dan @ Wn)[:, n_u:]
-            dh_t = dh_next * (1.0 - zg) + drh * r
-            ds = np.concatenate([dh_next * (n - h_t), drh * h_t], axis=1) * s * (1.0 - s) * m
-            gW += ds.T @ zin
-            gb += ds.sum(0)
-            dh_next = dh_t + (ds @ Wg)[:, n_u:] + dy[t] @ C
-        grads.update(Wn=gWn, bn=gbn)
-    elif spec.kind == "nnarx":
-        W1, W2 = P["W1"], P["W2"]
-        blk = n_u + spec.n_y
-        S = state_size(spec)
-        gW1, gb1 = np.zeros(W1.shape), np.zeros(spec.mlp_width)
-        gW2, gb2 = np.zeros(W2.shape), np.zeros(spec.n_y)
-        dx_next = np.zeros((B, S))
-        for t in range(T - 1, -1, -1):
-            h1, m1 = cache[t]
-            # x_{t+1} = [x_t[blk:], u_t, y_t]
-            dy_tot = dy[t] + dx_next[:, S - spec.n_y:]
-            dx_t = np.zeros_like(dx_next)
-            dx_t[:, blk:] = dx_next[:, :S - blk]
-            gW2 += dy_tot.T @ h1
-            gb2 += dy_tot.sum(0)
-            da1 = (dy_tot @ W2) * (1.0 - h1 * h1) * m1
-            gW1 += da1.T @ states[t]
-            gb1 += da1.sum(0)
-            dx_t += da1 @ W1
-            dx_next = dx_t
-        grads.update(W1=gW1, b1=gb1, W2=gW2, b2=gb2)
-    for k, g in enumerate(_STACKED.get(spec.kind, "")):
-        # the stacked gates' gradient, split back into the stored blocks
-        grads[f"W{g}"], grads[f"b{g}"] = gW[k * n_h:(k + 1) * n_h], gb[k * n_h:(k + 1) * n_h]
-
-    # grads holds the trainable blocks, which lead the stored layout
     flat = np.zeros(values_size(spec))
-    flat[:param_count(spec)] = np.concatenate(
-        [np.ravel(grads[name]) for name in _layout(spec)[0] if name in grads])
+    flat[:param_count(spec)] = _backward(spec, P, inputs, states, cache,
+                                         2.0 * w[:, None, None] * res, rows=False)
     if not (np.isfinite(loss) and np.all(np.isfinite(flat))):
         raise NumericalBlowupError("non-finite loss or gradient")
     return loss, flat

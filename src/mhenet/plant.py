@@ -46,6 +46,21 @@ STATE_COLUMNS = ("H2", "xA2", "xB2", "T2")
 INPUT_COLUMNS = ("H1", "xA1", "xB1", "T1", "F20", "Q2")
 
 
+def check_fields(config, ints=(), positive=(), error=ValueError):
+    """Refuse a field of a config dataclass that is out of range: ``ints``
+    pairs a field with its least integer value, ``positive`` names fields
+    that must be positive finite numbers."""
+    for name, low in ints:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            raise error(f"{name}: must be an integer >= {low}")
+    for name in positive:
+        value = getattr(config, name)
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not (np.isfinite(value) and value > 0)):
+            raise error(f"{name}: must be positive and finite")
+
+
 @dataclass(frozen=True)
 class PlantParams:
     """Physical constants of the benchmark (defaults: nominal values)."""
@@ -65,9 +80,7 @@ class PlantParams:
     T0: float = 313.0       # feed temperature [K]
 
     def __post_init__(self):
-        for name in ("rho", "A2", "Cp", "kv1", "kv2", "kA", "kB"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        check_fields(self, positive=("rho", "A2", "Cp", "kv1", "kv2", "kA", "kB"))
 
 
 # Nominal operating input used to center excitation signals:
@@ -87,8 +100,9 @@ class DriftSchedule:
     shape: str = "ramp"
 
     def __post_init__(self):
-        if self.t_start >= self.t_end:
-            raise ValueError("t_start must precede t_end")
+        check_fields(self, positive=("start_value", "end_value"))
+        if not (np.isfinite([self.t_start, self.t_end]).all() and self.t_start < self.t_end):
+            raise ValueError("the ramp needs finite times with t_start before t_end")
         if (self.param_name, self.shape) != ("kA", "ramp"):
             raise ValueError(f"only a ramp of kA is supported, "
                              f"got {self.shape!r} of {self.param_name!r}")
@@ -198,8 +212,9 @@ class ExcitationConfig:
             raise ValueError("bounds must be finite")
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise ValueError("bounds must satisfy lo <= hi per channel")
+        check_fields(self, positive=("hold_time", "tau"))
         hold_steps = self.hold_time / self.tau
-        if self.hold_time <= 0 or abs(hold_steps - round(hold_steps)) > 1e-9:
+        if abs(hold_steps - round(hold_steps)) > 1e-9:
             raise ValueError("hold_time must be a positive multiple of tau")
 
     @property
@@ -251,13 +266,11 @@ class DatasetConfig:
     kA: float | None = None   # override rate constant (drifted-plant datasets)
 
     def __post_init__(self):
-        for name, low in (("n_sequences", 1), ("seq_len", 2), ("n_train", 0),
-                          ("n_test", 0), ("substeps", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be positive and finite")
+        check_fields(self, ints=(("n_sequences", 1), ("seq_len", 2), ("n_train", 0),
+                                 ("n_test", 0), ("substeps", 1)), positive=("tau",))
+        if self.excitation.tau != self.tau:
+            raise ValueError(f"tau: the excitation samples at {self.excitation.tau}, "
+                             f"the dataset at {self.tau}; they must be equal")
         if self.n_train + self.n_test > self.n_sequences:
             raise ValueError("split sizes exceed n_sequences")
 

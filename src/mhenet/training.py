@@ -9,13 +9,14 @@ are in normalized units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 
 import numpy as np
 
 from . import models
 from .models import ModelSpec, ParamVector
+from .plant import check_fields
 
 
 @dataclass
@@ -70,6 +71,15 @@ class TrainConfig:
     patience: int = 50                 # early stop after this many stale epochs
     init_scheme: str = "uniform"
 
+    def __post_init__(self):
+        check_fields(self, ints=(("epochs", 1), ("patience", 1), ("washout", 0), ("seed", 0)),
+                     positive=("learning_rate", "lr_decay"))
+        if self.batch_size is not None:
+            check_fields(self, ints=(("batch_size", 1),))
+        if self.init_scheme not in models.INIT_SCHEMES:
+            raise ValueError(f"init_scheme: expected one of {models.INIT_SCHEMES}, "
+                             f"got {self.init_scheme!r}")
+
 
 @dataclass
 class EvalReport:
@@ -92,13 +102,12 @@ def _stack(sequences, scaler):
 
 
 def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
-                  scaler: Scaler | None = None, eval_test: bool = False):
+                  scaler: Scaler | None = None):
     """Adam minimization of the washout-excluded open-loop MSE.
 
     Rollouts start from the zero model state; the washout absorbs the
     transient.  Returns (best params, history) where history rows are
-    (epoch, best-so-far train MSE, test MSE or nan) and the recorded
-    train column is non-increasing.
+    (epoch, best-so-far train MSE), a non-increasing column.
     """
     if scaler is None:
         scaler = fit_scaler(dataset.train)
@@ -151,12 +160,7 @@ def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
             best_mse, best, stale = epoch_mse, theta.copy(), 0
         else:
             stale += 1
-        test_mse = np.nan
-        if eval_test and (epoch % 25 == 0 or stale >= config.patience):
-            rep = evaluate_mse(spec, params.replace_values(best), dataset.test,
-                               config.washout, scaler)
-            test_mse = rep.average
-        history.append((epoch, best_mse, test_mse))
+        history.append((epoch, best_mse))
         if stale >= config.patience:
             break
     return params.replace_values(best), history

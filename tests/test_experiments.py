@@ -200,6 +200,12 @@ class TestTrain:
             assert (out / name).exists()
         assert manifest.metrics["test_mse"] > 0
 
+    def test_history_csv_has_epoch_and_train_mse(self, train_run):
+        config, manifest, out = train_run
+        rows = (out / "history.csv").read_text().strip().split("\n")
+        assert rows[0] == "epoch,train_mse"
+        assert len(rows) == 1 + manifest.metrics["epochs_run"]
+
     def test_saved_model_loads(self, train_run):
         config, manifest, out = train_run
         with open(out / "params.json") as fh:
@@ -341,6 +347,46 @@ class TestCli:
         bad.write_text(json.dumps({"tag": "train", "seed": "not-an-int"}))
         rc = cli.main(["train", "--config", str(bad)])
         assert rc == 1
+
+    @pytest.mark.parametrize("bad", [{"epochs": -1}, {"patience": 0},
+                                     {"learning_rate": float("nan")}, {"washout": -5}],
+                             ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_nonsense_train_config_is_config_error(self, tmp_path, capsys, bad):
+        d = tiny_config("train", tmp_path / "run").to_dict()
+        d["train"].update(bad)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["train", "--config", str(p)]) == 1
+        assert "config error: train: " in capsys.readouterr().err
+
+    def test_dataset_and_excitation_tau_must_agree(self, tmp_path, capsys):
+        d = tiny_config("simulate", tmp_path / "run").to_dict()
+        d["dataset"]["tau"] = 0.2
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["simulate", "--config", str(p)]) == 1
+        assert "config error: dataset: tau: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value,error", [
+        ("drift", "end_value", -0.1, "drift: end_value: "),
+        ("drift", "t_end", float("nan"), "drift: the ramp needs finite times"),
+        (None, "adapt_time", float("nan"), "adapt_time: ")],
+        ids=["negative-end-value", "nan-t-end", "nan-adapt-time"])
+    def test_bad_drift_run_is_config_error(self, train_run, tmp_path, capsys,
+                                           section, key, value, error):
+        # each of these used to fail only inside the drift run, with exit 2
+        _, _, model_out = train_run
+        d = tiny_config("adapt", tmp_path / "run", model_dir=str(model_out)).to_dict()
+        (d[section] if section else d)[key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["adapt", "--config", str(p)]) == 1
+        assert f"config error: {error}" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, capsys):
+        # the stage seeds feed numpy generators, which refuse negative seeds
+        assert cli.main(["simulate", "--seed", "-5"]) == 1
+        assert "config error: seed: " in capsys.readouterr().err
 
     def test_jobs_below_one_is_config_error(self, capsys):
         assert cli.main(["sweep", "--jobs", "0"]) == 1

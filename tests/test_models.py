@@ -204,7 +204,7 @@ class TestOutputJacobian:
         x0 = rng.normal(scale=0.3, size=models.state_size(spec))
         u = rng.normal(size=(5, spec.n_u))
         h = 1e-6
-        y0, J = models.output_jacobian(spec, p, x0, u, h=h)
+        y0, J = models.output_jacobian(spec, p, x0, u)
         n = models.param_count(spec)
         assert J.shape == (5 * spec.n_y, n)
         np.testing.assert_allclose(y0, models.simulate(spec, p, x0, u)[0], rtol=0, atol=1e-14)
@@ -217,6 +217,24 @@ class TestOutputJacobian:
             # outputs agree to round-off, which the 1/(2h) quotient scales up
             np.testing.assert_allclose(J[:, j], ((yp - ym) / (2 * h)).ravel(),
                                        rtol=0, atol=1e-8)
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=specs(), T=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_gradient_is_jacobian_transpose_of_weighted_residuals(self, spec, T, seed):
+        # both come from one reverse pass: summed over the residual seed,
+        # or kept per one-hot output seed
+        rng = np.random.default_rng(seed)
+        p = random_params(spec, rng)
+        x0 = rng.normal(scale=0.3, size=models.state_size(spec))
+        u = rng.normal(size=(T, spec.n_u))
+        targets = rng.normal(size=(T, spec.n_y))
+        w = rng.uniform(0.0, 2.0, size=T)
+        _, grad = models.window_loss_and_gradient(spec, p, x0, u, targets, step_weights=w)
+        y, J = models.output_jacobian(spec, p, x0, u)
+        expected = 2.0 * J.T @ (w[:, None] * (y - targets)).ravel()
+        n = models.param_count(spec)
+        assert np.linalg.norm(grad[:n] - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.all(grad[n:] == 0.0)
 
 
 class TestWindowLossAndGradient:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ class TestPlantParams:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError, match="kA"):
             PlantParams(kA=-0.1)
+        with pytest.raises(ValueError, match="kB"):
+            PlantParams(kB=float("nan"))
 
 
 class TestRateCoefficients:
@@ -186,6 +190,15 @@ class TestDrift:
         with pytest.raises(ValueError):
             DriftSchedule(t_start=200.0, t_end=100.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"end_value": -0.1}, {"end_value": 0.0}, {"start_value": -0.336},
+        {"end_value": np.nan}, {"start_value": np.inf}, {"t_start": np.nan},
+        {"t_end": np.inf}], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_nonsense_refused(self, bad):
+        # a non-positive kA would only fail at the first drifted plant step
+        with pytest.raises(ValueError, match="finite|positive"):
+            DriftSchedule(**bad)
+
     def test_only_ka_can_drift(self):
         # drift_run always ramps kA, so another name would be ignored
         with pytest.raises(ValueError, match="kA"):
@@ -229,6 +242,8 @@ class TestExcitation:
             ExcitationConfig(lo=(1,) * 6, hi=(0,) * 6)
         with pytest.raises(ValueError, match="hold_time"):
             ExcitationConfig(lo=(0,) * 6, hi=(1,) * 6, hold_time=0.05)
+        with pytest.raises(ValueError, match="tau"):
+            ExcitationConfig(lo=(0,) * 6, hi=(1,) * 6, tau=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_bounds_rejected(self, bad):
@@ -285,6 +300,12 @@ class TestCollectDataset:
         b = plant.collect_dataset(drifted, seed=5)
         assert np.array_equal(a.sequences[0].u, b.sequences[0].u)
         assert not np.allclose(a.sequences[0].y, b.sequences[0].y)
+
+    def test_one_sampling_period(self):
+        with pytest.raises(ValueError, match="tau"):
+            DatasetConfig(tau=0.2)
+        exc = dataclasses.replace(plant.default_excitation(), tau=0.2)
+        assert DatasetConfig(tau=0.2, excitation=exc).excitation.hold_steps == 10
 
     def test_split_overflow_rejected(self):
         with pytest.raises(ValueError, match="split"):

@@ -58,7 +58,32 @@ class TestScaler:
         assert np.array_equal(q.y_scale, s.y_scale)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [
+        {"epochs": -1}, {"epochs": 0}, {"epochs": 2.5}, {"epochs": True},
+        {"patience": 0}, {"patience": 1.5}, {"washout": -5}, {"washout": 1.5},
+        {"seed": -1}, {"seed": 0.5}, {"batch_size": 0}, {"batch_size": 2.5},
+        {"batch_size": True}, {"learning_rate": np.nan}, {"learning_rate": 0.0},
+        {"learning_rate": -1e-2}, {"learning_rate": np.inf}, {"lr_decay": 0.0},
+        {"lr_decay": np.nan}, {"init_scheme": "he_normal"}],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_nonsense_refused(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            training.TrainConfig(**bad)
+
+    def test_edge_values_accepted(self):
+        training.TrainConfig(epochs=1, patience=1, washout=0, seed=0, batch_size=1,
+                             learning_rate=1, lr_decay=1, init_scheme="zeros")
+
+
 class TestTrainOffline:
+    def test_history_rows_are_epoch_and_best_mse(self, rng):
+        spec, teacher, ds = toy_dataset(rng)
+        cfg = training.TrainConfig(epochs=3, washout=10, seed=1)
+        _, hist = training.train_offline(spec, ds, cfg)
+        assert [len(row) for row in hist] == [2, 2, 2]
+        assert [row[0] for row in hist] == [0, 1, 2]
+
     def test_loss_decreases_and_history_monotone(self, rng):
         spec, teacher, ds = toy_dataset(rng)
         cfg = training.TrainConfig(epochs=60, learning_rate=2e-2, washout=10,
