@@ -349,15 +349,20 @@ def _run_drift_eval(config, out, artifacts, metrics, walls):
                     "average_ratio": post.average / pre.average})
 
 
-def _drift_data(config, scaler):
+def _drift_data(config, scaler, walls):
     """The drift run, its scaled copy and the drifted evaluation set; they
-    depend on the seeds only, so every (mu, N) row shares them."""
+    depend on the seeds only, so every (mu, N) row shares them.  The time
+    of each build goes to ``walls["drift_run"]`` and ``walls["eval_set"]``."""
+    t0 = time.perf_counter()
     run = plant.drift_run(config.adapt_time, config.drift,
                           config.dataset.excitation, seed=config.seed_drift,
                           params=config.plant, substeps=config.dataset.substeps)
     scaled = plant.Sequence(u=scaler.scale_u(run.u), y=scaler.scale_y(run.y),
                             tau=run.tau)
-    return run, scaled, _eval_dataset(config)
+    walls["drift_run"] = (t1 := time.perf_counter()) - t0
+    eval_ds = _eval_dataset(config)
+    walls["eval_set"] = time.perf_counter() - t1
+    return run, scaled, eval_ds
 
 
 def _adapt_row(config, params, scaler, scaled, eval_ds, mu, N):
@@ -377,9 +382,7 @@ def _adapt_row(config, params, scaler, scaled, eval_ds, mu, N):
 
 def _run_adapt(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config)
-    t0 = time.perf_counter()
-    run, scaled, eval_ds = _drift_data(config, scaler)
-    walls["drift_data"] = time.perf_counter() - t0
+    run, scaled, eval_ds = _drift_data(config, scaler, walls)
     checkpoints, stats, walls["adapt"], ad = _adapt_row(
         config, params, scaler, scaled, eval_ds, config.mhe.mu, config.mhe.N)
     un = training.evaluate_mse(config.model, params, eval_ds.test,
@@ -418,9 +421,7 @@ def _run_adapt(config, out, artifacts, metrics, walls):
 
 def _run_sweep(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config)
-    t0 = time.perf_counter()
-    _, scaled, eval_ds = _drift_data(config, scaler)
-    walls["drift_data"] = time.perf_counter() - t0
+    _, scaled, eval_ds = _drift_data(config, scaler, walls)
     row = partial(_adapt_row, config, params, scaler, scaled, eval_ds)
     mus, Ns = zip(*config.sweep_grid)
     t0 = time.perf_counter()

@@ -79,14 +79,17 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.n_u < 1 or self.n_y < 1:
-            raise ValueError("n_u and n_y must be >= 1")
+        from .plant import check_fields  # not at the top: plant loads scipy
+        check_fields(self, ints=(("n_u", 1), ("n_h", 0), ("n_y", 1), ("order", 0),
+                                 ("mlp_width", 0)))
         if self.kind in ("lstm", "gru", "esn") and self.n_h < 1:
             raise ValueError("n_h must be >= 1 for recurrent kinds")
         if self.kind == "nnarx" and (self.order < 1 or self.mlp_width < 1):
             raise ValueError("nnarx needs order >= 1 and mlp_width >= 1")
         if self.kind == "esn" and not (0.0 < self.spectral_radius < 1.0):
             raise ValueError("esn spectral radius target must lie in (0, 1)")
+        if not 0.0 < self.leak_rate <= 1.0:  # NaN fails it too
+            raise ValueError("leak_rate: must lie in (0, 1]")
 
 
 def state_size(spec: ModelSpec) -> int:

@@ -12,17 +12,22 @@ channel with piecewise-constant multilevel pseudo-random signals around
 a computed steady state.  A slow ramp of the rate constant kA models
 plant drift.
 
-All state/derivative functions accept a batch axis (B, 4)/(B, 6) so
-that many sequences integrate in one vectorized pass.  The balances are
-written once, in ``_rhs``, over four channel rows: ``tuple(state.T)``
-gives numpy scalars for a (4,) state and (B,) arrays for a (B, 4)
-batch, so a single trajectory pays scalar rather than array dispatch
-and one code path serves both.  ``step`` computes the input terms once
-per sample, since they are constant over its 4 * substeps stages.
-Every product keeps Python's left-to-right order, so the rows give the
-bits of the plain (..., 4) array form that the tests keep as a
-reference; ``np.exp`` is used rather than ``math.exp`` for the same
-reason, as the two can differ in the last place.  ``step`` refuses a
+``step`` and ``derivatives`` take one state (4,) or a batch (B, 4), with
+inputs (6,) or (B, 6).  The RK4 under ``step`` uses the representation
+that is cheapest for the shape of its state, so that a sample costs few
+numpy calls; each costs about a microsecond however small its operand.
+One trajectory runs on Python floats (``_rhs``), which cost tens of
+nanoseconds an operation.  A batch is held as one (4, B) array
+(``_rhs_stacked``): both Arrhenius rates come from one ``exp`` over
+(2, B), the three feed balances are one (3, B) expression, and stage
+states are (4, B) operations, so the call count does not grow with B.
+``derivatives`` uses the stacked form for either shape.  ``step`` computes
+the input terms once per sample, since they are constant over its
+4 * substeps stages.  Both forms keep every product in Python's
+left-to-right order, so both give the bits of the plain (..., 4) array
+form that the tests keep as a reference.  The exponential is ``np.exp``
+on both, as ``float(np.exp(v))`` for a float, rather than ``math.exp``,
+because the two can differ in the last place.  ``step`` refuses a
 non-finite state or input on entry, every stage refuses a non-finite or
 non-positive H2 or T2, and ``step`` refuses a result that is non-finite
 or leaves that domain.
@@ -116,40 +121,66 @@ def drift_value(schedule: DriftSchedule, t) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _arrhenius(p: PlantParams, T2):
-    return p.kA * np.exp(-p.EA_over_R / T2), p.kB * np.exp(-p.EB_over_R / T2)
-
-
 def rate_coefficients(T2, params: PlantParams):
     """Arrhenius rates (kA2, kB2) at temperature T2."""
     if not ((T2 := np.asarray(T2, dtype=float)) > 0).all():
         raise ValueError("temperature T2 is non-finite or non-positive")
-    return _arrhenius(params, T2)
+    return (params.kA * np.exp(-params.EA_over_R / T2),
+            params.kB * np.exp(-params.EB_over_R / T2))
 
 
 def _feed_terms(p: PlantParams, inp):
-    H1, xA1, xB1, T1, F20, Q2 = np.asarray(inp, dtype=float).T
+    """The input terms, constant over a sample, from six Python floats or rows."""
+    H1, xA1, xB1, T1, F20, Q2 = inp
     F1 = p.kv1 * H1
     return (F20 + F1, F20 * p.xA0 + F1 * xA1, F1 * xB1, F20 * p.T0 + F1 * T1,
             Q2, p.rho * p.A2)
 
 
 def _rhs(p: PlantParams, c, H2, xA2, xB2, T2):
-    """The balances on channel rows; ``c = _feed_terms(p, u)`` is held per sample."""
-    if not ((H2 > 0) & (T2 > 0)).all():  # one reduction; NaN fails it too
-        raise ValueError("H2 or temperature T2 is non-finite or non-positive")
-    (kA2, kB2), (inflow, feedA, feedB, feedT, Q2, rhoA) = _arrhenius(p, T2), c
+    """The balances on Python floats; ``c = _feed_terms(p, u.tolist())``."""
+    inflow, feedA, feedB, feedT, Q2, rhoA = c
     F2, hold = p.kv2 * H2, rhoA * H2
+    if not (hold > 0 and T2 > 0):  # H2 > 0 unless it underflows hold; NaN fails it too
+        raise ValueError("H2 or temperature T2 is non-finite or non-positive")
+    rA = p.kA * float(np.exp(-p.EA_over_R / T2)) * xA2
+    rB = p.kB * float(np.exp(-p.EB_over_R / T2)) * xB2
     return ((inflow - F2) / rhoA,
-            (feedA - F2 * xA2) / hold - kA2 * xA2,
-            (feedB - F2 * xB2) / hold + kA2 * xA2 - kB2 * xB2,
-            ((feedT - F2 * T2) / hold - (kA2 * xA2 * p.dHA + kB2 * xB2 * p.dHB) / p.Cp
-             + Q2 / (hold * p.Cp)))
+            (feedA - F2 * xA2) / hold - rA,
+            (feedB - F2 * xB2) / hold + rA - rB,
+            (feedT - F2 * T2) / hold - (rA * p.dHA + rB * p.dHB) / p.Cp + Q2 / (hold * p.Cp))
+
+
+def _stacked_terms(p: PlantParams, inp):
+    """``_feed_terms`` of a (..., 6) input, feeds stacked, and the rate constants."""
+    inflow, *feeds, Q2, rhoA = _feed_terms(p, inp.reshape(-1, 6).T)
+    return (inflow, np.array(feeds), Q2, rhoA,
+            np.array([[-p.EA_over_R], [-p.EB_over_R]]), np.array([[p.kA], [p.kB]]))
+
+
+def _rhs_stacked(p: PlantParams, c, x, out):
+    """The balances on a (4, B) state into ``out``; ``c = _stacked_terms(p, u)``."""
+    if not np.minimum.reduce(x[::3], axis=None) > 0:  # H2 and T2; NaN fails it too
+        raise ValueError("H2 or temperature T2 is non-finite or non-positive")
+    inflow, feeds, Q2, rhoA, neg_E, k0 = c
+    rA, rB = k0 * np.exp(neg_E / x[3]) * x[1:3]  # kA2 * xA2, kB2 * xB2
+    F2, hold = p.kv2 * x[0], rhoA * x[0]
+    dH2, dxA2, dxB2, dT2 = out
+    np.divide(inflow - F2, rhoA, out=dH2)
+    np.divide(feeds - F2 * x[1:], hold, out=out[1:])
+    dxA2 -= rA
+    dxB2 += rA
+    dxB2 -= rB
+    dT2 -= (rA * p.dHA + rB * p.dHB) / p.Cp
+    dT2 += Q2 / (hold * p.Cp)
+    return out
 
 
 def derivatives(state, inp, params: PlantParams) -> np.ndarray:
     """Right-hand side of the balances per second; state (..., 4), inp (..., 6)."""
-    return np.array(_rhs(params, _feed_terms(params, inp), *np.asarray(state, float).T)).T
+    x = np.asarray(state, float).reshape(-1, 4).T
+    c = _stacked_terms(params, np.asarray(inp, float))
+    return _rhs_stacked(params, c, x, np.empty_like(x)).T.reshape(np.shape(state))
 
 
 def step(state, inp, params: PlantParams, dt: float, substeps: int = 10) -> np.ndarray:
@@ -160,17 +191,29 @@ def step(state, inp, params: PlantParams, dt: float, substeps: int = 10) -> np.n
     # checked before any arithmetic: an inf would meet -inf in a stage first
     if not (np.isfinite(state).all() and np.isfinite(inp).all()):
         raise ValueError("non-finite or non-positive plant data: non-finite state or input")
-    c, h, x = _feed_terms(params, inp), dt / substeps, tuple(state.T)
-    for _ in range(substeps):
-        k1 = _rhs(params, c, *x)
-        k2 = _rhs(params, c, *[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
-        k3 = _rhs(params, c, *[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
-        k4 = _rhs(params, c, *[xi + h * ki for xi, ki in zip(x, k3)])
-        x = tuple(xi + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-                  for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4))
-    if not (np.isfinite(x).all() and ((x[0] > 0) & (x[3] > 0)).all()):
+    h = dt / substeps
+    if state.ndim == 1:  # one trajectory: Python floats through every stage
+        c, x = _feed_terms(params, inp.tolist()), state.tolist()
+        for _ in range(substeps):
+            k1 = _rhs(params, c, *x)
+            k2 = _rhs(params, c, *[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+            k3 = _rhs(params, c, *[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+            k4 = _rhs(params, c, *[xi + h * ki for xi, ki in zip(x, k3)])
+            x = [xi + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                 for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
+        x = np.array(x)
+    else:  # a batch: one (4, B) state, the stage states in preallocated buffers
+        c, x = _stacked_terms(params, inp), state.reshape(-1, 4).T.copy()
+        k, s = np.empty((4,) + x.shape), np.empty_like(x)
+        for _ in range(substeps):
+            _rhs_stacked(params, c, x, k[0])
+            _rhs_stacked(params, c, np.add(x, np.multiply(k[0], 0.5 * h, out=s), out=s), k[1])
+            _rhs_stacked(params, c, np.add(x, np.multiply(k[1], 0.5 * h, out=s), out=s), k[2])
+            _rhs_stacked(params, c, np.add(x, np.multiply(k[2], h, out=s), out=s), k[3])
+            x += (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+    if not (np.isfinite(x).all() and np.minimum.reduce(x[::3], axis=None) > 0):
         raise ValueError("non-finite or non-positive plant data: the state left its domain")
-    return np.array(x).T
+    return x if state.ndim == 1 else x.T.reshape(state.shape)
 
 
 _STEADY_STATE_CACHE = {}
@@ -307,8 +350,8 @@ def simulate_plant(x0, inputs, params: PlantParams, tau: float = TAU,
     p = params
     for k in range(T):
         ys[k] = x
-        if kA_of_t is not None:
-            p = replace(params, kA=float(kA_of_t(k * tau)))
+        if kA_of_t is not None and (kA := float(kA_of_t(k * tau))) != p.kA:
+            p = replace(params, kA=kA)  # on the ramp only: replace re-runs the checks
         if k < T - 1:
             x = step(x, inputs[k], p, tau, substeps)
     return ys

@@ -62,6 +62,12 @@ BAD_SECTION_VALUES = [
     ("dataset", {"seq_len": 0}), ("dataset", {"substeps": 0}),
     ("dataset", {"substeps": 1.5}), ("dataset", {"tau": 0.0}),
     ("dataset", {"n_train": -1}), ("dataset", {"n_test": -1}),
+    ("model", {"kind": "gru", "n_u": 2.5, "n_h": 3, "n_y": 2}),
+    ("model", {"kind": "lstm", "n_u": True, "n_h": 3, "n_y": 2}),
+    ("model", {"kind": "nnarx", "n_u": 2, "n_h": 0, "n_y": 1, "order": 1.5, "mlp_width": 3}),
+    ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": float("nan")}),
+    ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": 0.0}),
+    ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": 3.0}),
 ]
 
 
@@ -240,6 +246,8 @@ class TestAdapt:
         config = tiny_config("adapt", tmp_path, model_dir=str(model_out))
         manifest = experiments.run(config)
         assert manifest.status == "ok"
+        # the set-up time is reported per build, outside what summary() hashes
+        assert {"drift_run", "eval_set"} <= manifest.wall_times.keys()
         m = manifest.metrics
         assert m["n_updates"] >= 1
         assert m["peak_buffered"] == config.mhe.washout + config.mhe.N + 1
@@ -281,6 +289,7 @@ class TestSweep:
         assert len(rows) == 1 + len(config.sweep_grid)
         averages = [r["average"] for r in manifest.metrics["rows"]]
         assert manifest.metrics["best_average"] == min(averages)
+        assert {"drift_run", "eval_set"} <= manifest.wall_times.keys()
 
     def test_process_pool_matches_serial(self, sweep_run, tmp_path):
         config, serial, _ = sweep_run

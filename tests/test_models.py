@@ -8,6 +8,30 @@ from mhenet.models import ModelSpec
 from conftest import ALL_SPECS, fd_gradient, random_params
 
 
+class TestModelSpec:
+    @pytest.mark.parametrize("args,kwargs,name", [
+        (("gru", 2.5, 3, 2), {}, "n_u"),
+        (("lstm", True, 3, 2), {}, "n_u"),
+        (("lstm", 2, 3.0, 2), {}, "n_h"),
+        (("gru", 2, 3, 1.5), {}, "n_y"),
+        (("nnarx", 2, 0, 1), {"order": 2.5, "mlp_width": 3}, "order"),
+        (("nnarx", 2, 0, 1), {"order": 2, "mlp_width": True}, "mlp_width"),
+        (("esn", 2, 5, 1), {"leak_rate": float("nan")}, "leak_rate"),
+        (("esn", 2, 5, 1), {"leak_rate": 0.0}, "leak_rate"),
+        (("esn", 2, 5, 1), {"leak_rate": 3.0}, "leak_rate"),
+    ], ids=["n_u-fractional", "n_u-boolean", "n_h-float", "n_y-fractional",
+            "order-fractional", "mlp_width-boolean", "leak_rate-nan", "leak_rate-zero",
+            "leak_rate-three"])
+    def test_nonsense_refused(self, args, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            ModelSpec(*args, **kwargs)
+
+    def test_edges_accepted(self):
+        assert ModelSpec("esn", 1, 1, 1, leak_rate=1.0).leak_rate == 1.0
+        assert ModelSpec("esn", 1, 1, 1, leak_rate=1e-9).leak_rate == 1e-9
+        assert models.param_count(ModelSpec("nnarx", 1, 0, 1, order=1, mlp_width=1)) == 5
+
+
 class TestParamCount:
     def test_benchmark_lstm_is_724(self):
         assert models.param_count(ModelSpec("lstm", 6, 10, 4)) == 724

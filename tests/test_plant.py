@@ -94,20 +94,37 @@ class TestStep:
         with pytest.raises(ValueError, match="non-finite or non-positive"):
             plant.step(x, u, p, TAU)
 
-    @pytest.mark.parametrize("channel,value", [(0, -0.5), (0, 0.0), (3, 0.0)])
-    def test_one_out_of_domain_row_raises(self, channel, value):
+    # the batched cases keep their plain ids
+    @pytest.mark.parametrize("batch,channel,value", [
+        (4, 0, -0.5), (4, 0, 0.0), (4, 3, 0.0), (None, 0, -0.5), (None, 0, 0.0),
+        (None, 3, 0.0), (None, 0, 5e-324)],
+        ids=["0--0.5", "0-0.0", "3-0.0", "single-0--0.5", "single-0-0.0",
+             "single-3-0.0", "single-0-subnormal"])
+    def test_one_out_of_domain_row_raises(self, batch, channel, value):
         p = PlantParams()
-        x = np.tile(plant.steady_state(p), (4, 1))
-        x[2, channel] = value
+        x = np.tile(plant.steady_state(p), (batch or 1, 1))
+        u = np.tile(NOMINAL_INPUT, (batch or 1, 1))
+        x[len(x) // 2, channel] = value
+        if batch is None:
+            x, u = x[0], u[0]
         with pytest.raises(ValueError, match="non-finite or non-positive"):
-            plant.step(x, np.tile(NOMINAL_INPUT, (4, 1)), p, TAU)
+            plant.step(x, u, p, TAU)
 
-    def test_step_ending_out_of_domain_raises(self):
+    @pytest.mark.parametrize("batch", [None, 3], ids=["single", "batched"])
+    def test_step_ending_out_of_domain_raises(self, batch):
         # with a negative feed one long RK4 step ends at T2 < 0, although
-        # all four stages stay inside the domain
-        u = np.array([0.0, 0.8, 0.1, 313.0, -0.4, 0.0])
+        # all four stages stay inside the domain; in the batch only the
+        # last row gets that feed, the others stay at the steady state
+        p = PlantParams()
+        x = np.tile(plant.steady_state(p), (batch or 1, 1))
+        u = np.tile(NOMINAL_INPUT, (batch or 1, 1))
+        x[-1], u[-1] = [1.4, 0.5, 0.2, 308.0], [0.0, 0.8, 0.1, 313.0, -0.4, 0.0]
+        if batch is None:
+            x, u = x[0], u[0]
+        else:
+            assert np.all(plant.step(x[:-1], u[:-1], p, 0.6, substeps=1) > 0)
         with pytest.raises(ValueError, match="left its domain"):
-            plant.step([1.4, 0.5, 0.2, 308.0], u, PlantParams(), 0.6, substeps=1)
+            plant.step(x, u, p, 0.6, substeps=1)
 
 
 class TestKernelParity:
@@ -136,7 +153,8 @@ class TestKernelParity:
         for a, b in zip(fast.sequences, ref.sequences):
             assert np.array_equal(a.y, b.y)
 
-    @pytest.mark.parametrize("shape", [(4,), (1, 4), (7, 4)], ids=["4", "1x4", "7x4"])
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (7, 4), (35, 4), (136, 4)],
+                             ids=["4", "1x4", "7x4", "35x4", "136x4"])
     def test_random_steps_and_derivatives(self, rng, shape):
         exc = plant.default_excitation()
         for _ in range(10):
