@@ -159,17 +159,33 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
     reverse pass of ``models``.  Both warm-start at the prior; if the
     optimizer reports a point no better than the prior, the prior is
     returned unchanged.  Returns ``(solution, AdaptCheckpoint)``.
+
+    The record's costs at the prior and at the solution are those of the
+    optimizer's own evaluations there, in the same bits as ``mhe_cost``;
+    ``mhe_cost`` rolls the model out only for a point it never evaluated.
     """
     mask = models.trainable_mask(spec)
     base = prior.values.copy()
     theta_p = base[mask]
     mu = config.mu
     sqmu = np.sqrt(mu)
+    evaluated = {}        # theta bytes -> (total, fit, prior_term)
 
     def embed(theta_t):
         vals = base.copy()
         vals[mask] = theta_t
         return prior.replace_values(vals)
+
+    def record(theta_t, fit):
+        dv = theta_t - theta_p
+        prior_term = float(dv @ dv)
+        total = fit + mu * prior_term
+        evaluated[theta_t.tobytes()] = (total, fit, prior_term)
+        return total, dv
+
+    def costs(theta_t, params):
+        hit = evaluated.get(theta_t.tobytes())
+        return hit if hit is not None else mhe_cost(spec, params, window, prior, mu)
 
     if config.solver == "lm":
         n = len(theta_p)
@@ -185,8 +201,9 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
                                           window.x_init, window.inputs)
             except models.NumericalBlowupError:
                 return np.full(m, 1e100)
-            return np.concatenate([(pred - window.outputs).ravel(),
-                                   sqmu * (theta_t - theta_p)])
+            res = pred - window.outputs
+            _, dv = record(theta_t, float(np.sum(res * res)))
+            return np.concatenate([res.ravel(), sqmu * dv])
 
         def jacobian(theta_t):
             _, J = models.output_jacobian(spec, embed(theta_t),
@@ -208,10 +225,8 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
         def objective(theta_t):
             fit, grad = models.window_loss_and_gradient(
                 spec, embed(theta_t), window.x_init, window.inputs, window.outputs)
-            dv = theta_t - theta_p
-            total = fit + mu * float(dv @ dv)
-            g = grad[mask] + 2.0 * mu * dv
-            return total, g
+            total, dv = record(theta_t, fit)
+            return total, grad[mask] + 2.0 * mu * dv
 
         res = optimize.minimize(objective, theta_p, jac=True, method="L-BFGS-B",
                                 options={"maxiter": config.max_iter,
@@ -221,10 +236,10 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
         x_opt, nit, nfev = res.x, int(res.nit), int(res.nfev)
         success, message = bool(res.success), str(res.message)
 
-    total_prior, fit_prior, _ = mhe_cost(spec, prior, window, prior, mu)
+    total_prior, fit_prior, _ = costs(theta_p, prior)
     if np.all(np.isfinite(x_opt)):
         solution = embed(x_opt)
-        total, fit, prior_term = mhe_cost(spec, solution, window, prior, mu)
+        total, fit, prior_term = costs(x_opt, solution)
     else:
         solution, total = prior, np.inf
     if not np.isfinite(total) or total > total_prior:

@@ -25,10 +25,21 @@ one sequence, so many rollouts share one vectorized pass.  The LSTM
 gates and the GRU update/reset gates are stacked into one affine map
 when the weights are unpacked; the stored parameter layout is unchanged.
 
+The time loops carry only the recurrence.  A forward step writes its
+next state into the states buffer and, when a gradient will need them,
+its activations into the cache; the readouts y_t = C h_t + d are one
+product over the stored states after the loop.
+
 Derivatives are exact reverse-mode accumulation through the unrolled
 recursion (no truncation).  Beside each forward cell is its backward
-step; one reverse loop over them gives the window-loss gradient, seeded
-with the residuals, and the output Jacobian, seeded with every output.
+step, in two parts: a block part computes, for a block of steps at once,
+all that the adjoint does not enter (derivative factors, dy @ C, the
+inputs of the affine maps), and a step part keeps only the recurrence.
+One reverse loop over them gives the window-loss gradient, seeded with
+the residuals, and the output Jacobian, seeded with every output.  For
+the gradient, the weight products of a block are formed by one batched
+matmul and added in reverse time, so the result has the bits of a plain
+per-step loop, which tests/conftest.py keeps as the reference.
 """
 
 from __future__ import annotations
@@ -46,6 +57,10 @@ _FROZEN = ("Win", "W", "bres")    # the ESN reservoir: never trained
 
 # Pre-activations are clamped here before sigmoids/tanh; a no-op in the
 # benchmark's operating range, it only guards against overflow blow-ups.
+# In float64, tanh(x) rounds to +-1 from |x| = 19 on, and sigmoid(x) =
+# (1 + tanh(x/2)) / 2 to 0 or 1 from |x| = 38 on, so every clamped entry
+# already has an activation derivative of exactly 0: the reverse pass
+# needs no mask of where the clamp was active.
 CLIP = 50.0
 
 
@@ -232,10 +247,6 @@ def init_params(spec: ModelSpec, seed: int, scheme: str = "uniform") -> ParamVec
     return ParamVector(spec, values, seed=seed, scheme=scheme)
 
 
-def _sigmoid(a):
-    return 0.5 * (1.0 + np.tanh(0.5 * a))
-
-
 # Gates that share one input and are stacked into one affine map at
 # unpack time, in stored-layout order.
 _STACKED = {"lstm": "fioc", "gru": "zr"}
@@ -261,7 +272,7 @@ def _mm(W, x):
     """x @ W.T, where W is (m, n) or a batch (B, m, n) and x is (..., B, n)."""
     if W.ndim == 2:
         return x @ W.T
-    return np.einsum("bij,...bj->...bi", W, x, optimize=True)
+    return np.matmul(W, x[..., None])[..., 0]
 
 
 def zero_state(spec: ModelSpec, batch: int | None = None) -> np.ndarray:
@@ -283,128 +294,251 @@ def nnarx_state(spec: ModelSpec, us, ys) -> np.ndarray:
     return np.concatenate([np.concatenate([u, y]) for u, y in zip(us, ys)])
 
 
-# One step of each recurrent kind: (y_t, x_{t+1}, intermediates kept for
-# the backward pass) from the state x_t (B, S) and the input u_t (B, n_u).
+@functools.cache
+def _lstm_gate_consts(n_h):
+    """(half, shift) over [f | i | o | g]: half is 1/2 for the gates and 1
+    for the candidate, shift is 1 and -0.0.  (tanh(a * half) + shift) *
+    half is [sigmoid(a) for the gates | tanh(a)], as sigmoid(a) = (1 +
+    tanh(a/2)) / 2, in the bits of separate sigmoid and tanh calls: the
+    gates take the same operations, and multiplying by 1 or adding -0.0
+    changes no bit of the candidate, not even a zero's sign.
+    """
+    half, shift = np.full(4 * n_h, 0.5), np.ones(4 * n_h)
+    half[3 * n_h:], shift[3 * n_h:] = 1.0, -0.0
+    half.flags.writeable = shift.flags.writeable = False
+    return half, shift
 
-def _lstm_cell(spec, P, x, u):
+
+def _clip(a):
+    """Clamp ``a`` to [-CLIP, CLIP] in place."""
+    np.maximum(a, -CLIP, out=a)
+    np.minimum(a, CLIP, out=a)
+
+
+# One step of each recurrent kind: writes x_{t+1} into ``x_next`` (B, S)
+# from the state x_t (B, S) and the input u_t (B, n_u).  ``saved`` is None
+# or this step's rows of the ``_new_cache`` arrays, which the step fills.
+
+def _lstm_cell(spec, P, x, u, x_next, saved):
     n_h = spec.n_h
-    c, h = x[:, :n_h], x[:, n_h:]
-    y = _mm(P["C"], h) + P["d"]
-    z = np.concatenate([u, h], axis=1)
-    a = _mm(P["Wg"], z) + P["bg"]
-    m = np.abs(a) < CLIP
-    a = np.clip(a, -CLIP, CLIP)
-    s = _sigmoid(a[:, :3 * n_h])              # [f | i | o]
-    g = np.tanh(a[:, 3 * n_h:])
-    c2 = s[:, :n_h] * c + s[:, n_h:2 * n_h] * g
-    tc2 = np.tanh(c2)
-    return y, np.concatenate([c2, s[:, 2 * n_h:] * tc2], axis=1), (z, s, g, tc2, m)
+    sg, tc = saved or (None, None)
+    half, shift = _lstm_gate_consts(n_h)
+    a = _mm(P["Wg"], np.concatenate([u, x[:, n_h:]], axis=1))
+    a += P["bg"]
+    _clip(a)
+    a *= half
+    s = np.tanh(a, out=a if sg is None else sg)
+    s += shift
+    s *= half                                     # s = [f | i | o | g]
+    c2 = s[:, :n_h] * x[:, :n_h]
+    c2 += s[:, n_h:2 * n_h] * s[:, 3 * n_h:]
+    h2 = s[:, 2 * n_h:3 * n_h] * np.tanh(c2, out=tc)
+    np.concatenate([c2, h2], axis=1, out=x_next)
 
 
-def _gru_cell(spec, P, h, u):
+def _gru_cell(spec, P, h, u, h_next, saved):
     n_h = spec.n_h
-    y = _mm(P["C"], h) + P["d"]
-    zin = np.concatenate([u, h], axis=1)
-    a = _mm(P["Wg"], zin) + P["bg"]
-    m = np.abs(a) < CLIP
-    s = _sigmoid(np.clip(a, -CLIP, CLIP))     # [z | r]
-    zg, r = s[:, :n_h], s[:, n_h:]
-    nin = np.concatenate([u, r * h], axis=1)
-    an = _mm(P["Wn"], nin) + P["bn"]
-    mn = np.abs(an) < CLIP
-    n = np.tanh(np.clip(an, -CLIP, CLIP))
-    return y, (1.0 - zg) * h + zg * n, (zin, nin, s, n, m, mn)
+    s, rh, n = saved or (None, None, None)
+    a = _mm(P["Wg"], np.concatenate([u, h], axis=1))
+    a += P["bg"]
+    _clip(a)
+    a *= 0.5
+    s = np.tanh(a, out=a if s is None else s)
+    s += 1.0
+    s *= 0.5                                      # s = [z | r]
+    rh = np.multiply(s[:, n_h:], h, out=rh)
+    an = _mm(P["Wn"], np.concatenate([u, rh], axis=1))
+    an += P["bn"]
+    _clip(an)
+    n = np.tanh(an, out=an if n is None else n)
+    zg = s[:, :n_h]
+    np.subtract(1.0, zg, out=h_next)
+    h_next *= h
+    h_next += zg * n
 
 
-def _esn_cell(spec, P, h, u):
-    y = _mm(P["C"], h) + P["d"]
-    pre = _mm(P["Win"], u) + _mm(P["W"], h) + P["bres"]
+def _esn_cell(spec, P, h, u, h_next, saved):
+    pre = _mm(P["Win"], u) + _mm(P["W"], h)
+    pre += P["bres"]
+    _clip(pre)
     a = spec.leak_rate
-    return y, (1.0 - a) * h + a * np.tanh(np.clip(pre, -CLIP, CLIP)), ()
+    np.multiply(1.0 - a, h, out=h_next)
+    h_next += a * np.tanh(pre, out=pre)
 
 
-def _nnarx_cell(spec, P, x, u):
+def _nnarx_cell(spec, P, x, u, x_next, saved):
     # the state is the regressor; the model output is fed back into it
-    a1 = _mm(P["W1"], x) + P["b1"]
-    m1 = np.abs(a1) < CLIP
-    h1 = np.tanh(np.clip(a1, -CLIP, CLIP))
-    y = _mm(P["W2"], h1) + P["b2"]
-    return y, np.concatenate([x[:, spec.n_u + spec.n_y:], u, y], axis=1), (h1, m1)
+    h1, = saved or (None,)
+    a1 = _mm(P["W1"], x)
+    a1 += P["b1"]
+    _clip(a1)
+    h1 = np.tanh(a1, out=a1 if h1 is None else h1)
+    S, blk, n_y = x.shape[1], spec.n_u + spec.n_y, spec.n_y
+    x_next[:, :S - blk] = x[:, blk:]
+    x_next[:, S - blk:S - n_y] = u
+    x_next[:, S - n_y:] = _mm(P["W2"], h1) + P["b2"]
 
 
 _CELLS = {"lstm": _lstm_cell, "gru": _gru_cell, "esn": _esn_cell,
           "nnarx": _nnarx_cell}
 
 
-# Backward steps: from the adjoints dx of x_{t+1} and dy of y_t (R, ...),
-# the adjoint of x_t and, per affine map, (weight, bias, pre-activation
-# adjoint, input).  Readouts, the ESN's only weights, are left to _backward.
-
-def _lstm_back(spec, P, x, saved, dx, dy):
+def _new_cache(spec, T, B):
+    """What a rollout keeps for its reverse pass: one (T, B, width) array
+    per intermediate.  LSTM: the activations [f | i | o | g] and
+    tanh(c_{t+1}); GRU: [z | r], r * h and the candidate n; NNARX: the
+    hidden layer.  The other inputs of the affine maps are rebuilt from
+    ``inputs`` and the states."""
     n_h = spec.n_h
-    z, s, g, tc2, m = saved
-    dc, dh = dx[:, :n_h], dx[:, n_h:]
-    dc2 = dc + dh * s[:, 2 * n_h:] * (1.0 - tc2 * tc2)
-    ds = np.concatenate([dc2 * x[:, :n_h], dc2 * g, dh * tc2], axis=1) * s * (1.0 - s)
-    da = np.concatenate([ds, dc2 * s[:, n_h:2 * n_h] * (1.0 - g * g)], axis=1) * m
-    dh = (da @ P["Wg"])[:, spec.n_u:] + dy @ P["C"]
-    return np.concatenate([dc2 * s[:, :n_h], dh], axis=1), (("Wg", "bg", da, z),)
+    widths = {"lstm": (4 * n_h, n_h), "gru": (2 * n_h, n_h, n_h),
+              "nnarx": (spec.mlp_width,)}.get(spec.kind, ())
+    return tuple(np.empty((T, B, width)) for width in widths)
 
 
-def _gru_back(spec, P, h, saved, dx, dy):
-    n_h, n_u = spec.n_h, spec.n_u
-    zin, nin, s, n, m, mn = saved
-    zg, r = s[:, :n_h], s[:, n_h:]
-    dan = dx * zg * (1.0 - n * n) * mn
-    drh = (dan @ P["Wn"])[:, n_u:]
-    ds = np.concatenate([dx * (n - h), drh * h], axis=1) * s * (1.0 - s) * m
-    dh = dx * (1.0 - zg) + drh * r + (ds @ P["Wg"])[:, n_u:] + dy @ P["C"]
-    return dh, (("Wn", "bn", dan, nin), ("Wg", "bg", ds, zin))
-
-
-def _nnarx_back(spec, P, x, saved, dx, dy):
-    # x_{t+1} = [x_t[blk:], u_t, y_t]: y_t is also fed back into the state
-    h1, m1 = saved
-    S, blk = dx.shape[1], spec.n_u + spec.n_y
-    dy = dy + dx[:, S - spec.n_y:]
-    da1 = (dy @ P["W2"]) * (1.0 - h1 * h1) * m1
-    dx_t = da1 @ P["W1"]
-    dx_t[:, blk:] += dx[:, :S - blk]
-    return dx_t, (("W2", "b2", dy, h1), ("W1", "b1", da1, x))
-
-
-_BACKS = {"lstm": _lstm_back, "gru": _gru_back, "nnarx": _nnarx_back}
-
-
-def _rollout(spec, P, x0, inputs, keep):
+def _rollout(spec, P, x0, inputs, cache):
     """The forward kernel behind every rollout.
 
     x0: (B, S), inputs: (T, B, n_u), P from ``_unpack``: either one
-    weight vector for all B sequences or one per sequence.  ``keep`` is
-    ``"outputs"``, ``"states"`` or ``"cache"``.  Returns outputs
-    (T, B, n_y), states (T+1, B, S) unless only outputs are kept, and
-    the per-step intermediates for the backward pass when ``keep`` is
-    ``"cache"`` (None otherwise).
+    weight vector for all B sequences or one per sequence.  Returns
+    outputs (T, B, n_y), states (T+1, B, S) and, if ``cache`` is true,
+    the ``_new_cache`` arrays for the backward pass (None otherwise).
+
+    The time loop carries only the recurrence: each step writes its next
+    state straight into ``states`` and, with a cache, its intermediates
+    straight into the cache.  The readouts
+    y_t = C h_t + d of the LSTM, GRU and ESN are one product over the
+    stored states after the loop.  The NNARX output is fed back into the
+    state, so it is computed in the step and read from the states.
     """
     T, B = inputs.shape[0], inputs.shape[1]
-    states = None
-    if keep != "outputs":
-        states = np.empty((T + 1, B, x0.shape[1]))
-        states[0] = x0
-    cache = [] if keep == "cache" else None
+    states = np.empty((T + 1, B, x0.shape[1]))
+    states[0] = x0
+    saved = _new_cache(spec, T, B) if cache else None
     if spec.kind == "linear":
-        return _mm(P["K"], inputs), states, cache
-
+        return _mm(P["K"], inputs), states, saved
     cell = _CELLS[spec.kind]
-    outputs = np.empty((T, B, spec.n_y))
-    x = x0
     for t in range(T):
-        outputs[t], x, saved = cell(spec, P, x, inputs[t])
-        if states is not None:
-            states[t + 1] = x
-        if cache is not None:
-            cache.append(saved)
-    return outputs, states, cache
+        cell(spec, P, states[t], inputs[t], states[t + 1],
+             saved and [c[t] for c in saved])
+    if spec.kind == "nnarx":                      # y_t is the tail of x_{t+1}
+        return states[1:, :, -spec.n_y:].copy(), states, saved
+    return _mm(P["C"], states[:-1, :, -spec.n_h:]) + P["d"], states, saved
+
+
+# The reverse pass per kind, in two parts.  The block part takes the
+# steps ``sl`` of one block, in reverse time, and returns what no step
+# adjoint enters: factors f, the output adjoints mapped into the state
+# (dy @ C, or dy itself for NNARX), and per affine map its inputs.  The
+# step part maps the adjoints dx of x_{t+1} to those of x_t, given
+# ``seed``, row k of the mapped output adjoints, and returns them with
+# each affine map's pre-activation adjoint, written into ``out`` when
+# given.  Products stay in the order of the plain chain rule, so a step
+# gives the bits of a per-step reverse pass (see CLIP for why no clip
+# mask enters).
+
+def _lstm_block(spec, P, inputs, states, cache, dy, sl):
+    n_h = spec.n_h
+    sg, tc = (c[sl] for c in cache)
+    s, g = sg[..., :3 * n_h], sg[..., 3 * n_h:]
+    # da = [dc2, dc2, dh, dc2] * r1 * r2 * r3, left to right: the gates'
+    # [dc2 c_t, dc2 g, dh tanh(c_{t+1})] * s * (1 - s), the candidate's
+    # dc2 s_i * 1 * (1 - g^2)
+    r1 = np.concatenate([states[sl, :, :n_h], g, tc, sg[..., n_h:2 * n_h]], axis=-1)
+    r2 = np.concatenate([s, np.ones_like(g)], axis=-1)
+    r3 = np.concatenate([1.0 - s, 1.0 - g * g], axis=-1)
+    # dc2 = dc + dh * s_o * (1 - tanh(c_{t+1})^2); dc_t = dc2 * s_f
+    f = (P["Wg"], spec.n_u, sg[..., 2 * n_h:3 * n_h], 1.0 - tc * tc,
+         sg[..., :n_h], r1, r2, r3)
+    z = np.concatenate([inputs[sl], states[sl, :, n_h:]], axis=-1)
+    return f, dy @ P["C"], (z,)
+
+
+def _lstm_back(f, k, dx, seed, out):
+    Wg, n_u, so, q, sf, r1, r2, r3 = f
+    dc, dh = dx
+    dc2 = dh * so[k]
+    dc2 *= q[k]
+    dc2 += dc
+    da = np.concatenate([dc2, dc2, dh, dc2], axis=1, out=out[0])
+    da *= r1[k]
+    da *= r2[k]
+    da *= r3[k]
+    dh = (da @ Wg)[:, n_u:]
+    dh += seed
+    return (dc2 * sf[k], dh), (da,)
+
+
+def _gru_block(spec, P, inputs, states, cache, dy, sl):
+    n_h, n_u = spec.n_h, spec.n_u
+    s, rh, n = (c[sl] for c in cache)
+    h, u = states[sl], inputs[sl]
+    # dan = dh * z * (1 - n^2); ds = [dh, drh] * [n - h, h] * s * (1 - s)
+    f = (P["Wn"], P["Wg"], n_u, s[..., :n_h], 1.0 - n * n,
+         np.concatenate([n - h, h], axis=-1), s, 1.0 - s, 1.0 - s[..., :n_h], s[..., n_h:])
+    return f, dy @ P["C"], (np.concatenate([u, rh], axis=-1),
+                            np.concatenate([u, h], axis=-1))
+
+
+def _gru_back(f, k, dx, seed, out):
+    Wn, Wg, n_u, zg, qn, f1, s, f3, omz, r = f
+    dh, = dx
+    dan = np.multiply(dh, zg[k], out=out[0])
+    dan *= qn[k]
+    drh = (dan @ Wn)[:, n_u:]
+    ds = np.concatenate([dh, drh], axis=1, out=out[1])
+    ds *= f1[k]
+    ds *= s[k]
+    ds *= f3[k]
+    dh = dh * omz[k]
+    dh += drh * r[k]
+    dh += (ds @ Wg)[:, n_u:]
+    dh += seed
+    return (dh,), (dan, ds)
+
+
+def _nnarx_block(spec, P, inputs, states, cache, dy, sl):
+    h1, = (c[sl] for c in cache)
+    f = (P["W2"], P["W1"], 1.0 - h1 * h1, spec.n_u + spec.n_y, spec.n_y)
+    return f, dy, (np.ascontiguousarray(h1), np.ascontiguousarray(states[sl]))
+
+
+def _nnarx_back(f, k, dx, seed, out):
+    # x_{t+1} = [x_t[blk:], u_t, y_t]: y_t is also fed back into the state
+    W2, W1, q, blk, n_y = f
+    dx, = dx
+    S = dx.shape[1]
+    dy = np.add(seed, dx[:, S - n_y:], out=out[0])
+    da1 = np.matmul(dy, W2, out=out[1])
+    da1 *= q[k]
+    dx_t = da1 @ W1
+    dx_t[:, blk:] += dx[:, :S - blk]
+    return (dx_t,), (dy, da1)
+
+
+# per kind: block part, step part, and the (weight, bias) of each affine
+# map in the order the step returns their adjoints
+_BACKS = {"lstm": (_lstm_block, _lstm_back, (("Wg", "bg"),)),
+          "gru": (_gru_block, _gru_back, (("Wn", "bn"), ("Wg", "bg"))),
+          "nnarx": (_nnarx_block, _nnarx_back, (("W2", "b2"), ("W1", "b1")))}
+
+# A block of the reverse pass spans at most BLOCK steps, and at most
+# BLOCK_ROWS step rows of the rollout's batch (but at least one step), so
+# that its buffers stay in cache.  On LSTM 6-10-4 a batch of 100 ran
+# fastest at 5-8 steps a block, one sequence at about 32.
+BLOCK, BLOCK_ROWS = 32, 512
+
+
+def _sum_in_order(terms, out):
+    """out = ((terms[0] + terms[1]) + ...) + terms[-1].
+
+    np.add.reduce along the leading axis adds in this order, except when
+    each term is one number: the axis is then the contiguous one and it
+    sums pairwise instead, so that case accumulates.
+    """
+    if terms[0].size > 1:
+        np.add.reduce(terms, axis=0, out=out)
+    else:
+        out[...] = np.add.accumulate(terms, axis=0)[-1]
 
 
 def _backward(spec, P, inputs, states, cache, dy, rows):
@@ -414,6 +548,19 @@ def _backward(spec, P, inputs, states, cache, dy, rows):
     param_count); the R rows then seed one sequence with the T*n_y one-hot
     outputs in output order, so rows before t*n_y are still zero at step t
     and only the rows from there on are computed.
+
+    The readout gradients are one contraction over all steps.  The steps
+    run in blocks (see ``BLOCK``), latest first.  Per block, everything that
+    does not depend on the adjoint is computed at once: the derivative
+    factors, dy @ C and the inputs of the affine maps.  Inside a step only
+    the recurrence remains: the elementwise chain rule and the product with
+    the recurrent weights.  Without ``rows`` each step writes its
+    pre-activation adjoints into a block buffer; at the end of the block
+    one batched matmul forms every step's weight product, and they are
+    added to the running total in reverse time, as a per-step loop would
+    add them, so the gradient keeps its bits.  With ``rows`` the per-row
+    outer products are added at each step, as a block of them would take
+    K times the memory of the gradient.
     """
     n_h, lead = spec.n_h, (dy.shape[1:2] if rows else ())
     grads = {name: np.zeros(lead + a.shape) for name, a in P.items()
@@ -425,20 +572,51 @@ def _backward(spec, P, inputs, states, cache, dy, rows):
     elif spec.kind in ("lstm", "gru", "esn"):
         grads["C"] = np.einsum(readout, dy, states[:-1, :, -n_h:])  # h_t is last
         grads["d"] = dy.sum(axis=0 if rows else (0, 1))
-    back = _BACKS.get(spec.kind)
-    dx = np.zeros(dy.shape[1:2] + states.shape[2:])
-    for t in range(len(dy) - 1, -1, -1) if back else ():
-        lo = t * spec.n_y if rows else 0
-        dx[lo:], maps = back(spec, P, states[t], cache[t], dx[lo:], dy[t, lo:])
-        for W, b, a, z in maps:
-            grads[W][lo:] += a[:, :, None] * z[:, None, :] if rows else a.T @ z
-            grads[b][lo:] += a if rows else a.sum(0)
+    if spec.kind in _BACKS:
+        _reverse_steps(spec, P, inputs, states, cache, dy, rows, grads)
     for k, g in enumerate(_STACKED.get(spec.kind, "")):
         rk = slice(k * n_h, (k + 1) * n_h)      # stacked gate k: a stored block
         grads[f"W{g}"], grads[f"b{g}"] = grads["Wg"][..., rk, :], grads["bg"][..., rk]
     # the trainable blocks lead the stored layout
     return np.concatenate([grads[name].reshape(lead + (-1,))
                            for name in _layout(spec)[0] if name in grads], axis=-1)
+
+
+def _reverse_steps(spec, P, inputs, states, cache, dy, rows, grads):
+    """The blocked reverse loop of ``_backward``; adds into ``grads``."""
+    block, back, maps = _BACKS[spec.kind]
+    T, R = dy.shape[:2]
+    widths = (spec.n_h, spec.n_h) if spec.kind == "lstm" else (states.shape[2],)
+    dx = [np.zeros((R, w)) for w in widths]         # LSTM: [dc, dh]
+    K = max(1, min(T, BLOCK, BLOCK_ROWS // states.shape[1]))
+    if not rows:
+        das = [np.empty((K, R, P[b].shape[-1])) for _, b in maps]
+        sums = [(np.empty((K + 1,) + P[W].shape), np.empty((K + 1,) + P[b].shape))
+                for W, b in maps]
+    for t1 in range(T, 0, -K):
+        t0 = max(t1 - K, 0)
+        sl = slice(t1 - 1, t0 - 1 if t0 else None, -1)
+        f, seeds, zs = block(spec, P, inputs, states, cache, dy[sl], sl)
+        n = t1 - t0
+        for k in range(n):
+            if not rows:
+                dx, _ = back(f, k, dx, seeds[k], [a[k] for a in das])
+                continue
+            lo = (t1 - 1 - k) * spec.n_y
+            new, adj = back(f, k, [d[lo:] for d in dx], seeds[k, lo:], (None,) * len(maps))
+            for d, v in zip(dx, new):
+                d[lo:] = v
+            for (W, b), a, z in zip(maps, adj, zs):
+                grads[W][lo:] += a[:, :, None] * z[k][:, None, :]
+                grads[b][lo:] += a
+        if rows:
+            continue
+        for (W, b), a, z, (gw, gb) in zip(maps, das, zs, sums):
+            np.matmul(a[:n].transpose(0, 2, 1), z, out=gw[1:n + 1])
+            np.sum(a[:n], axis=1, out=gb[1:n + 1])
+            for total, name in ((gw, W), (gb, b)):
+                total[0] = grads[name]
+                _sum_in_order(total[:n + 1], grads[name])
 
 
 def batch_param_outputs(spec: ModelSpec, values_batch, x0, inputs) -> np.ndarray:
@@ -456,7 +634,7 @@ def batch_param_outputs(spec: ModelSpec, values_batch, x0, inputs) -> np.ndarray
     B = vb.shape[0]
     return _rollout(spec, _unpack(spec, vb), np.tile(x0, (B, 1)),
                     np.broadcast_to(inputs[:, None, :], (len(inputs), B, spec.n_u)),
-                    "outputs")[0]
+                    False)[0]
 
 
 def output_jacobian(spec: ModelSpec, params: ParamVector, x0,
@@ -471,7 +649,7 @@ def output_jacobian(spec: ModelSpec, params: ParamVector, x0,
     T, R = len(inputs), len(inputs) * spec.n_y
     P = _unpack(spec, params.values)
     inputs = inputs[:, None, :]                       # a batch of one sequence
-    outputs, states, cache = _rollout(spec, P, x0[None, :], inputs, "cache")
+    outputs, states, cache = _rollout(spec, P, x0[None, :], inputs, True)
     # row r = t * n_y + i seeds output i at step t; all rows share the rollout
     seeds = np.eye(R).reshape(T, spec.n_y, R).transpose(0, 2, 1)
     return outputs[:, 0], _backward(spec, P, inputs, states, cache, seeds, rows=True)
@@ -514,7 +692,7 @@ def simulate(spec: ModelSpec, params: ParamVector, x0, inputs):
     x0, inputs, batched = _as_batch(spec, x0, inputs)
     if inputs.size == 0:
         raise ValueError("inputs must be nonempty")
-    outputs, states, _ = _rollout(spec, _unpack(spec, params.values), x0, inputs, "states")
+    outputs, states, _ = _rollout(spec, _unpack(spec, params.values), x0, inputs, False)
     if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(states))):
         ok = (np.all(np.isfinite(outputs), axis=(1, 2))
               & np.all(np.isfinite(states[1:]), axis=(1, 2)))
@@ -543,7 +721,7 @@ def window_loss_and_gradient(spec: ModelSpec, params: ParamVector, x0,
     w = np.ones(len(inputs)) if step_weights is None else np.asarray(step_weights, dtype=float)
 
     P = _unpack(spec, params.values)
-    outputs, states, cache = _rollout(spec, P, x0, inputs, "cache")
+    outputs, states, cache = _rollout(spec, P, x0, inputs, True)
     res = outputs - targets
     loss = float(np.sum(w[:, None, None] * res * res))
     flat = np.zeros(values_size(spec))

@@ -100,6 +100,155 @@ def reference_plant():
         yield
 
 
+# Reference model kernel: one cell per step that returns its readout, its
+# next state and its intermediates, and one reverse loop that accumulates
+# every weight product per step.  The blocked kernel of mhenet.models must
+# give the same bits, so parity tests use np.array_equal.
+def _ref_mm(W, x):
+    if W.ndim == 2:
+        return x @ W.T
+    return np.einsum("bij,...bj->...bi", W, x, optimize=True)
+
+
+def _ref_sigmoid(a):
+    return 0.5 * (1.0 + np.tanh(0.5 * a))
+
+
+def _ref_lstm_cell(spec, P, x, u):
+    n_h, CLIP = spec.n_h, models.CLIP
+    c, h = x[:, :n_h], x[:, n_h:]
+    y = _ref_mm(P["C"], h) + P["d"]
+    z = np.concatenate([u, h], axis=1)
+    a = _ref_mm(P["Wg"], z) + P["bg"]
+    m = np.abs(a) < CLIP
+    a = np.clip(a, -CLIP, CLIP)
+    s = _ref_sigmoid(a[:, :3 * n_h])
+    g = np.tanh(a[:, 3 * n_h:])
+    c2 = s[:, :n_h] * c + s[:, n_h:2 * n_h] * g
+    tc2 = np.tanh(c2)
+    return y, np.concatenate([c2, s[:, 2 * n_h:] * tc2], axis=1), (z, s, g, tc2, m)
+
+
+def _ref_gru_cell(spec, P, h, u):
+    n_h, CLIP = spec.n_h, models.CLIP
+    y = _ref_mm(P["C"], h) + P["d"]
+    zin = np.concatenate([u, h], axis=1)
+    a = _ref_mm(P["Wg"], zin) + P["bg"]
+    m = np.abs(a) < CLIP
+    s = _ref_sigmoid(np.clip(a, -CLIP, CLIP))
+    zg, r = s[:, :n_h], s[:, n_h:]
+    nin = np.concatenate([u, r * h], axis=1)
+    an = _ref_mm(P["Wn"], nin) + P["bn"]
+    mn = np.abs(an) < CLIP
+    n = np.tanh(np.clip(an, -CLIP, CLIP))
+    return y, (1.0 - zg) * h + zg * n, (zin, nin, s, n, m, mn)
+
+
+def _ref_esn_cell(spec, P, h, u):
+    y = _ref_mm(P["C"], h) + P["d"]
+    pre = _ref_mm(P["Win"], u) + _ref_mm(P["W"], h) + P["bres"]
+    a = spec.leak_rate
+    return y, (1.0 - a) * h + a * np.tanh(np.clip(pre, -models.CLIP, models.CLIP)), ()
+
+
+def _ref_nnarx_cell(spec, P, x, u):
+    a1 = _ref_mm(P["W1"], x) + P["b1"]
+    m1 = np.abs(a1) < models.CLIP
+    h1 = np.tanh(np.clip(a1, -models.CLIP, models.CLIP))
+    y = _ref_mm(P["W2"], h1) + P["b2"]
+    return y, np.concatenate([x[:, spec.n_u + spec.n_y:], u, y], axis=1), (h1, m1)
+
+
+def _ref_lstm_back(spec, P, x, saved, dx, dy):
+    n_h = spec.n_h
+    z, s, g, tc2, m = saved
+    dc, dh = dx[:, :n_h], dx[:, n_h:]
+    dc2 = dc + dh * s[:, 2 * n_h:] * (1.0 - tc2 * tc2)
+    ds = np.concatenate([dc2 * x[:, :n_h], dc2 * g, dh * tc2], axis=1) * s * (1.0 - s)
+    da = np.concatenate([ds, dc2 * s[:, n_h:2 * n_h] * (1.0 - g * g)], axis=1) * m
+    dh = (da @ P["Wg"])[:, spec.n_u:] + dy @ P["C"]
+    return np.concatenate([dc2 * s[:, :n_h], dh], axis=1), (("Wg", "bg", da, z),)
+
+
+def _ref_gru_back(spec, P, h, saved, dx, dy):
+    n_h, n_u = spec.n_h, spec.n_u
+    zin, nin, s, n, m, mn = saved
+    zg, r = s[:, :n_h], s[:, n_h:]
+    dan = dx * zg * (1.0 - n * n) * mn
+    drh = (dan @ P["Wn"])[:, n_u:]
+    ds = np.concatenate([dx * (n - h), drh * h], axis=1) * s * (1.0 - s) * m
+    dh = dx * (1.0 - zg) + drh * r + (ds @ P["Wg"])[:, n_u:] + dy @ P["C"]
+    return dh, (("Wn", "bn", dan, nin), ("Wg", "bg", ds, zin))
+
+
+def _ref_nnarx_back(spec, P, x, saved, dx, dy):
+    h1, m1 = saved
+    S, blk = dx.shape[1], spec.n_u + spec.n_y
+    dy = dy + dx[:, S - spec.n_y:]
+    da1 = (dy @ P["W2"]) * (1.0 - h1 * h1) * m1
+    dx_t = da1 @ P["W1"]
+    dx_t[:, blk:] += dx[:, :S - blk]
+    return dx_t, (("W2", "b2", dy, h1), ("W1", "b1", da1, x))
+
+
+_REF_CELLS = {"lstm": _ref_lstm_cell, "gru": _ref_gru_cell, "esn": _ref_esn_cell,
+              "nnarx": _ref_nnarx_cell}
+_REF_BACKS = {"lstm": _ref_lstm_back, "gru": _ref_gru_back, "nnarx": _ref_nnarx_back}
+
+
+def reference_rollout(spec, P, x0, inputs, cache):
+    T, B = inputs.shape[0], inputs.shape[1]
+    states = np.empty((T + 1, B, x0.shape[1]))
+    states[0] = x0
+    saved = [] if cache else None
+    if spec.kind == "linear":
+        return _ref_mm(P["K"], inputs), states, saved
+    outputs = np.empty((T, B, spec.n_y))
+    x = x0
+    for t in range(T):
+        outputs[t], x, step = _REF_CELLS[spec.kind](spec, P, x, inputs[t])
+        states[t + 1] = x
+        if saved is not None:
+            saved.append(step)
+    return outputs, states, saved
+
+
+def reference_backward(spec, P, inputs, states, cache, dy, rows):
+    n_h, lead = spec.n_h, (dy.shape[1:2] if rows else ())
+    grads = {name: np.zeros(lead + a.shape) for name, a in P.items()
+             if name not in models._FROZEN}
+    readout = "tbi,tcj->bij" if rows else "tbi,tbj->ij"
+    if spec.kind == "linear":
+        grads["K"] = np.einsum(readout, dy, inputs)
+    elif spec.kind in ("lstm", "gru", "esn"):
+        grads["C"] = np.einsum(readout, dy, states[:-1, :, -n_h:])
+        grads["d"] = dy.sum(axis=0 if rows else (0, 1))
+    back = _REF_BACKS.get(spec.kind)
+    dx = np.zeros(dy.shape[1:2] + states.shape[2:])
+    for t in range(len(dy) - 1, -1, -1) if back else ():
+        lo = t * spec.n_y if rows else 0
+        dx[lo:], maps = back(spec, P, states[t], cache[t], dx[lo:], dy[t, lo:])
+        for W, b, a, z in maps:
+            grads[W][lo:] += a[:, :, None] * z[:, None, :] if rows else a.T @ z
+            grads[b][lo:] += a if rows else a.sum(0)
+    for k, g in enumerate(models._STACKED.get(spec.kind, "")):
+        rk = slice(k * n_h, (k + 1) * n_h)
+        grads[f"W{g}"], grads[f"b{g}"] = grads["Wg"][..., rk, :], grads["bg"][..., rk]
+    return np.concatenate([grads[name].reshape(lead + (-1,))
+                           for name in models._layout(spec)[0] if name in grads], axis=-1)
+
+
+@contextlib.contextmanager
+def reference_kernel():
+    """Run every rollout and reverse pass of mhenet.models on the reference
+    kernel, so simulate, window_loss_and_gradient, output_jacobian and
+    batch_param_outputs go end to end through it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_rollout", reference_rollout)
+        mp.setattr(models, "_backward", reference_backward)
+        yield
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

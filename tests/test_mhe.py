@@ -113,6 +113,52 @@ class TestSolveUpdate:
         assert stats.total_cost == pytest.approx(
             stats.fit_cost + 0.1 * stats.prior_cost, abs=1e-9)
 
+    @staticmethod
+    def _lstm_update(rng):
+        spec = ModelSpec("lstm", 2, 3, 2)
+        prior = random_params(spec, rng)
+        w = mhe.HorizonWindow(inputs=rng.normal(size=(8, 2)), outputs=rng.normal(size=(8, 2)),
+                              x_init=rng.normal(scale=0.2, size=6), k=7)
+        return spec, w, prior
+
+    @pytest.mark.parametrize("solver", ["lm", "lbfgs"])
+    def test_recorded_costs_are_mhe_cost_at_solution(self, solver, rng):
+        spec, w, prior = self._lstm_update(rng)
+        cfg = mhe.MheConfig(N=7, mu=0.3, solver=solver, max_iter=20)
+        sol, stats = mhe.solve_update(spec, w, prior, cfg)
+        assert sol is not prior
+        assert (stats.total_cost, stats.fit_cost, stats.prior_cost) == \
+            mhe.mhe_cost(spec, sol, w, prior, cfg.mu)
+
+    def test_fallback_records_mhe_cost_at_prior(self, rng, monkeypatch):
+        # the optimizer reports a point it never evaluated, and a far worse one
+        spec, w, prior = self._lstm_update(rng)
+        minimize = mhe.optimize.minimize
+
+        def worse(fun, x0, **kwargs):
+            res = minimize(fun, x0, **kwargs)
+            res.x = x0 + 10.0
+            return res
+
+        monkeypatch.setattr(mhe.optimize, "minimize", worse)
+        cfg = mhe.MheConfig(N=7, mu=0.3, solver="lbfgs", max_iter=20)
+        sol, stats = mhe.solve_update(spec, w, prior, cfg)
+        assert sol is prior
+        total, fit, _ = mhe.mhe_cost(spec, prior, w, prior, cfg.mu)
+        assert (stats.total_cost, stats.fit_cost, stats.prior_cost) == (total, fit, 0.0)
+
+    def test_lbfgs_update_rolls_out_only_for_its_gradients(self, rng, monkeypatch):
+        spec, w, prior = self._lstm_update(rng)
+        simulate, calls = models.simulate, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(models, "simulate", counted)
+        _, stats = mhe.solve_update(spec, w, prior, mhe.MheConfig(N=7, solver="lbfgs"))
+        assert stats.n_evals > 0 and calls == []
+
     def test_mu_monotone_anchoring_scalar(self, rng):
         # closed form: |theta*(mu) - prior| is decreasing in mu
         u = rng.normal(size=5) + 0.3

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mhenet import models
 from mhenet.models import ModelSpec
 
-from conftest import ALL_SPECS, fd_gradient, random_params
+from conftest import ALL_SPECS, fd_gradient, random_params, reference_kernel, reference_rollout
 
 
 class TestModelSpec:
@@ -259,6 +259,81 @@ class TestOutputJacobian:
         n = models.param_count(spec)
         assert np.linalg.norm(grad[:n] - expected) <= 1e-12 * np.linalg.norm(expected)
         assert np.all(grad[n:] == 0.0)
+
+
+PARITY_SPECS = {**ALL_SPECS, "lstm-6-10-4": ModelSpec("lstm", 6, 10, 4)}
+
+
+def _kernel_results(spec, params, x0, u, targets, w):
+    """Every single-weight path: simulate, loss and gradient, and for one
+    sequence the output Jacobian."""
+    out = [*models.simulate(spec, params, x0, u),
+           *models.window_loss_and_gradient(spec, params, x0, u, targets, step_weights=w)]
+    if u.ndim == 2:
+        out += models.output_jacobian(spec, params, x0, u)
+    return out
+
+
+class TestKernelParity:
+    """The blocked kernel against the per-step reference of conftest.
+
+    Single-weight paths must give the same bits.  The batch-of-weights path
+    forms its products with np.matmul where the reference used np.einsum,
+    two library routines, so it is held to 1e-15 of the largest output.
+    """
+
+    @pytest.mark.parametrize("kind", list(PARITY_SPECS))
+    @pytest.mark.parametrize("T,B,weight_scale,input_scale", [
+        (11, None, 0.3, 1.0), (70, None, 1.0, 1.0), (70, 3, 0.3, 1.0), (20, 3, 30.0, 100.0),
+    ], ids=["short-window", "long-sequence", "batch-of-sequences", "clipping"])
+    def test_single_weight_paths_bit_equal(self, kind, T, B, weight_scale, input_scale, rng):
+        spec = PARITY_SPECS[kind]
+        params = random_params(spec, rng, scale=weight_scale)
+        lead = () if B is None else (B,)
+        x0 = rng.normal(size=lead + (models.state_size(spec),))
+        u = input_scale * rng.normal(size=(T,) + lead + (spec.n_u,))
+        targets = rng.normal(size=(T,) + lead + (spec.n_y,))
+        w = rng.uniform(0.5, 2.0, size=T)
+        new = _kernel_results(spec, params, x0, u, targets, w)
+        with reference_kernel():
+            ref = _kernel_results(spec, params, x0, u, targets, w)
+        for a, b in zip(new, ref, strict=True):
+            assert np.array_equal(a, b)
+        if weight_scale > 1 and spec.kind in ("lstm", "gru", "nnarx"):
+            # the reference's clip masks show that clipping was active: the
+            # kernel keeps none, as every clamped entry has a zero derivative
+            x0b, ub, _ = models._as_batch(spec, x0, u)
+            steps = reference_rollout(spec, models._unpack(spec, params.values), x0b, ub, True)[2]
+            assert not all(a.all() for step in steps for a in step if a.dtype == bool)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=specs(), T=st.integers(1, 70), B=st.sampled_from([None, 1, 4]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_specs_bit_equal(self, spec, T, B, seed):
+        # sizes of one (n_h, n_y, mlp_width = 1) give one-number weight
+        # products, and long windows span several blocks
+        rng = np.random.default_rng(seed)
+        params = random_params(spec, rng)
+        lead = () if B is None else (B,)
+        x0 = rng.normal(scale=0.3, size=lead + (models.state_size(spec),))
+        u = rng.normal(size=(T,) + lead + (spec.n_u,))
+        targets = rng.normal(size=(T,) + lead + (spec.n_y,))
+        new = _kernel_results(spec, params, x0, u, targets, None)
+        with reference_kernel():
+            ref = _kernel_results(spec, params, x0, u, targets, None)
+        for a, b in zip(new, ref, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", list(PARITY_SPECS))
+    def test_batch_of_weight_vectors(self, kind, rng):
+        spec = PARITY_SPECS[kind]
+        vb = np.stack([random_params(spec, rng, scale=s).values for s in (0.3, 1.0, 3.0, 30.0)])
+        x0 = rng.normal(size=models.state_size(spec))
+        u = rng.normal(size=(40, spec.n_u))
+        new = models.batch_param_outputs(spec, vb, x0, u)
+        with reference_kernel():
+            ref = models.batch_param_outputs(spec, vb, x0, u)
+        assert np.max(np.abs(new - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestWindowLossAndGradient:
