@@ -43,9 +43,16 @@ DEFAULT_SWEEP_GRID = ((0.05, 10), (0.1, 5), (0.1, 10), (0.1, 20), (0.5, 10))
 
 FIGURE_TAGS = ("fig3", "fig4", "fig5", "fig6", "fig7")
 
+# the ExperimentConfig fields that the train stage reads
+TRAIN_FIELDS = ("seed", "plant", "dataset", "model", "train")
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field."""
+
+
+def _digest(d: dict) -> str:
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,9 @@ class ExperimentConfig:
 
     Seeds for the individual stages are derived deterministically from
     the single base seed; the drifted evaluation set uses its own
-    derived seed, disjoint from the train/test data.
+    derived seed, disjoint from the train/test data.  Every stage
+    integrates ``plant``; ``drift`` ramps its kA from ``plant.kA`` to
+    ``drift.end_value``, the kA of the drifted evaluation set.
     """
 
     tag: str
@@ -112,6 +121,13 @@ class ExperimentConfig:
                            positive=("adapt_time",), error=ConfigError)
         if self.adapt_time <= self.drift.t_start:
             raise ConfigError("adapt_time must extend past the drift onset")
+        # one nominal kA: the drift ramp and a dataset override start from the plant's
+        if self.drift.start_value != self.plant.kA:
+            raise ConfigError(f"drift: start_value {self.drift.start_value} differs "
+                              f"from plant.kA {self.plant.kA}; both are absolute kA values")
+        if self.dataset.kA is not None and self.dataset.kA != self.plant.kA:
+            raise ConfigError(f"dataset: kA {self.dataset.kA} differs from plant.kA "
+                              f"{self.plant.kA}; set the nominal kA in plant")
         # (mu, N) rows in one canonical form, so that a config built with an
         # integer mu hashes the same as its JSON round trip
         try:
@@ -161,8 +177,13 @@ class ExperimentConfig:
         d = self.to_dict()
         d.pop("out_dir")
         d.pop("jobs")
-        text = json.dumps(d, sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()
+        return _digest(d)
+
+    def train_key(self) -> str:
+        """Hash of the fields the train stage reads: the trained model is a
+        function of these alone, so a cache of it is keyed on them."""
+        d = self.to_dict()
+        return _digest({name: d[name] for name in TRAIN_FIELDS})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -267,9 +288,9 @@ def _load_model(config: ExperimentConfig):
 def _eval_dataset(config: ExperimentConfig) -> plant.Dataset:
     """Dedicated post-drift evaluation set (drifted kA, its own seed)."""
     eval_cfg = replace(config.dataset, n_sequences=config.n_eval_sequences,
-                       n_train=0, n_test=config.n_eval_sequences,
-                       kA=config.drift.end_value)
-    return plant.collect_dataset(eval_cfg, seed=config.seed_eval)
+                       n_train=0, n_test=config.n_eval_sequences, kA=None)
+    return plant.collect_dataset(eval_cfg, seed=config.seed_eval,
+                                 params=replace(config.plant, kA=config.drift.end_value))
 
 
 def _mse_row(label, report):
@@ -281,7 +302,8 @@ def _mse_row(label, report):
 
 def _run_simulate(config, out, artifacts, metrics, walls):
     t0 = time.perf_counter()
-    ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset)
+    ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset,
+                               params=config.plant)
     walls["collect"] = time.perf_counter() - t0
     manifest = plant.save_dataset(out / "dataset", ds)
     for name in manifest["files"]:
@@ -298,7 +320,8 @@ def _run_simulate(config, out, artifacts, metrics, walls):
 
 def _run_train(config, out, artifacts, metrics, walls):
     t0 = time.perf_counter()
-    ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset)
+    ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset,
+                               params=config.plant)
     walls["collect"] = time.perf_counter() - t0
     scaler = training.fit_scaler(ds.train)
     cfg = replace(config.train, seed=config.seed_train)
@@ -330,7 +353,8 @@ def _run_train(config, out, artifacts, metrics, walls):
 def _run_drift_eval(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config)
     t0 = time.perf_counter()
-    ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset)
+    ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset,
+                               params=config.plant)
     pre = training.evaluate_mse(config.model, params, ds.test,
                                 config.train.washout, scaler)
     post_ds = _eval_dataset(config)

@@ -95,7 +95,8 @@ NOMINAL_INPUT = np.array([1.0, 0.8, 0.1, 313.0, 0.1, 0.0])
 
 @dataclass(frozen=True)
 class DriftSchedule:
-    """Ramp of one plant parameter; only kA can drift."""
+    """Ramp of one plant parameter; only kA can drift.  ``start_value`` and
+    ``end_value`` are absolute kA values, not offsets from the plant's."""
 
     param_name: str = "kA"
     start_value: float = 0.336
@@ -265,7 +266,7 @@ class ExcitationConfig:
         return int(round(self.hold_time / self.tau))
 
 
-def default_excitation(params: PlantParams = PlantParams(), q2_span: float = 0.6) -> ExcitationConfig:
+def default_excitation(q2_span: float = 0.6) -> ExcitationConfig:
     """Default bounds: +-10% on levels/flows, +-5 K on T1, +-q2_span/2 on Q2."""
     u = NOMINAL_INPUT
     lo = [u[0] * 0.9, u[1] * 0.9, u[2] * 0.9, u[3] - 5.0, u[4] * 0.9, -q2_span / 2]
@@ -357,14 +358,16 @@ def simulate_plant(x0, inputs, params: PlantParams, tau: float = TAU,
     return ys
 
 
-def collect_dataset(config: DatasetConfig, seed: int) -> Dataset:
-    """Excite the plant from its steady state and record I/O sequences.
+def collect_dataset(config: DatasetConfig, seed: int,
+                    params: PlantParams = PlantParams()) -> Dataset:
+    """Excite the plant ``params`` from its steady state and record I/O
+    sequences; ``config.kA``, when set, overrides the plant's kA.
 
     Sequences are integrated in one batched pass; each sequence draws
     its excitation from a child seed of (seed, index) so the dataset is
-    a pure function of (config, seed).
+    a pure function of (config, seed, params).
     """
-    params = PlantParams() if config.kA is None else replace(PlantParams(), kA=config.kA)
+    params = params if config.kA is None else replace(params, kA=config.kA)
     x_ss = steady_state(params)
     children = np.random.SeedSequence(seed).spawn(config.n_sequences)
     us = np.stack([generate_excitation(config.excitation, config.seq_len, s)
@@ -472,9 +475,8 @@ def load_dataset(directory, verify: bool = True) -> Dataset:
 
 
 def drift_run(total_time: float, schedule: DriftSchedule, excitation: ExcitationConfig,
-              seed: int, params: PlantParams = None, substeps: int = 10) -> Sequence:
+              seed: int, params: PlantParams = PlantParams(), substeps: int = 10) -> Sequence:
     """One long trajectory with kA following the drift schedule."""
-    params = params or PlantParams()
     n = int(round(total_time / excitation.tau))
     u = generate_excitation(excitation, n, seed)
     x0 = steady_state(params)

@@ -68,7 +68,24 @@ BAD_SECTION_VALUES = [
     ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": float("nan")}),
     ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": 0.0}),
     ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": 3.0}),
+    ("drift", {"start_value": 0.3}),  # differs from plant.kA
+    ("dataset", {"kA": 0.3}),  # differs from plant.kA
 ]
+
+# a changed value of every ExperimentConfig field outside the train key,
+# except the tag, which picks the stage
+OUTSIDE_TRAIN_KEY = dict(
+    out_dir="elsewhere",
+    drift=plant.DriftSchedule(end_value=0.3, t_start=2.0, t_end=6.0),
+    mhe=mhe.MheConfig(N=7, mu=0.5, washout=10, solver="lm", max_iter=3),
+    converge=experiments.ConvergeConfig(horizon=30, washout=5, n_updates=2,
+                                        delta_samples=3, probe_smallest=0),
+    sweep_grid=((0.2, 3),),
+    n_eval_sequences=3,
+    adapt_time=25.0,
+    model_dir="somewhere",
+    jobs=2,
+)
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +240,81 @@ class TestTrain:
         rows = (out / "fig3.csv").read_text().strip().split("\n")
         assert rows[0] == "t,truth,prediction"
         assert len(rows) == config.dataset.seq_len + 1
+
+
+class TestTrainKey:
+    @pytest.mark.parametrize("change", [
+        lambda c: {"mhe": dataclasses.replace(c.mhe, mu=0.7)},
+        lambda c: {"converge": dataclasses.replace(c.converge, horizon=50)},
+        lambda c: {"sweep_grid": ((0.3, 4),)},
+        lambda c: {"drift": dataclasses.replace(c.drift, end_value=0.31)},
+        lambda c: {"adapt_time": 30.0},
+        lambda c: {"n_eval_sequences": 4},
+        lambda c: {"jobs": 3},
+    ], ids=["mhe.mu", "converge.horizon", "sweep_grid", "drift.end_value",
+            "adapt_time", "n_eval_sequences", "jobs"])
+    def test_other_stages_keep_the_key(self, tmp_path, change):
+        base = tiny_config("train", tmp_path)
+        assert tiny_config("train", tmp_path, **change(base)).train_key() == base.train_key()
+
+    @pytest.mark.parametrize("change", [
+        lambda c: {"train": dataclasses.replace(c.train, epochs=16)},
+        lambda c: {"dataset": dataclasses.replace(c.dataset, seq_len=121)},
+        lambda c: {"model": dataclasses.replace(c.model, n_h=4)},
+        lambda c: {"plant": dataclasses.replace(c.plant, kB=0.09)},
+        lambda c: {"seed": 4},
+    ], ids=["train.epochs", "dataset.seq_len", "model.n_h", "plant.kB", "seed"])
+    def test_train_fields_move_the_key(self, tmp_path, change):
+        base = tiny_config("train", tmp_path)
+        assert tiny_config("train", tmp_path, **change(base)).train_key() != base.train_key()
+
+    def test_every_field_is_in_the_key_or_outside_it(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(experiments.TRAIN_FIELDS) | set(OUTSIDE_TRAIN_KEY) | {"tag"} == names
+        assert not set(experiments.TRAIN_FIELDS) & set(OUTSIDE_TRAIN_KEY)
+
+    def test_fields_outside_the_key_leave_the_model_alone(self, train_run, tmp_path):
+        config, manifest, _ = train_run
+        other = dataclasses.replace(config, **{**OUTSIDE_TRAIN_KEY,
+                                               "out_dir": str(tmp_path)})
+        assert other.train_key() == config.train_key()
+        assert other.config_hash() != config.config_hash()
+        rerun = experiments.run(other)
+        assert rerun.artifacts == manifest.artifacts
+        assert rerun.metrics == manifest.metrics
+
+
+class TestConfiguredPlant:
+    def test_simulate_integrates_the_config_plant(self, tmp_path):
+        config = tiny_config("simulate", tmp_path / "kB",
+                             plant=plant.PlantParams(kB=0.095))
+        experiments.run(config)
+        experiments.run(tiny_config("simulate", tmp_path / "nominal"))
+        ds = plant.load_dataset(tmp_path / "kB" / "dataset")
+        nominal = plant.load_dataset(tmp_path / "nominal" / "dataset")
+        for seq, ref in zip(ds.sequences, nominal.sequences):
+            assert np.array_equal(seq.u, ref.u)
+            assert not np.array_equal(seq.y, ref.y)
+        regen = plant.collect_dataset(config.dataset, seed=config.seed_dataset,
+                                      params=config.plant)
+        assert np.array_equal(ds.sequences[0].y, regen.sequences[0].y)
+
+    def test_eval_set_is_the_config_plant_at_the_drift_end(self, tmp_path):
+        config = tiny_config("drift-eval", tmp_path,
+                             plant=plant.PlantParams(kB=0.095),
+                             dataset=plant.DatasetConfig(n_sequences=5, seq_len=120,
+                                                         n_train=3, n_test=2,
+                                                         substeps=4, kA=0.336))
+        eval_ds = experiments._eval_dataset(config)
+        n = config.n_eval_sequences
+        ref = plant.collect_dataset(
+            dataclasses.replace(config.dataset, n_sequences=n, n_train=0,
+                                n_test=n, kA=None),
+            seed=config.seed_eval,
+            params=dataclasses.replace(config.plant, kA=config.drift.end_value))
+        assert len(eval_ds.test) == n
+        for seq, r in zip(eval_ds.test, ref.test):
+            assert np.array_equal(seq.u, r.u) and np.array_equal(seq.y, r.y)
 
 
 class TestDriftEval:
