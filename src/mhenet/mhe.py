@@ -23,6 +23,14 @@ run's initial parameters, so a run is rebuilt from its initial
 parameters and its records: ``[initial] + [c.solution for c in
 checkpoints[:-1]]`` are the priors.  Without wall times the JSONL file
 is a deterministic function of the run's inputs.
+
+scipy is loaded only for the horizon solve: ``solve_update`` is the one
+user of ``scipy.optimize`` (LM ``least_squares`` or L-BFGS-B
+``minimize``), so importing this module, or any run that makes no
+update (``simulate``, ``train``), loads no scipy.  ``run_adaptation``
+imports it before it reads its first sample, so that the import, about
+half a second, falls in no update's latency.  ``mhe.optimize`` resolves
+to ``scipy.optimize``, importing it on first access.
 """
 
 from __future__ import annotations
@@ -33,11 +41,22 @@ import json
 import warnings
 
 import numpy as np
-from scipy import optimize
 
 from . import models
 from .models import ModelSpec, ParamVector
 from .plant import check_fields
+
+
+def _optimize():
+    """``scipy.optimize``, imported on first use (see the module docstring)."""
+    from scipy import optimize
+    return optimize
+
+
+def __getattr__(name):
+    if name == "optimize":
+        return _optimize()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +183,7 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
     optimizer's own evaluations there, in the same bits as ``mhe_cost``;
     ``mhe_cost`` rolls the model out only for a point it never evaluated.
     """
+    optimize = _optimize()
     mask = models.trainable_mask(spec)
     base = prior.values.copy()
     theta_p = base[mask]
@@ -263,6 +283,7 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
     With ``config.observer == "oracle"`` the sample at the window start
     must carry the true model state in its ``x`` field.
     """
+    _optimize()  # now, not inside the first update's latency
     N, washout = config.N, config.washout
     history_need = spec.order if spec.kind == "nnarx" else washout
     maxlen = history_need + N + 1

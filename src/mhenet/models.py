@@ -50,6 +50,8 @@ import json
 
 import numpy as np
 
+from .plant import check_fields
+
 KINDS = ("lstm", "gru", "esn", "nnarx", "linear")
 INIT_SCHEMES = ("zeros", "uniform")
 
@@ -94,7 +96,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        from .plant import check_fields  # not at the top: plant loads scipy
         check_fields(self, ints=(("n_u", 1), ("n_h", 0), ("n_y", 1), ("order", 0),
                                  ("mlp_width", 0)))
         if self.kind in ("lstm", "gru", "esn") and self.n_h < 1:

@@ -1,4 +1,9 @@
 import contextlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +27,18 @@ def random_params(spec, rng, scale=0.3):
     mask = models.trainable_mask(spec)
     vals[mask] += rng.normal(scale=scale, size=int(mask.sum()))
     return p.replace_values(vals)
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this mhenet, for
+    checks of what a process loads (pytest has imported scipy already);
+    returns the JSON object that it prints on its last line."""
+    src = pathlib.Path(models.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def fd_gradient(spec, params, x0, inputs, targets, h=1e-6):

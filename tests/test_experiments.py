@@ -9,6 +9,8 @@ from mhenet import cli, experiments, mhe, models, plant, training
 from mhenet.experiments import ConfigError, ExperimentConfig, RunManifest
 from mhenet.models import ModelSpec
 
+from conftest import run_python
+
 
 def tiny_config(tag, out_dir, **overrides):
     """A miniature benchmark setup that runs in seconds."""
@@ -440,6 +442,31 @@ class TestCsvStream:
         assert np.allclose(samples[3].u, ds.sequences[0].u[3])
         assert np.allclose(samples[3].y, ds.sequences[0].y[3])
         assert samples[3].t == 3
+
+
+class TestNoScipy:
+    def test_import_simulate_and_train_load_no_scipy(self, tmp_path):
+        # criterion-10 sizes; the run goes through the CLI, as a user's would
+        configs = []
+        for tag in ("simulate", "train"):
+            config = tiny_config(
+                tag, tmp_path / tag, seed=5,
+                dataset=plant.DatasetConfig(n_sequences=4, seq_len=120, n_train=3,
+                                            n_test=1, substeps=4),
+                train=training.TrainConfig(epochs=10, washout=20, patience=10))
+            configs += [tag, str(tmp_path / f"{tag}.json")]
+            (tmp_path / f"{tag}.json").write_text(json.dumps(config.to_dict()))
+        loaded = run_python("""if True:
+            import json, sys
+            import mhenet, mhenet.experiments, mhenet.cli
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+            loaded = {"import": scipy_modules()}
+            for tag, path in zip(sys.argv[1::2], sys.argv[2::2]):
+                loaded[tag] = (mhenet.cli.main([tag, "--config", path]), scipy_modules())
+            print(json.dumps(loaded))""", *configs)
+        assert loaded == {"import": [], "simulate": [0, []], "train": [0, []]}
+        assert (tmp_path / "train" / "params.json").is_file()
 
 
 class TestCli:

@@ -8,7 +8,7 @@ from mhenet import mhe, models
 from mhenet.models import ModelSpec
 from mhenet.plant import Sequence
 
-from conftest import ALL_SPECS, random_params
+from conftest import ALL_SPECS, random_params, run_python
 
 SCALAR = ModelSpec("linear", 1, 0, 1)
 
@@ -275,6 +275,25 @@ class TestRunAdaptation:
                    for t in [0, 1, 2, 4]]
         with pytest.raises(ValueError, match="gap"):
             mhe.run_adaptation(spec, p, iter(samples), mhe.MheConfig(N=1, washout=0))
+
+    def test_scipy_loaded_before_the_first_sample(self):
+        # the import takes about half a second: inside an update's latency
+        # it would break the N * tau budget of the first update
+        seen = run_python("""if True:
+            import json, sys
+            import numpy as np
+            from mhenet import mhe, models
+            spec = models.ModelSpec("linear", 1, 0, 1)
+            seen = {"before": "scipy.optimize" in sys.modules}
+            def stream():
+                seen["first_sample"] = "scipy.optimize" in sys.modules
+                for t in range(3):
+                    yield mhe.IOSample(u=np.array([1.0]), y=np.array([1.0]), t=t)
+            ckpts, _ = mhe.run_adaptation(spec, models.ParamVector(spec, [1.0]), stream(),
+                                          mhe.MheConfig(N=1, washout=0))
+            seen["updates"] = len(ckpts)
+            print(json.dumps(seen))""")
+        assert seen == {"before": False, "first_sample": True, "updates": 2}
 
     def test_oracle_observer_requires_states(self, rng):
         spec, _, start, seq, _ = self._matched_data(rng, n_samples=40)

@@ -189,6 +189,31 @@ class TestSteadyState:
         assert 0 < xA2 < 1 and 0 < xB2 < 1
         assert 300 < T2 < 340
 
+    @pytest.mark.parametrize("kw", [{"kA": 0.3}, {"kA": 0.326}, {"kA": 0.331},
+                                    {"kA": 0.4}, {"kB": 0.12}],
+                             ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_newton_matches_scipy_root(self, kw):
+        from scipy.optimize import root
+        p = PlantParams(**kw)
+        x = plant.steady_state(p)
+        settled = np.array([1.0, 0.5, 0.2, p.T0])
+        for _ in range(int(60.0 / TAU)):
+            settled = plant.step(settled, NOMINAL_INPUT, p, TAU, substeps=5)
+        oracle = root(lambda s: plant.derivatives(s, NOMINAL_INPUT, p), settled,
+                      tol=1e-13).x
+        assert np.all(np.abs(x - oracle) <= 2 * np.spacing(np.abs(oracle)))
+        assert np.max(np.abs(plant.derivatives(x, NOMINAL_INPUT, p))) <= 1e-9
+
+    def test_no_root_raises(self, monkeypatch):
+        # with dH2/dt lowered by 2 the level falls at every H2 > 0
+        derivatives = plant.derivatives
+        offset = np.array([-2.0, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(plant, "derivatives", lambda s, u, p: derivatives(s, u, p) + offset)
+        monkeypatch.setattr(plant, "_STEADY_STATE_CACHE", {})
+        with pytest.raises(RuntimeError, match="steady state refinement failed"):
+            plant.steady_state(PlantParams())
+        assert plant._STEADY_STATE_CACHE == {}
+
 
 class TestDrift:
     def test_ramp_values(self):
