@@ -1,9 +1,14 @@
 """Config-driven experiment harness.
 
-Each experiment is fully determined by an ExperimentConfig (plus the
-code version): the dataclass is serialized next to every artifact set
-and hashed into the run manifest, so re-running the same config and
-seed reproduces the same summary (wall times excluded).
+Each experiment is fully determined by an ExperimentConfig, the code
+version and, for the stages that read a trained model, that model: the
+dataclass is serialized next to every artifact set and hashed without
+its placement (output and model directories, worker count) into the run
+manifest, which records the sha256 of a model read from ``model_dir``.
+Re-running the same config, seed and model reproduces the same summary
+(wall times excluded).  Every file a stage writes, apart from
+config.json and manifest.json, is recorded as an artifact by the call
+that writes it.
 
 Experiment tags
   simulate    collect an excitation dataset from the plant and save it
@@ -40,8 +45,6 @@ TAGS = ("simulate", "train", "drift-eval", "adapt", "sweep", "converge")
 
 # (mu, N) rows of the adaptation hyperparameter study
 DEFAULT_SWEEP_GRID = ((0.05, 10), (0.1, 5), (0.1, 10), (0.1, 20), (0.5, 10))
-
-FIGURE_TAGS = ("fig3", "fig4", "fig5", "fig6", "fig7")
 
 # the ExperimentConfig fields that the train stage reads
 TRAIN_FIELDS = ("seed", "plant", "dataset", "model", "train")
@@ -173,8 +176,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def config_hash(self) -> str:
-        """Hash of everything that determines results (not placement)."""
-        d = self.to_dict()
+        """Hash of everything that determines results, not of placement:
+        ``out_dir`` and ``jobs`` are left out, and ``model_dir`` hashes as
+        unset; a run that reads a model records its sha256 in the metrics."""
+        d = dict(self.to_dict(), model_dir=None)
         d.pop("out_dir")
         d.pop("jobs")
         return _digest(d)
@@ -217,10 +222,7 @@ class RunManifest:
 
     def save(self, path):
         with open(path, "w") as fh:
-            json.dump({"tag": self.tag, "config_hash": self.config_hash,
-                       "config": self.config, "artifacts": self.artifacts,
-                       "metrics": self.metrics, "wall_times": self.wall_times,
-                       "status": self.status}, fh, indent=1)
+            json.dump(asdict(self), fh, indent=1)
 
     @classmethod
     def load(cls, path):
@@ -236,20 +238,30 @@ class RunManifest:
         return True
 
 
-def _record_artifact(artifacts, out, path):
-    path = pathlib.Path(path)
+def _record_artifact(artifacts, out, name):
+    """Record the file ``out / name`` as an artifact, keyed by its base name."""
+    path = out / name
     artifacts[path.name] = {"path": str(path.relative_to(out)),
                             "sha256": plant.file_sha256(path),
                             "bytes": path.stat().st_size}
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+def _save(artifacts, out, name, text):
+    """Write ``text`` to ``out / name`` and record the file as an artifact."""
+    with open(out / name, "w") as fh:
+        fh.write(text)
+    _record_artifact(artifacts, out, name)
+
+
+def _write_csv(artifacts, out, name, header, rows):
+    """Write a CSV (floats at full precision) and record it as an artifact."""
+    with open(out / name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v
                              for v in row])
+    _record_artifact(artifacts, out, name)
 
 
 def csv_stream(path, scaler: training.Scaler | None = None):
@@ -268,21 +280,22 @@ def csv_stream(path, scaler: training.Scaler | None = None):
             yield mhe.IOSample(u=u, y=y, t=t)
 
 
-def _load_model(config: ExperimentConfig):
-    """(params, scaler) from the train-run directory named by the config."""
+def _load_model(config: ExperimentConfig, metrics):
+    """(params, scaler) from the train-run directory named by the config;
+    the sha256 of each file read goes to ``metrics["model_sha256"]``, the
+    model's identity wherever the directory is."""
     if config.model_dir is None:
         raise ConfigError("model_dir: required for this experiment tag")
     d = pathlib.Path(config.model_dir)
     try:
-        with open(d / "params.json") as fh:
-            params = ParamVector.from_json(fh.read())
-        with open(d / "scaler.json") as fh:
-            scaler = training.Scaler.from_json(fh.read())
+        raw = {name: (d / name).read_bytes() for name in ("params.json", "scaler.json")}
     except OSError as exc:
         raise ConfigError(f"model_dir: cannot load trained model: {exc}") from exc
+    params = ParamVector.from_json(raw["params.json"].decode())
     if params.spec != config.model:
         raise ConfigError("model_dir: trained spec does not match config.model")
-    return params, scaler
+    metrics["model_sha256"] = {name: hashlib.sha256(b).hexdigest() for name, b in raw.items()}
+    return params, training.Scaler.from_json(raw["scaler.json"].decode())
 
 
 def _eval_dataset(config: ExperimentConfig) -> plant.Dataset:
@@ -306,9 +319,8 @@ def _run_simulate(config, out, artifacts, metrics, walls):
                                params=config.plant)
     walls["collect"] = time.perf_counter() - t0
     manifest = plant.save_dataset(out / "dataset", ds)
-    for name in manifest["files"]:
-        _record_artifact(artifacts, out, out / "dataset" / name)
-    _record_artifact(artifacts, out, out / "dataset" / "dataset.json")
+    for name in manifest["files"] + ["dataset.json"]:
+        _record_artifact(artifacts, out, f"dataset/{name}")
     Y = np.concatenate([s.y for s in ds.sequences])
     metrics.update({
         "n_sequences": len(ds.sequences),
@@ -328,30 +340,23 @@ def _run_train(config, out, artifacts, metrics, walls):
     t1 = time.perf_counter()
     params, history = training.train_offline(config.model, ds, cfg, scaler=scaler)
     walls["train"] = time.perf_counter() - t1
-    with open(out / "params.json", "w") as fh:
-        fh.write(params.to_json())
-    with open(out / "scaler.json", "w") as fh:
-        fh.write(scaler.to_json())
-    _write_csv(out / "history.csv", ("epoch", "train_mse"),
+    _save(artifacts, out, "params.json", params.to_json())
+    _save(artifacts, out, "scaler.json", scaler.to_json())
+    _write_csv(artifacts, out, "history.csv", ("epoch", "train_mse"),
                [(int(e), float(tr)) for e, tr in history])
     train_rep = training.evaluate_mse(config.model, params, ds.train,
                                       cfg.washout, scaler)
     test_rep = training.evaluate_mse(config.model, params, ds.test,
                                      cfg.washout, scaler)
-    for name in ("params.json", "scaler.json", "history.csv"):
-        _record_artifact(artifacts, out, out / name)
     metrics.update({"epochs_run": len(history),
                     "train_mse": train_rep.average,
                     "test_mse": test_rep.average,
                     "channel_test_mse": [float(v) for v in test_rep.channel_mse]})
-    for fig in ("fig3", "fig4"):
-        emit_plotdata(out, fig, config, params=params, scaler=scaler, ds=ds)
-    for name in ("fig3.csv", "fig4.csv"):
-        _record_artifact(artifacts, out, out / name)
+    emit_plotdata(out, config, artifacts, params, scaler, ds)
 
 
 def _run_drift_eval(config, out, artifacts, metrics, walls):
-    params, scaler = _load_model(config)
+    params, scaler = _load_model(config, metrics)
     t0 = time.perf_counter()
     ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset,
                                params=config.plant)
@@ -362,9 +367,8 @@ def _run_drift_eval(config, out, artifacts, metrics, walls):
                                  config.train.washout, scaler)
     walls["evaluate"] = time.perf_counter() - t0
     header = ("phase",) + plant.STATE_COLUMNS + ("average",)
-    _write_csv(out / "drift_eval.csv", header,
+    _write_csv(artifacts, out, "drift_eval.csv", header,
                [_mse_row("before_drift", pre), _mse_row("after_drift", post)])
-    _record_artifact(artifacts, out, out / "drift_eval.csv")
     ratios = post.channel_mse / pre.channel_mse
     metrics.update({"pre_drift_mse": pre.average, "post_drift_mse": post.average,
                     "channel_pre": [float(v) for v in pre.channel_mse],
@@ -405,7 +409,7 @@ def _adapt_row(config, params, scaler, scaled, eval_ds, mu, N):
 
 
 def _run_adapt(config, out, artifacts, metrics, walls):
-    params, scaler = _load_model(config)
+    params, scaler = _load_model(config, metrics)
     run, scaled, eval_ds = _drift_data(config, scaler, walls)
     checkpoints, stats, walls["adapt"], ad = _adapt_row(
         config, params, scaler, scaled, eval_ds, config.mhe.mu, config.mhe.N)
@@ -413,19 +417,15 @@ def _run_adapt(config, out, artifacts, metrics, walls):
                                config.train.washout, scaler)
     adapted = checkpoints[-1].solution
     plant.save_sequence_csv(out / "drift_run.csv", run)
+    _record_artifact(artifacts, out, "drift_run.csv")
     mhe.save_checkpoints(out / "checkpoints.jsonl", checkpoints)
-    with open(out / "adapted_params.json", "w") as fh:
-        fh.write(adapted.to_json())
-    with open(out / "unadapted_params.json", "w") as fh:
-        fh.write(params.to_json())
-    with open(out / "scaler.json", "w") as fh:
-        fh.write(scaler.to_json())
+    _record_artifact(artifacts, out, "checkpoints.jsonl")
+    _save(artifacts, out, "adapted_params.json", adapted.to_json())
+    _save(artifacts, out, "unadapted_params.json", params.to_json())
+    _save(artifacts, out, "scaler.json", scaler.to_json())
     header = ("model",) + plant.STATE_COLUMNS + ("average",)
-    _write_csv(out / "adapt_eval.csv", header,
+    _write_csv(artifacts, out, "adapt_eval.csv", header,
                [_mse_row("unadapted", un), _mse_row("adapted", ad)])
-    for name in ("drift_run.csv", "checkpoints.jsonl", "adapted_params.json",
-                 "unadapted_params.json", "scaler.json", "adapt_eval.csv"):
-        _record_artifact(artifacts, out, out / name)
     metrics.update({
         "mu": config.mhe.mu, "N": config.mhe.N,
         "n_updates": len(checkpoints),
@@ -435,16 +435,11 @@ def _run_adapt(config, out, artifacts, metrics, walls):
         "channel_adapted": [float(v) for v in ad.channel_mse],
         "mse_reduction": 1.0 - ad.average / un.average,
     })
-    emit_plotdata(out, "fig5", config)
-    for fig in ("fig6", "fig7"):
-        emit_plotdata(out, fig, config, params=params, scaler=scaler,
-                      ds=eval_ds, adapted=adapted)
-    for name in ("fig5.csv", "fig6.csv", "fig7.csv"):
-        _record_artifact(artifacts, out, out / name)
+    emit_plotdata(out, config, artifacts, params, scaler, eval_ds, adapted)
 
 
 def _run_sweep(config, out, artifacts, metrics, walls):
-    params, scaler = _load_model(config)
+    params, scaler = _load_model(config, metrics)
     _, scaled, eval_ds = _drift_data(config, scaler, walls)
     row = partial(_adapt_row, config, params, scaler, scaled, eval_ds)
     mus, Ns = zip(*config.sweep_grid)
@@ -462,8 +457,7 @@ def _run_sweep(config, out, artifacts, metrics, walls):
         rows.append({"mu": mu, "N": N, "channel_mse": channel, "average": rep.average})
         table.append([mu, N] + channel + [rep.average])
     header = ("mu", "N") + plant.STATE_COLUMNS + ("average",)
-    _write_csv(out / "sweep.csv", header, table)
-    _record_artifact(artifacts, out, out / "sweep.csv")
+    _write_csv(artifacts, out, "sweep.csv", header, table)
     best = min(rows, key=lambda r: r["average"])
     metrics.update({"rows": rows, "best_mu": best["mu"], "best_N": best["N"],
                     "best_average": best["average"]})
@@ -512,23 +506,18 @@ def _run_converge(config, out, artifacts, metrics, walls):
     report = convergence.track_error(checkpoints, prior, theta_o,
                                      estimate.delta_hat, mu)
 
-    _write_csv(out / "convergence.csv",
+    _write_csv(artifacts, out, "convergence.csv",
                ("k", "epsilon", "ratio", "rho_c", "violated"),
                [[r["k"], r["epsilon"], r["ratio"], r["rho_c"], r["violated"]]
                 for r in report.to_rows()])
-    with open(out / "convergence.json", "w") as fh:
-        json.dump({"delta_hat": estimate.delta_hat, "mu": mu, "rho_c": rho_c,
-                   "contraction_satisfied": satisfied, "eps0": eps0,
-                   "final_epsilon": report.epsilons[-1],
-                   "n_updates": len(checkpoints),
-                   "violations": report.violations,
-                   "delta_samples": estimate.n_samples}, fh, indent=1)
-    for name in ("convergence.csv", "convergence.json"):
-        _record_artifact(artifacts, out, out / name)
-    metrics.update({"delta_hat": estimate.delta_hat, "mu": mu, "rho_c": rho_c,
-                    "eps0": eps0, "final_epsilon": report.epsilons[-1],
-                    "violations": report.violations,
-                    "epsilon_reduction": report.epsilons[-1] / eps0})
+    result = {"delta_hat": estimate.delta_hat, "mu": mu, "rho_c": rho_c,
+              "contraction_satisfied": satisfied, "eps0": eps0,
+              "final_epsilon": report.epsilons[-1], "n_updates": len(checkpoints),
+              "violations": report.violations, "delta_samples": estimate.n_samples}
+    _save(artifacts, out, "convergence.json", json.dumps(result, indent=1))
+    metrics.update({k: result[k] for k in ("delta_hat", "mu", "rho_c", "eps0",
+                                           "final_epsilon", "violations")},
+                   epsilon_reduction=report.epsilons[-1] / eps0)
 
 
 _RUNNERS = {"simulate": _run_simulate, "train": _run_train,
@@ -555,13 +544,12 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
                            metrics=metrics, wall_times=walls)
     try:
         _RUNNERS[config.tag](config, out, artifacts, metrics, walls)
-    except Exception:
+    except BaseException:
         manifest.status = "failed"
+        raise
+    finally:
         walls["total"] = time.perf_counter() - t0
         manifest.save(out / "manifest.json")
-        raise
-    walls["total"] = time.perf_counter() - t0
-    manifest.save(out / "manifest.json")
     return manifest
 
 
@@ -573,40 +561,27 @@ def _open_loop_prediction(config, params, scaler, sequence):
     return scaler.unscale_y(pred)
 
 
-def emit_plotdata(out_dir, figure_tag, config, params=None, scaler=None,
-                  ds=None, adapted=None):
-    """Figure-data CSVs: time series for ground truth and model predictions.
+def emit_plotdata(out_dir, config, artifacts, params, scaler, ds, adapted=None):
+    """Write and record a stage's figure-data CSVs from one open-loop
+    rollout per model on the first test sequence of ``ds``.
 
-    fig3/fig4: open-loop prediction of xA2/xB2 by ``params`` vs truth on
-    the first test sequence of the training dataset ``ds``.  fig5: the
-    drifting kA trace (needs only ``config``).  fig6/fig7: truth vs the
+    Without ``adapted`` (train): fig3/fig4, truth vs the prediction of
+    ``params`` for xA2/xB2 on the training dataset.  With ``adapted``
+    (adapt): fig5, the drifting kA trace, then fig6/fig7, truth vs the
     unadapted ``params`` vs the ``adapted`` prediction of xA2/xB2 on the
-    first sequence of the drifted evaluation set ``ds``.
+    drifted evaluation set.
     """
     out = pathlib.Path(out_dir)
-    if figure_tag not in FIGURE_TAGS:
-        raise ValueError(f"unknown figure tag {figure_tag!r}")
-    if figure_tag == "fig5":
-        ts = np.arange(0.0, config.adapt_time, config.dataset.tau)
-        kas = plant.drift_value(config.drift, ts)
-        _write_csv(out / "fig5.csv", ("t", "kA"),
-                   [[float(t), float(v)] for t, v in zip(ts, kas)])
-        return out / "fig5.csv"
-
     seq = ds.test[0]
-    pred = _open_loop_prediction(config, params, scaler, seq)
-    if figure_tag in ("fig3", "fig4"):
-        channel = 1 if figure_tag == "fig3" else 2   # xA2 / xB2
-        _write_csv(out / f"{figure_tag}.csv", ("t", "truth", "prediction"),
-                   [[float(t), float(a), float(b)] for t, a, b in
-                    zip(seq.t, seq.y[:, channel], pred[:, channel])])
-        return out / f"{figure_tag}.csv"
-
-    channel = 1 if figure_tag == "fig6" else 2
-    pred_ad = _open_loop_prediction(config, adapted, scaler, seq)
-    _write_csv(out / f"{figure_tag}.csv",
-               ("t", "truth", "unadapted", "adapted"),
-               [[float(t), float(a), float(b), float(c)] for t, a, b, c in
-                zip(seq.t, seq.y[:, channel], pred[:, channel],
-                    pred_ad[:, channel])])
-    return out / f"{figure_tag}.csv"
+    preds = [_open_loop_prediction(config, p, scaler, seq)
+             for p in (params, adapted) if p is not None]
+    if adapted is None:
+        names, header = ("fig3.csv", "fig4.csv"), ("t", "truth", "prediction")
+    else:
+        ts = np.arange(0.0, config.adapt_time, config.dataset.tau)
+        _write_csv(artifacts, out, "fig5.csv", ("t", "kA"),
+                   zip(ts, plant.drift_value(config.drift, ts)))
+        names, header = ("fig6.csv", "fig7.csv"), ("t", "truth", "unadapted", "adapted")
+    for name, channel in zip(names, (1, 2)):   # xA2 / xB2
+        _write_csv(artifacts, out, name, header,
+                   zip(seq.t, seq.y[:, channel], *(p[:, channel] for p in preds)))

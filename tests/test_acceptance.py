@@ -271,32 +271,50 @@ class TestCriterion9BoundedMemory:
                 f"stream (limit {washout + N + 1}), {len(checkpoints)} updates")
 
 
-class TestCriterion10Reproducibility:
-    def _tiny(self, tag, out_dir, **overrides):
-        return ExperimentConfig(
-            tag=tag, out_dir=str(out_dir), seed=5,
-            drift=plant.DriftSchedule(t_start=4.0, t_end=8.0),
-            dataset=plant.DatasetConfig(n_sequences=4, seq_len=120, n_train=3,
-                                        n_test=1, substeps=4),
-            model=ModelSpec("lstm", 6, 3, 4),
-            train=training.TrainConfig(epochs=10, washout=20, patience=10),
-            mhe=mhe.MheConfig(N=5, mu=0.1, washout=20, solver="lbfgs",
-                              max_iter=10),
-            converge=experiments.ConvergeConfig(horizon=40, washout=10,
-                                                n_updates=3, delta_samples=4,
-                                                probe_smallest=1, max_iter=60),
-            n_eval_sequences=2, adapt_time=20.0, **overrides)
+def _criterion10_config(tag, out_dir, **overrides):
+    return ExperimentConfig(
+        tag=tag, out_dir=str(out_dir), seed=5,
+        drift=plant.DriftSchedule(t_start=4.0, t_end=8.0),
+        dataset=plant.DatasetConfig(n_sequences=4, seq_len=120, n_train=3,
+                                    n_test=1, substeps=4),
+        model=ModelSpec("lstm", 6, 3, 4),
+        train=training.TrainConfig(epochs=10, washout=20, patience=10),
+        mhe=mhe.MheConfig(N=5, mu=0.1, washout=20, solver="lbfgs",
+                          max_iter=10),
+        converge=experiments.ConvergeConfig(horizon=40, washout=10,
+                                            n_updates=3, delta_samples=4,
+                                            probe_smallest=1, max_iter=60),
+        n_eval_sequences=2, adapt_time=20.0, **overrides)
 
-    def test_six_tags_rerun_identically(self, tmp_path):
-        results = {}
-        for tag in experiments.TAGS:
-            # the stages downstream of training read the first train run
-            model = ({"model_dir": str(tmp_path / "train_a")}
-                     if tag in ("drift-eval", "adapt", "sweep") else {})
-            m1 = experiments.run(self._tiny(tag, tmp_path / f"{tag}_a", **model))
-            m2 = experiments.run(self._tiny(tag, tmp_path / f"{tag}_b", **model))
-            results[tag] = (m1.summary() == m2.summary())
+
+@pytest.fixture(scope="class")
+def criterion10_runs(tmp_path_factory):
+    """Two runs of every tag at tiny sizes: {tag: [(manifest, out_dir)] * 2}."""
+    root = tmp_path_factory.mktemp("criterion10")
+    runs = {}
+    for tag in experiments.TAGS:
+        # the stages downstream of training read the first train run
+        model = ({"model_dir": str(root / "train_a")}
+                 if tag in ("drift-eval", "adapt", "sweep") else {})
+        runs[tag] = [(experiments.run(_criterion10_config(tag, out, **model)), out)
+                     for out in (root / f"{tag}_a", root / f"{tag}_b")]
+    return runs
+
+
+class TestCriterion10Reproducibility:
+    def test_six_tags_rerun_identically(self, criterion10_runs):
+        results = {tag: runs[0][0].summary() == runs[1][0].summary()
+                   for tag, runs in criterion10_runs.items()}
         ok = all(results.values())
         _report("criterion 10", ok,
                 "identical manifests (wall times excluded) for "
                 + ", ".join(f"{t}={'yes' if v else 'NO'}" for t, v in results.items()))
+
+    def test_every_written_file_is_a_recorded_artifact(self, criterion10_runs):
+        # config.json embeds the output path and manifest.json is the record
+        for tag, runs in criterion10_runs.items():
+            for manifest, out in runs:
+                written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+                recorded = {rec["path"] for rec in manifest.artifacts.values()}
+                assert written - {"config.json", "manifest.json"} == recorded, tag
+                assert manifest.verify_artifacts(out), tag

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -403,6 +404,61 @@ class TestSweep:
             experiments.run(config)
         manifest = RunManifest.load(tmp_path / "manifest.json")
         assert manifest.status == "failed"
+
+
+class TestModelIdentity:
+    def test_summary_follows_the_model_not_its_directory(self, train_run, tmp_path):
+        _, _, model_out = train_run
+        dirs = [tmp_path / name for name in ("copy_a", "copy_b", "changed")]
+        for d in dirs:
+            d.mkdir()
+            for name in ("params.json", "scaler.json"):
+                shutil.copy(model_out / name, d / name)
+        params = models.ParamVector.from_json((dirs[2] / "params.json").read_text())
+        vals = params.values.copy()
+        vals[np.flatnonzero(models.trainable_mask(params.spec))[0]] += 1e-3
+        (dirs[2] / "params.json").write_text(params.replace_values(vals).to_json())
+        a, b, changed = (experiments.run(tiny_config("adapt", tmp_path / f"run_{d.name}",
+                                                     model_dir=str(d)))
+                         for d in dirs)
+        assert a.summary() == b.summary()
+        assert a.metrics["model_sha256"] == {
+            name: plant.file_sha256(model_out / name) for name in ("params.json", "scaler.json")}
+        assert changed.config_hash == a.config_hash
+        assert changed.summary() != a.summary()
+        assert changed.metrics["model_sha256"] != a.metrics["model_sha256"]
+
+
+@pytest.fixture
+def plot_rollouts(monkeypatch):
+    """Counts the models.simulate calls made inside experiments.emit_plotdata."""
+    emit, simulate = experiments.emit_plotdata, models.simulate
+    count = {"inside": False, "rollouts": 0}
+
+    def counted_emit(*args, **kwargs):
+        count["inside"] = True
+        try:
+            return emit(*args, **kwargs)
+        finally:
+            count["inside"] = False
+
+    def counted_simulate(*args, **kwargs):
+        count["rollouts"] += count["inside"]
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "emit_plotdata", counted_emit)
+    monkeypatch.setattr(models, "simulate", counted_simulate)
+    return count
+
+
+class TestPlotData:
+    @pytest.mark.parametrize("tag,n_models", [("train", 1), ("adapt", 2)])
+    def test_one_rollout_per_model(self, train_run, tmp_path, plot_rollouts,
+                                   tag, n_models):
+        _, _, model_out = train_run
+        model = {"model_dir": str(model_out)} if tag == "adapt" else {}
+        experiments.run(tiny_config(tag, tmp_path, **model))
+        assert plot_rollouts["rollouts"] == n_models
 
 
 class TestConverge:
