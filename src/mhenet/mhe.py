@@ -24,13 +24,13 @@ parameters and its records: ``[initial] + [c.solution for c in
 checkpoints[:-1]]`` are the priors.  Without wall times the JSONL file
 is a deterministic function of the run's inputs.
 
-scipy is loaded only for the horizon solve: ``solve_update`` is the one
-user of ``scipy.optimize`` (LM ``least_squares`` or L-BFGS-B
-``minimize``), so importing this module, or any run that makes no
-update (``simulate``, ``train``), loads no scipy.  ``run_adaptation``
+scipy is loaded only for the LM solve: ``solve_update`` with
+``solver="lm"`` calls ``scipy.optimize.least_squares``, and L-BFGS runs
+the in-numpy ``lbfgs.minimize``.  So importing this module, a run that
+makes no update (``simulate``, ``train``) and an L-BFGS run (``adapt``
+and ``sweep`` by default) load no scipy.  An LM ``run_adaptation``
 imports it before it reads its first sample, so that the import, about
-half a second, falls in no update's latency.  ``mhe.optimize`` resolves
-to ``scipy.optimize``, importing it on first access.
+half a second, falls in no update's latency.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import warnings
 
 import numpy as np
 
-from . import models
+from . import lbfgs, models
 from .models import ModelSpec, ParamVector
 from .plant import check_fields
 
@@ -51,12 +51,6 @@ def _optimize():
     """``scipy.optimize``, imported on first use (see the module docstring)."""
     from scipy import optimize
     return optimize
-
-
-def __getattr__(name):
-    if name == "optimize":
-        return _optimize()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -173,17 +167,20 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
 
     The objective is a nonlinear least-squares problem (output residuals
     over the window plus sqrt(mu)-scaled prior residuals), solved by
-    Levenberg-Marquardt with the exact output Jacobian, or by L-BFGS-B
+    Levenberg-Marquardt (scipy) with the exact output Jacobian, or by
+    ``lbfgs.minimize``, the evaluations of scipy's L-BFGS-B in numpy,
     with the exact window gradient; both derivatives come from the same
-    reverse pass of ``models``.  Both warm-start at the prior; if the
-    optimizer reports a point no better than the prior, the prior is
-    returned unchanged.  Returns ``(solution, AdaptCheckpoint)``.
+    reverse pass of ``models``.  Both warm-start at the prior and reject
+    a trial point where the model blows up: LM as an arbitrarily bad
+    residual, L-BFGS as a failed line search, which falls back to the
+    last accepted iterate.  If the optimizer reports a point no better
+    than the prior, the prior is returned unchanged.  Returns
+    ``(solution, AdaptCheckpoint)``.
 
     The record's costs at the prior and at the solution are those of the
     optimizer's own evaluations there, in the same bits as ``mhe_cost``;
     ``mhe_cost`` rolls the model out only for a point it never evaluated.
     """
-    optimize = _optimize()
     mask = models.trainable_mask(spec)
     base = prior.values.copy()
     theta_p = base[mask]
@@ -234,27 +231,25 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
             # the 1e100 rejection residuals make the trust-region
             # subproblem arithmetic overflow internally by design
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = optimize.least_squares(residuals, theta_p, jac=jacobian,
-                                         method="trf",
-                                         xtol=None, ftol=config.ftol,
-                                         gtol=config.gtol,
-                                         max_nfev=config.max_iter)
+            res = _optimize().least_squares(residuals, theta_p, jac=jacobian,
+                                            method="trf",
+                                            xtol=None, ftol=config.ftol,
+                                            gtol=config.gtol,
+                                            max_nfev=config.max_iter)
         x_opt, nit, nfev = res.x, int(res.njev or 0), int(res.nfev)
         success, message = bool(res.status > 0), str(res.message)
     else:
         def objective(theta_t):
-            fit, grad = models.window_loss_and_gradient(
-                spec, embed(theta_t), window.x_init, window.inputs, window.outputs)
+            try:
+                fit, grad = models.window_loss_and_gradient(
+                    spec, embed(theta_t), window.x_init, window.inputs, window.outputs)
+            except models.NumericalBlowupError:
+                return np.inf, np.full_like(theta_t, np.nan)
             total, dv = record(theta_t, fit)
             return total, grad[mask] + 2.0 * mu * dv
 
-        res = optimize.minimize(objective, theta_p, jac=True, method="L-BFGS-B",
-                                options={"maxiter": config.max_iter,
-                                         "gtol": config.gtol,
-                                         "ftol": config.ftol,
-                                         "maxcor": 20})
-        x_opt, nit, nfev = res.x, int(res.nit), int(res.nfev)
-        success, message = bool(res.success), str(res.message)
+        x_opt, nit, nfev, success, message = lbfgs.minimize(
+            objective, theta_p, config.max_iter, config.gtol, config.ftol)
 
     total_prior, fit_prior, _ = costs(theta_p, prior)
     if np.all(np.isfinite(x_opt)):
@@ -283,7 +278,8 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
     With ``config.observer == "oracle"`` the sample at the window start
     must carry the true model state in its ``x`` field.
     """
-    _optimize()  # now, not inside the first update's latency
+    if config.solver == "lm":
+        _optimize()  # now, not inside the first update's latency
     N, washout = config.N, config.washout
     history_need = spec.order if spec.kind == "nnarx" else washout
     maxlen = history_need + N + 1

@@ -524,6 +524,32 @@ class TestNoScipy:
         assert loaded == {"import": [], "simulate": [0, []], "train": [0, []]}
         assert (tmp_path / "train" / "params.json").is_file()
 
+    def test_lbfgs_adapt_and_sweep_load_no_scipy(self, tmp_path):
+        # only the LM solve loads scipy; adapt and sweep run L-BFGS
+        configs = []
+        for tag in ("train", "adapt", "sweep"):
+            config = tiny_config(
+                tag, tmp_path / tag, seed=5,
+                dataset=plant.DatasetConfig(n_sequences=4, seq_len=120, n_train=3,
+                                            n_test=1, substeps=4),
+                train=training.TrainConfig(epochs=10, washout=20, patience=10),
+                mhe=mhe.MheConfig(N=5, mu=0.1, washout=20, solver="lbfgs", max_iter=10),
+                model_dir=None if tag == "train" else str(tmp_path / "train"))
+            configs += [tag, str(tmp_path / f"{tag}.json")]
+            (tmp_path / f"{tag}.json").write_text(json.dumps(config.to_dict()))
+        loaded = run_python("""if True:
+            import json, sys
+            import mhenet.cli
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+            loaded = {}
+            for tag, path in zip(sys.argv[1::2], sys.argv[2::2]):
+                loaded[tag] = (mhenet.cli.main([tag, "--config", path]), scipy_modules())
+            print(json.dumps(loaded))""", *configs)
+        assert loaded == {"train": [0, []], "adapt": [0, []], "sweep": [0, []]}
+        assert (tmp_path / "adapt" / "checkpoints.jsonl").is_file()
+        assert (tmp_path / "sweep" / "sweep.csv").is_file()
+
 
 class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):

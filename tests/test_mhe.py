@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mhenet import mhe, models
+from mhenet import lbfgs, mhe, models
 from mhenet.models import ModelSpec
 from mhenet.plant import Sequence
 
@@ -133,19 +133,40 @@ class TestSolveUpdate:
     def test_fallback_records_mhe_cost_at_prior(self, rng, monkeypatch):
         # the optimizer reports a point it never evaluated, and a far worse one
         spec, w, prior = self._lstm_update(rng)
-        minimize = mhe.optimize.minimize
+        minimize = lbfgs.minimize
 
-        def worse(fun, x0, **kwargs):
-            res = minimize(fun, x0, **kwargs)
-            res.x = x0 + 10.0
-            return res
+        def worse(fun, x0, *args):
+            _, *rest = minimize(fun, x0, *args)
+            return (x0 + 10.0, *rest)
 
-        monkeypatch.setattr(mhe.optimize, "minimize", worse)
+        monkeypatch.setattr(lbfgs, "minimize", worse)
         cfg = mhe.MheConfig(N=7, mu=0.3, solver="lbfgs", max_iter=20)
         sol, stats = mhe.solve_update(spec, w, prior, cfg)
         assert sol is prior
         total, fit, _ = mhe.mhe_cost(spec, prior, w, prior, cfg.mu)
         assert (stats.total_cost, stats.fit_cost, stats.prior_cost) == (total, fit, 0.0)
+
+    def test_lbfgs_blowup_fails_the_line_search(self, rng, monkeypatch):
+        # every gradient from the third on meets a blow-up: the solve keeps
+        # the last accepted iterate instead of aborting the run
+        spec, w, prior = self._lstm_update(rng)
+        gradient, calls = models.window_loss_and_gradient, []
+
+        def blows_up(*args):
+            calls.append(args)
+            if len(calls) >= 3:
+                raise models.NumericalBlowupError("non-finite loss or gradient")
+            return gradient(*args)
+
+        monkeypatch.setattr(models, "window_loss_and_gradient", blows_up)
+        cfg = mhe.MheConfig(N=7, mu=0.3, solver="lbfgs", max_iter=20)
+        sol, stats = mhe.solve_update(spec, w, prior, cfg)
+        assert len(calls) >= 3 and not stats.converged
+        assert stats.message == "ABNORMAL: "
+        total_prior = mhe.mhe_cost(spec, prior, w, prior, cfg.mu)[0]
+        assert stats.total_cost <= total_prior
+        assert (stats.total_cost, stats.fit_cost, stats.prior_cost) == \
+            mhe.mhe_cost(spec, sol, w, prior, cfg.mu)
 
     def test_lbfgs_update_rolls_out_only_for_its_gradients(self, rng, monkeypatch):
         spec, w, prior = self._lstm_update(rng)
