@@ -124,10 +124,10 @@ def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
 
 def contraction_coefficient(mu: float, delta: float):
     """(rho_c, satisfied): rho_c = 2mu/(mu/2 + delta), satisfied iff < 1."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    if not 0 < delta < np.inf:           # NaN fails it too
+        raise ValueError("delta must be positive and finite")
+    if not 0 <= mu < np.inf:
+        raise ValueError("mu must be nonnegative and finite")
     rho = 2.0 * mu / (0.5 * mu + delta)
     return rho, rho < 1.0
 

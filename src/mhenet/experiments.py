@@ -29,7 +29,6 @@ import hashlib
 import json
 import pathlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -445,6 +444,8 @@ def _run_sweep(config, out, artifacts, metrics, walls):
     mus, Ns = zip(*config.sweep_grid)
     t0 = time.perf_counter()
     if config.jobs > 1:
+        # only a parallel sweep pays for loading the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(row, mus, Ns))
     else:

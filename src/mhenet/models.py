@@ -723,11 +723,14 @@ def window_loss_and_gradient(spec: ModelSpec, params: ParamVector, x0,
 
     P = _unpack(spec, params.values)
     outputs, states, cache = _rollout(spec, P, x0, inputs, True)
-    res = outputs - targets
-    loss = float(np.sum(w[:, None, None] * res * res))
+    res = np.subtract(outputs, targets, out=outputs)
+    buf = w[:, None, None] * res         # the weighted square, then the adjoints
+    buf *= res
+    loss = float(np.sum(buf))
     flat = np.zeros(values_size(spec))
     flat[:param_count(spec)] = _backward(spec, P, inputs, states, cache,
-                                         2.0 * w[:, None, None] * res, rows=False)
+                                         np.multiply(2.0 * w[:, None, None], res, out=buf),
+                                         rows=False)
     if not (np.isfinite(loss) and np.all(np.isfinite(flat))):
         raise NumericalBlowupError("non-finite loss or gradient")
     return loss, flat

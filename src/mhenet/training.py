@@ -94,10 +94,13 @@ class EvalReport:
         return float(np.mean(self.channel_mse))
 
 
-def _stack(sequences, scaler):
-    """(T, B, n) normalized input/output tensors from a list of sequences."""
-    U = np.stack([scaler.scale_u(s.u) for s in sequences], axis=1)
-    Y = np.stack([scaler.scale_y(s.y) for s in sequences], axis=1)
+def _stack(spec, sequences, scaler):
+    """(T, B, n) normalized input/output tensors from a list of sequences,
+    each scaled straight into its column of a preallocated array."""
+    U = np.empty((len(sequences[0].u), len(sequences), spec.n_u))
+    Y = np.empty(U.shape[:2] + (spec.n_y,))
+    for b, s in enumerate(sequences):
+        U[:, b], Y[:, b] = scaler.scale_u(s.u), scaler.scale_y(s.y)
     return U, Y
 
 
@@ -107,11 +110,14 @@ def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
 
     Rollouts start from the zero model state; the washout absorbs the
     transient.  Returns (best params, history) where history rows are
-    (epoch, best-so-far train MSE), a non-increasing column.
+    (epoch, best-so-far train MSE), a non-increasing column.  An epoch's
+    MSE is taken at the weights its Adam steps start from, but the best
+    params are copied after those steps, so they are one epoch of steps
+    past the weights whose MSE the history records.
     """
     if scaler is None:
         scaler = fit_scaler(dataset.train)
-    U, Y = _stack(dataset.train, scaler)
+    U, Y = _stack(spec, dataset.train, scaler)
     T, B = U.shape[0], U.shape[1]
     if config.washout >= T:
         raise ValueError("washout must be shorter than the sequences")
@@ -137,15 +143,16 @@ def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
     batch = config.batch_size or B
     t_adam = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(B) if batch < B else np.arange(B)
+        order = rng.permutation(B) if batch < B else None
         epoch_mse = 0.0
         for s in range(0, B, batch):
-            idx = order[s:s + batch]
-            x0 = models.zero_state(spec, batch=len(idx))
+            idx = slice(None) if order is None else order[s:s + batch]  # no copy
+            nb = min(batch, B - s)
+            x0 = models.zero_state(spec, batch=nb)
             loss, grad = models.window_loss_and_gradient(
                 spec, params.replace_values(theta), x0, U[:, idx], Y[:, idx], step_weights=w)
-            scale = 1.0 / (n_eff * len(idx))
-            epoch_mse += loss * scale * (len(idx) / B)
+            scale = 1.0 / (n_eff * nb)
+            epoch_mse += loss * scale * (nb / B)
             g = grad * scale
             t_adam += 1
             m = beta1 * m + (1 - beta1) * g
@@ -171,11 +178,20 @@ def evaluate_mse(spec: ModelSpec, params: ParamVector, sequences, washout: int,
     """Open-loop prediction MSE per channel, post-washout, normalized units."""
     if not sequences:
         raise ValueError("no sequences to evaluate")
-    U, Y = _stack(sequences, scaler)
-    if washout >= U.shape[0]:
+    U, Y = _stack(spec, sequences, scaler)
+    if washout >= len(U):
         raise ValueError("washout must be shorter than the sequences")
-    x0 = models.zero_state(spec, batch=U.shape[1])
-    pred, _ = models.simulate(spec, params, x0, U)
-    err = (pred - Y)[washout:]
-    mse = np.mean(err * err, axis=(0, 1))
-    return EvalReport(channel_mse=mse, n_sequences=U.shape[1], washout=washout)
+    x = models.zero_state(spec, batch=U.shape[1])
+    # blocks of BLOCK steps, each from the last state of the one before, so
+    # no state history is kept; each block's errors overwrite its targets
+    for t0 in range(0, len(U), models.BLOCK):
+        try:
+            pred, states = models.simulate(spec, params, x, U[t0:t0 + models.BLOCK])
+        except models.NumericalBlowupError as exc:    # name the absolute step
+            raise models.NumericalBlowupError(f"non-finite values at step {t0 + exc.step}",
+                                              step=t0 + exc.step) from None
+        x, y = states[-1], Y[t0:t0 + len(pred)]
+        np.subtract(pred, y, out=y)
+    err = Y[washout:]
+    err *= err
+    return EvalReport(np.mean(err, axis=(0, 1)), n_sequences=U.shape[1], washout=washout)

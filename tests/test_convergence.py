@@ -230,6 +230,15 @@ class TestContractionCoefficient:
         with pytest.raises(ValueError):
             cv.contraction_coefficient(0.1, 0.0)
 
+    @pytest.mark.parametrize("mu,delta", [
+        (0.1, np.nan), (0.1, np.inf), (0.1, -np.inf), (np.nan, 1.0), (np.inf, 1.0),
+    ], ids=["nan-delta", "inf-delta", "minus-inf-delta", "nan-mu", "inf-mu"])
+    def test_non_finite_rejected(self, mu, delta):
+        # NaN used to slip through as (nan, False), and delta = inf as a
+        # contraction (0.0, True) claimed from nothing
+        with pytest.raises(ValueError, match="finite"):
+            cv.contraction_coefficient(mu, delta)
+
 
 class TestNormInequality:
     def test_young_bound_on_random_triples(self, rng):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import ALL_SPECS, random_params
 from mhenet import models, plant, training
 from mhenet.models import ModelSpec
 from mhenet.plant import Sequence
@@ -155,3 +158,79 @@ class TestEvaluateMse:
         scaler = training.Scaler(np.zeros(1), np.ones(1), np.zeros(1), np.ones(1))
         with pytest.raises(ValueError):
             training.evaluate_mse(spec, p, [], 0, scaler)
+
+
+def _whole_sequence_mse(spec, params, sequences, washout, scaler):
+    """Per-channel MSE from one whole-sequence simulate, as evaluate_mse
+    computed it before its rollout ran in blocks."""
+    U = np.stack([scaler.scale_u(s.u) for s in sequences], axis=1)
+    Y = np.stack([scaler.scale_y(s.y) for s in sequences], axis=1)
+    pred, _ = models.simulate(spec, params, models.zero_state(spec, batch=U.shape[1]), U)
+    err = (pred - Y)[washout:]
+    return np.mean(err * err, axis=(0, 1))
+
+
+def _random_sequences(spec, rng, T, B):
+    return [Sequence(u=rng.normal(size=(T, spec.n_u)), y=rng.normal(size=(T, spec.n_y)))
+            for _ in range(B)]
+
+
+class TestBlockedEvaluation:
+    """evaluate_mse rolls out in blocks of models.BLOCK steps; its floats must
+    equal those of one whole-sequence rollout."""
+
+    K = models.BLOCK
+
+    @pytest.mark.parametrize("kind", list(ALL_SPECS))
+    @pytest.mark.parametrize("T,washout", [
+        (K // 2, 3), (K, 3), (K, K - 1), (K + 1, 3), (K + 1, K), (3 * K, 0), (3 * K, 3),
+        (3 * K, K + 5),
+    ], ids=["short", "one-block", "one-block-late-washout", "block-plus-one",
+            "block-plus-one-washout-to-boundary", "multiple-no-washout", "multiple",
+            "multiple-washout-across-boundary"])
+    def test_equals_whole_sequence_rollout(self, kind, T, washout, rng):
+        spec = ALL_SPECS[kind]
+        params = random_params(spec, rng)
+        sequences = _random_sequences(spec, rng, T, B=3)
+        scaler = training.Scaler(rng.normal(size=spec.n_u), rng.uniform(0.5, 2, size=spec.n_u),
+                                 rng.normal(size=spec.n_y), rng.uniform(0.5, 2, size=spec.n_y))
+        rep = training.evaluate_mse(spec, params, sequences, washout, scaler)
+        expected = _whole_sequence_mse(spec, params, sequences, washout, scaler)
+        assert rep.channel_mse.tolist() == expected.tolist()
+        assert rep.average == float(np.mean(expected))
+        assert (rep.n_sequences, rep.washout) == (3, washout)
+
+    def test_blowup_names_the_absolute_step(self, rng):
+        # weights of order 1e300 give finite outputs of order 1e300 until
+        # one large input past the first block overflows them
+        spec = ALL_SPECS["linear"]
+        params = random_params(spec, rng, scale=1e300)
+        sequences = _random_sequences(spec, rng, 3 * self.K, B=2)
+        bad = self.K + 7
+        sequences[1].u[bad] = 1e10
+        scaler = training.Scaler(np.zeros(spec.n_u), np.ones(spec.n_u),
+                                 np.zeros(spec.n_y), np.ones(spec.n_y))
+        with np.errstate(over="ignore"), pytest.raises(models.NumericalBlowupError) as whole:
+            _whole_sequence_mse(spec, params, sequences, 3, scaler)
+        assert whole.value.step == bad
+        with np.errstate(over="ignore"), pytest.raises(
+                models.NumericalBlowupError, match=f"step {bad}$") as blocked:
+            training.evaluate_mse(spec, params, sequences, 3, scaler)
+        assert blocked.value.step == bad
+
+    def test_peak_memory_below_the_state_history(self, rng):
+        # the drift-adapt evaluation set: 35 sequences x 1000 samples of the
+        # benchmark LSTM; a whole-sequence rollout alone keeps (T+1) B S floats
+        spec = ModelSpec("lstm", 6, 10, 4)
+        T, B = 1000, 35
+        params = models.init_params(spec, 0)
+        sequences = _random_sequences(spec, rng, T, B)
+        scaler = training.fit_scaler(sequences)
+        history_bytes = (T + 1) * B * models.state_size(spec) * 8
+        tracemalloc.start()
+        try:
+            training.evaluate_mse(spec, params, sequences, 100, scaler)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < history_bytes
