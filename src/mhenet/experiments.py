@@ -305,6 +305,36 @@ def _eval_dataset(config: ExperimentConfig) -> plant.Dataset:
                                  params=replace(config.plant, kA=config.drift.end_value))
 
 
+def _timed_eval_dataset(config: ExperimentConfig):
+    """(the drifted evaluation set, seconds its build took); top-level so
+    that a worker process can build it."""
+    t0 = time.perf_counter()
+    ds = _eval_dataset(config)
+    return ds, time.perf_counter() - t0
+
+
+def _process_pool(max_workers=1):
+    """A process pool whose workers start from a fresh interpreter, so
+    they inherit no thread or lock of this one.  Each worker imports the
+    caller's main module, so a script that runs these stages guards its
+    entry point with ``if __name__ == "__main__":``.  The pool is
+    imported here, so that only the stages that build the drifted
+    evaluation set load it."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    return ProcessPoolExecutor(max_workers, mp_context=get_context("spawn"))
+
+
+def _join_eval_set(eval_set, walls):
+    """The drifted evaluation set from the future ``eval_set``.  The
+    worker's build time goes to ``walls["eval_set"]``, and the time this
+    process blocked on it to ``walls["eval_set_wait"]``."""
+    t0 = time.perf_counter()
+    ds, walls["eval_set"] = eval_set.result()
+    walls["eval_set_wait"] = time.perf_counter() - t0
+    return ds
+
+
 def _mse_row(label, report):
     return [label] + [float(v) for v in report.channel_mse] + [report.average]
 
@@ -356,12 +386,14 @@ def _run_train(config, out, artifacts, metrics, walls):
 
 def _run_drift_eval(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
-    t0 = time.perf_counter()
-    ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset,
-                               params=config.plant)
-    pre = training.evaluate_mse(config.model, params, ds.test,
-                                config.train.washout, scaler)
-    post_ds = _eval_dataset(config)
+    with _process_pool() as pool:
+        post_set = pool.submit(_timed_eval_dataset, config)
+        t0 = time.perf_counter()
+        ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset,
+                                   params=config.plant)
+        pre = training.evaluate_mse(config.model, params, ds.test,
+                                    config.train.washout, scaler)
+        post_ds = _join_eval_set(post_set, walls)
     post = training.evaluate_mse(config.model, params, post_ds.test,
                                  config.train.washout, scaler)
     walls["evaluate"] = time.perf_counter() - t0
@@ -377,24 +409,23 @@ def _run_drift_eval(config, out, artifacts, metrics, walls):
 
 
 def _drift_data(config, scaler, walls):
-    """The drift run, its scaled copy and the drifted evaluation set; they
-    depend on the seeds only, so every (mu, N) row shares them.  The time
-    of each build goes to ``walls["drift_run"]`` and ``walls["eval_set"]``."""
+    """The drift run and its scaled copy; they depend on the seeds only,
+    so every (mu, N) row shares them.  The run's time goes to
+    ``walls["drift_run"]``.  The drifted evaluation set is not built
+    here: each stage starts it in a worker process before this call and
+    joins it only when it first evaluates on it."""
     t0 = time.perf_counter()
     run = plant.drift_run(config.adapt_time, config.drift,
                           config.dataset.excitation, seed=config.seed_drift,
                           params=config.plant, substeps=config.dataset.substeps)
     scaled = plant.Sequence(u=scaler.scale_u(run.u), y=scaler.scale_y(run.y),
                             tau=run.tau)
-    walls["drift_run"] = (t1 := time.perf_counter()) - t0
-    eval_ds = _eval_dataset(config)
-    walls["eval_set"] = time.perf_counter() - t1
-    return run, scaled, eval_ds
+    walls["drift_run"] = time.perf_counter() - t0
+    return run, scaled
 
 
-def _adapt_row(config, params, scaler, scaled, eval_ds, mu, N):
-    """(checkpoints, run_stats, wall time, EvalReport of the last solution)
-    of one (mu, N) adaptation; top-level so that a process pool can run it."""
+def _adapt(config, params, scaled, mu, N):
+    """(checkpoints, run_stats, wall time) of one (mu, N) adaptation."""
     cfg = replace(config.mhe, mu=mu, N=N)
     t0 = time.perf_counter()
     checkpoints, stats = mhe.run_adaptation(config.model, params,
@@ -402,19 +433,28 @@ def _adapt_row(config, params, scaler, scaled, eval_ds, mu, N):
     wall = time.perf_counter() - t0
     if not checkpoints:
         raise RuntimeError(f"adaptation (mu={mu}, N={N}) produced no checkpoints")
-    report = training.evaluate_mse(config.model, checkpoints[-1].solution,
-                                   eval_ds.test, config.train.washout, scaler)
-    return checkpoints, stats, wall, report
+    return checkpoints, stats, wall
+
+
+def _adapt_row(config, params, scaled, mu, N):
+    """(final solution, wall time) of one (mu, N) adaptation; top-level so
+    that a process pool can run it."""
+    checkpoints, _, wall = _adapt(config, params, scaled, mu, N)
+    return checkpoints[-1].solution, wall
 
 
 def _run_adapt(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
-    run, scaled, eval_ds = _drift_data(config, scaler, walls)
-    checkpoints, stats, walls["adapt"], ad = _adapt_row(
-        config, params, scaler, scaled, eval_ds, config.mhe.mu, config.mhe.N)
-    un = training.evaluate_mse(config.model, params, eval_ds.test,
-                               config.train.washout, scaler)
+    with _process_pool() as pool:
+        eval_set = pool.submit(_timed_eval_dataset, config)
+        run, scaled = _drift_data(config, scaler, walls)
+        checkpoints, stats, walls["adapt"] = _adapt(
+            config, params, scaled, config.mhe.mu, config.mhe.N)
+        eval_ds = _join_eval_set(eval_set, walls)
     adapted = checkpoints[-1].solution
+    un, ad = (training.evaluate_mse(config.model, p, eval_ds.test,
+                                    config.train.washout, scaler)
+              for p in (params, adapted))
     plant.save_sequence_csv(out / "drift_run.csv", run)
     _record_artifact(artifacts, out, "drift_run.csv")
     mhe.save_checkpoints(out / "checkpoints.jsonl", checkpoints)
@@ -439,21 +479,21 @@ def _run_adapt(config, out, artifacts, metrics, walls):
 
 def _run_sweep(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
-    _, scaled, eval_ds = _drift_data(config, scaler, walls)
-    row = partial(_adapt_row, config, params, scaler, scaled, eval_ds)
     mus, Ns = zip(*config.sweep_grid)
-    t0 = time.perf_counter()
-    if config.jobs > 1:
-        # only a parallel sweep pays for loading the process pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(row, mus, Ns))
-    else:
-        results = list(map(row, mus, Ns))
-    walls["sweep"] = time.perf_counter() - t0
-    walls["sweep_rows"] = [wall for _, _, wall, _ in results]
+    with _process_pool(config.jobs) as pool:
+        eval_set = pool.submit(_timed_eval_dataset, config)  # the first task
+        _, scaled = _drift_data(config, scaler, walls)
+        row = partial(_adapt_row, config, params, scaled)
+        t0 = time.perf_counter()
+        # rows run in this process at jobs = 1, beside the set's build
+        results = list((pool.map if config.jobs > 1 else map)(row, mus, Ns))
+        walls["sweep"] = time.perf_counter() - t0
+        eval_ds = _join_eval_set(eval_set, walls)
+    walls["sweep_rows"] = [wall for _, wall in results]
     rows, table = [], []
-    for mu, N, (_, _, _, rep) in zip(mus, Ns, results):
+    for mu, N, (solution, _) in zip(mus, Ns, results):
+        rep = training.evaluate_mse(config.model, solution, eval_ds.test,
+                                    config.train.washout, scaler)
         channel = [float(v) for v in rep.channel_mse]
         rows.append({"mu": mu, "N": N, "channel_mse": channel, "average": rep.average})
         table.append([mu, N] + channel + [rep.average])

@@ -192,16 +192,23 @@ def step(state, inp, params: PlantParams, dt: float, substeps: int = 10) -> np.n
     if not (np.isfinite(state).all() and np.isfinite(inp).all()):
         raise ValueError("non-finite or non-positive plant data: non-finite state or input")
     h = dt / substeps
-    if state.ndim == 1:  # one trajectory: Python floats through every stage
-        c, x = _feed_terms(params, inp.tolist()), state.tolist()
+    if state.ndim == 1:  # one trajectory: four Python floats through every stage
+        c = _feed_terms(params, inp.tolist())
+        H2, xA2, xB2, T2 = state.tolist()
+        hh, h6 = 0.5 * h, h / 6.0
         for _ in range(substeps):
-            k1 = _rhs(params, c, *x)
-            k2 = _rhs(params, c, *[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
-            k3 = _rhs(params, c, *[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
-            k4 = _rhs(params, c, *[xi + h * ki for xi, ki in zip(x, k3)])
-            x = [xi + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-                 for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
-        x = np.array(x)
+            a1, b1, c1, d1 = _rhs(params, c, H2, xA2, xB2, T2)
+            a2, b2, c2, d2 = _rhs(params, c, H2 + hh * a1, xA2 + hh * b1,
+                                  xB2 + hh * c1, T2 + hh * d1)
+            a3, b3, c3, d3 = _rhs(params, c, H2 + hh * a2, xA2 + hh * b2,
+                                  xB2 + hh * c2, T2 + hh * d2)
+            a4, b4, c4, d4 = _rhs(params, c, H2 + h * a3, xA2 + h * b3,
+                                  xB2 + h * c3, T2 + h * d3)
+            H2 += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            xA2 += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            xB2 += h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            T2 += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        x = np.array([H2, xA2, xB2, T2])
     else:  # a batch: one (4, B) state, the stage states in preallocated buffers
         c, x = _stacked_terms(params, inp), state.reshape(-1, 4).T.copy()
         k, s = np.empty((4,) + x.shape), np.empty_like(x)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import multiprocessing
 import shutil
 
 import numpy as np
@@ -341,8 +342,9 @@ class TestAdapt:
         config = tiny_config("adapt", tmp_path, model_dir=str(model_out))
         manifest = experiments.run(config)
         assert manifest.status == "ok"
-        # the set-up time is reported per build, outside what summary() hashes
-        assert {"drift_run", "eval_set"} <= manifest.wall_times.keys()
+        # the set-up time is reported per build, outside what summary() hashes;
+        # eval_set is the worker's build, eval_set_wait the time spent joining it
+        assert {"drift_run", "eval_set", "eval_set_wait"} <= manifest.wall_times.keys()
         m = manifest.metrics
         assert m["n_updates"] >= 1
         assert m["peak_buffered"] == config.mhe.washout + config.mhe.N + 1
@@ -384,7 +386,7 @@ class TestSweep:
         assert len(rows) == 1 + len(config.sweep_grid)
         averages = [r["average"] for r in manifest.metrics["rows"]]
         assert manifest.metrics["best_average"] == min(averages)
-        assert {"drift_run", "eval_set"} <= manifest.wall_times.keys()
+        assert {"drift_run", "eval_set", "eval_set_wait"} <= manifest.wall_times.keys()
 
     def test_process_pool_matches_serial(self, sweep_run, tmp_path):
         config, serial, _ = sweep_run
@@ -404,6 +406,88 @@ class TestSweep:
             experiments.run(config)
         manifest = RunManifest.load(tmp_path / "manifest.json")
         assert manifest.status == "failed"
+
+
+class Interrupted(Exception):
+    """Raised by a test in the parent process, in the middle of a run."""
+
+
+class TestEvalSetWorker:
+    """adapt, sweep and drift-eval build the drifted evaluation set in a
+    worker process while this one runs the drift run and the adaptation."""
+
+    def test_worker_builds_the_same_set(self, train_run, sweep_run, tmp_path):
+        _, _, model_out = train_run
+        config = tiny_config("adapt", tmp_path, model_dir=str(model_out))
+        manifest = experiments.run(config)
+        params, scaler = experiments._load_model(config, {})
+
+        def mse_in_process(config, p):
+            eval_ds = experiments._eval_dataset(config)
+            return training.evaluate_mse(config.model, p, eval_ds.test,
+                                         config.train.washout, scaler)
+
+        adapted = models.ParamVector.from_json(
+            (tmp_path / "adapted_params.json").read_text())
+        m = manifest.metrics
+        for p, name in ((params, "unadapted"), (adapted, "adapted")):
+            rep = mse_in_process(config, p)
+            assert rep.average == m[f"{name}_mse"]
+            assert [float(v) for v in rep.channel_mse] == m[f"channel_{name}"]
+        # the sweep saves no weights: its rows are run again in this process
+        sweep_config, sweep, _ = sweep_run
+        _, scaled = experiments._drift_data(sweep_config, scaler, {})
+        for row in sweep.metrics["rows"]:
+            solution, _ = experiments._adapt_row(sweep_config, params, scaled,
+                                                 row["mu"], row["N"])
+            rep = mse_in_process(sweep_config, solution)
+            assert rep.average == row["average"]
+            assert [float(v) for v in rep.channel_mse] == row["channel_mse"]
+
+    @pytest.mark.parametrize("tag,parent_collects", [("drift-eval", 1), ("adapt", 0),
+                                                     ("sweep", 0)])
+    def test_built_in_a_worker_and_no_child_left(self, train_run, tmp_path,
+                                                 monkeypatch, tag, parent_collects):
+        _, _, model_out = train_run
+        collect, calls = plant.collect_dataset, []
+        monkeypatch.setattr(plant, "collect_dataset",
+                            lambda *a, **k: calls.append(1) or collect(*a, **k))
+        experiments.run(tiny_config(tag, tmp_path, model_dir=str(model_out)))
+        # the drifted set is built in the worker; drift-eval collects the
+        # nominal set here
+        assert len(calls) == parent_collects
+        assert multiprocessing.active_children() == []
+
+    def test_parent_failure_mid_adaptation(self, train_run, tmp_path, monkeypatch):
+        _, _, model_out = train_run
+        solve, calls = mhe.solve_update, []
+
+        def failing_solve(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise Interrupted("third update")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mhe, "solve_update", failing_solve)
+        with pytest.raises(Interrupted, match="third update"):
+            experiments.run(tiny_config("adapt", tmp_path, model_dir=str(model_out)))
+        assert len(calls) == 3
+        assert RunManifest.load(tmp_path / "manifest.json").status == "failed"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("tag", ["drift-eval", "adapt", "sweep"])
+    def test_worker_failure_reaches_the_caller(self, train_run, tmp_path, tag):
+        _, _, model_out = train_run
+        # the plant at kA = 1e3 leaves its domain while it settles, so only the
+        # evaluation set fails: the run itself stays on the nominal kA
+        config = tiny_config(tag, tmp_path, model_dir=str(model_out),
+                             drift=plant.DriftSchedule(end_value=1e3, t_start=4.0,
+                                                       t_end=1e12))
+        with pytest.raises(ValueError, match="non-finite or non-positive"):
+            experiments.run(config)
+        manifest = RunManifest.load(tmp_path / "manifest.json")
+        assert manifest.status == "failed"
+        assert multiprocessing.active_children() == []
 
 
 class TestModelIdentity:
@@ -502,26 +586,37 @@ class TestCsvStream:
 
 class TestNoScipy:
     def test_import_simulate_and_train_load_no_scipy(self, tmp_path):
-        # criterion-10 sizes; the run goes through the CLI, as a user's would
+        # criterion-10 sizes; the run goes through the CLI, as a user's would.
+        # Only the stages that build the drifted evaluation set load the
+        # process pool.  converge runs last, as its LM solve loads scipy, and
+        # scipy.optimize itself imports concurrent.futures: there the check
+        # is for the modules of the pool alone
         configs = []
-        for tag in ("simulate", "train"):
+        for tag in ("simulate", "train", "converge"):
             config = tiny_config(
                 tag, tmp_path / tag, seed=5,
                 dataset=plant.DatasetConfig(n_sequences=4, seq_len=120, n_train=3,
                                             n_test=1, substeps=4),
-                train=training.TrainConfig(epochs=10, washout=20, patience=10))
+                train=training.TrainConfig(epochs=10, washout=20, patience=10),
+                **({"model": ModelSpec("gru", 2, 3, 2)} if tag == "converge" else {}))
             configs += [tag, str(tmp_path / f"{tag}.json")]
             (tmp_path / f"{tag}.json").write_text(json.dumps(config.to_dict()))
         loaded = run_python("""if True:
             import json, sys
             import mhenet, mhenet.experiments, mhenet.cli
-            def scipy_modules():
-                return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-            loaded = {"import": scipy_modules()}
+            def modules(*roots):
+                return sorted(m for m in sys.modules if m.partition(".")[0] in roots)
+            loaded = {"import": [modules("scipy"), modules("concurrent", "multiprocessing")]}
             for tag, path in zip(sys.argv[1::2], sys.argv[2::2]):
-                loaded[tag] = (mhenet.cli.main([tag, "--config", path]), scipy_modules())
+                rc = mhenet.cli.main([tag, "--config", path])
+                loaded[tag] = [rc, modules("scipy"), modules("concurrent", "multiprocessing")]
             print(json.dumps(loaded))""", *configs)
-        assert loaded == {"import": [], "simulate": [0, []], "train": [0, []]}
+        converge_rc, _, converge_loaded = loaded.pop("converge")
+        assert loaded == {"import": [[], []], "simulate": [0, [], []],
+                          "train": [0, [], []]}
+        assert converge_rc == 0
+        assert [m for m in converge_loaded if m == "concurrent.futures.process"
+                or m.partition(".")[0] == "multiprocessing"] == []
         assert (tmp_path / "train" / "params.json").is_file()
 
     def test_lbfgs_adapt_and_sweep_load_no_scipy(self, tmp_path):
