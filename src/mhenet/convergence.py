@@ -26,14 +26,6 @@ from . import models
 from .models import ModelSpec, ParamVector
 
 
-def output_error_stack(spec: ModelSpec, theta_true: ParamVector,
-                       theta_cand: ParamVector, window) -> np.ndarray:
-    """Stacked output differences of the two rollouts from the same x_init."""
-    y_true, _ = models.simulate(spec, theta_true, window.x_init, window.inputs)
-    y_cand, _ = models.simulate(spec, theta_cand, window.x_init, window.inputs)
-    return (y_true - y_cand).ravel()
-
-
 def epsilon(theta_true: ParamVector, theta: ParamVector) -> float:
     """Squared weight error over trainable coordinates."""
     if theta_true.spec != theta.spec:

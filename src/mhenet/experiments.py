@@ -263,22 +263,6 @@ def _write_csv(artifacts, out, name, header, rows):
     _record_artifact(artifacts, out, name)
 
 
-def csv_stream(path, scaler: training.Scaler | None = None):
-    """Incrementally consume a sequence CSV as an IOSample stream."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != plant.SEQUENCE_CSV_COLUMNS:
-            raise ValueError(f"unexpected sequence CSV header {header}")
-        for t, row in enumerate(reader):
-            vals = [float(v) for v in row]
-            u = np.array(vals[1:7])
-            y = np.array(vals[7:11])
-            if scaler is not None:
-                u, y = scaler.scale_u(u), scaler.scale_y(y)
-            yield mhe.IOSample(u=u, y=y, t=t)
-
-
 def _load_model(config: ExperimentConfig, metrics):
     """(params, scaler) from the train-run directory named by the config;
     the sha256 of each file read goes to ``metrics["model_sha256"]``, the
@@ -323,6 +307,18 @@ def _process_pool(max_workers=1):
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
     return ProcessPoolExecutor(max_workers, mp_context=get_context("spawn"))
+
+
+def _fail_early(future):
+    """A callback that raises the exception of ``future`` as soon as it
+    has failed, and passes its argument through: called between updates
+    or rows, it stops a stage whose evaluation-set build failed there,
+    not at the join after the last update."""
+    def check(value=None):
+        if future.done():
+            future.result()
+        return value
+    return check
 
 
 def _join_eval_set(eval_set, walls):
@@ -424,12 +420,13 @@ def _drift_data(config, scaler, walls):
     return run, scaled
 
 
-def _adapt(config, params, scaled, mu, N):
+def _adapt(config, params, scaled, mu, N, on_checkpoint=None):
     """(checkpoints, run_stats, wall time) of one (mu, N) adaptation."""
     cfg = replace(config.mhe, mu=mu, N=N)
     t0 = time.perf_counter()
     checkpoints, stats = mhe.run_adaptation(config.model, params,
-                                            mhe.sequence_stream(scaled), cfg)
+                                            mhe.sequence_stream(scaled), cfg,
+                                            on_checkpoint)
     wall = time.perf_counter() - t0
     if not checkpoints:
         raise RuntimeError(f"adaptation (mu={mu}, N={N}) produced no checkpoints")
@@ -449,7 +446,7 @@ def _run_adapt(config, out, artifacts, metrics, walls):
         eval_set = pool.submit(_timed_eval_dataset, config)
         run, scaled = _drift_data(config, scaler, walls)
         checkpoints, stats, walls["adapt"] = _adapt(
-            config, params, scaled, config.mhe.mu, config.mhe.N)
+            config, params, scaled, config.mhe.mu, config.mhe.N, _fail_early(eval_set))
         eval_ds = _join_eval_set(eval_set, walls)
     adapted = checkpoints[-1].solution
     un, ad = (training.evaluate_mse(config.model, p, eval_ds.test,
@@ -486,7 +483,8 @@ def _run_sweep(config, out, artifacts, metrics, walls):
         row = partial(_adapt_row, config, params, scaled)
         t0 = time.perf_counter()
         # rows run in this process at jobs = 1, beside the set's build
-        results = list((pool.map if config.jobs > 1 else map)(row, mus, Ns))
+        fail_early = _fail_early(eval_set)
+        results = [fail_early(r) for r in (pool.map if config.jobs > 1 else map)(row, mus, Ns)]
         walls["sweep"] = time.perf_counter() - t0
         eval_ds = _join_eval_set(eval_set, walls)
     walls["sweep_rows"] = [wall for _, wall in results]

@@ -23,14 +23,6 @@ run's initial parameters, so a run is rebuilt from its initial
 parameters and its records: ``[initial] + [c.solution for c in
 checkpoints[:-1]]`` are the priors.  Without wall times the JSONL file
 is a deterministic function of the run's inputs.
-
-scipy is loaded only for the LM solve: ``solve_update`` with
-``solver="lm"`` calls ``scipy.optimize.least_squares``, and L-BFGS runs
-the in-numpy ``lbfgs.minimize``.  So importing this module, a run that
-makes no update (``simulate``, ``train``) and an L-BFGS run (``adapt``
-and ``sweep`` by default) load no scipy.  An LM ``run_adaptation``
-imports it before it reads its first sample, so that the import, about
-half a second, falls in no update's latency.
 """
 
 from __future__ import annotations
@@ -38,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 import json
-import warnings
 
 import numpy as np
 
@@ -47,19 +38,13 @@ from .models import ModelSpec, ParamVector
 from .plant import check_fields
 
 
-def _optimize():
-    """``scipy.optimize``, imported on first use (see the module docstring)."""
-    from scipy import optimize
-    return optimize
-
-
 @dataclass(frozen=True)
 class MheConfig:
     N: int = 10                  # horizon length (window has N+1 samples)
     mu: float = 0.1              # prior anchoring weight
-    max_iter: int = 500
-    gtol: float = 1e-10
-    ftol: float = 1e-15
+    max_iter: int = 500          # LM: evaluations of the objective; L-BFGS: iterations
+    gtol: float = 1e-10          # stop at max|gradient| <= gtol
+    ftol: float = 1e-15          # stop at a relative decrease of the objective <= ftol
     washout: int = 100           # history rollout length for state reconstruction
     observer: str = "washout"    # "washout" | "oracle" (stream supplies states)
     solver: str = "lm"           # "lm" (Levenberg-Marquardt) | "lbfgs"
@@ -161,35 +146,81 @@ def mhe_cost(spec: ModelSpec, candidate: ParamVector, window: HorizonWindow,
     return fit + mu * prior_term, fit, prior_term
 
 
+def _levenberg_marquardt(fit, linearize, x0, mu, max_iter, gtol, ftol):
+    """Minimize F(x) = |r(x)|^2 + mu |x - x0|^2 from x0 by damped Gauss-Newton
+    (Madsen, Nielsen & Tingleff 2004, alg. 3.16).  ``fit(x)`` returns (F, r),
+    with F = inf where the model blows up; ``linearize(x)`` is r's Jacobian J.
+
+    A step solves (J'J + (mu + lam) I) h = -g, g = J'r + mu (x - x0), first
+    with lam = 0.  A singular solve, a step longer than max(|x0|, 1) or one
+    that does not lower F raises lam; an accepted one rescales it by its gain
+    ratio rho, from 0 if rho < 1/4.  Stops at max|g| <= gtol, a relative
+    decrease of F <= ftol, |h| <= eps (|x| + eps), or at max_iter evaluations
+    of ``fit``; returns (x, Jacobians, evaluations, success, message)."""
+    x, (F, r) = x0, fit(x0)
+    nfev, njev, lam, nu = 1, 0, 0.0, 2.0
+    radius, eye = max(np.linalg.norm(x0), 1.0), np.eye(len(x0))
+    while np.isfinite(F):
+        J, njev = linearize(x), njev + 1
+        JtJ, g = J.T @ J, J.T @ r + mu * (x - x0)
+        gmax, scale = np.max(np.abs(g)), np.max(np.diag(JtJ)) + mu
+        if gmax <= gtol:
+            return x, njev, nfev, True, "CONVERGENCE: max|g| <= gtol"
+        if not np.isfinite(gmax):
+            break
+        while True:
+            try:
+                h = np.linalg.solve(JtJ + (mu + lam) * eye, -g)
+            except np.linalg.LinAlgError:      # mu = 0 and fewer residuals than weights
+                h = np.full_like(g, np.inf)
+            hn = np.linalg.norm(h)
+            if hn <= lbfgs.EPS * (np.linalg.norm(x) + lbfgs.EPS):
+                return x, njev, nfev, True, "CONVERGENCE: |step| <= eps |x|"
+            if hn <= radius:
+                if nfev >= max_iter:
+                    return x, njev, nfev, False, "STOP: max_iter evaluations"
+                F_new, r_new = fit(x + h)
+                nfev += 1
+                if F_new < F:
+                    break
+            lam, nu = (lam * nu if lam else 1e-3 * scale), 2.0 * nu
+        rho = (F - F_new) / max(h @ (lam * h - g), F - F_new)   # gain ratio, cut at 1
+        lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        if lam < 1e-16 * scale:         # a poor gain starts damping, a good one ends it
+            lam = 1e-3 * scale if rho < 0.25 else 0.0
+        x, F, F_old, r = x + h, F_new, F, r_new
+        if F_old - F <= ftol * F_old:
+            return x, njev, nfev, True, "CONVERGENCE: relative decrease of F <= ftol"
+    return x, njev, nfev, False, "ABNORMAL: non-finite objective or gradient"
+
+
 def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
                  config: MheConfig):
     """Minimize the horizon objective from the prior; descent guaranteed.
 
     The objective is a nonlinear least-squares problem (output residuals
     over the window plus sqrt(mu)-scaled prior residuals), solved by
-    Levenberg-Marquardt (scipy) with the exact output Jacobian, or by
-    ``lbfgs.minimize``, the evaluations of scipy's L-BFGS-B in numpy,
-    with the exact window gradient; both derivatives come from the same
-    reverse pass of ``models``.  Both warm-start at the prior and reject
-    a trial point where the model blows up: LM as an arbitrarily bad
-    residual, L-BFGS as a failed line search, which falls back to the
-    last accepted iterate.  If the optimizer reports a point no better
-    than the prior, the prior is returned unchanged.  Returns
-    ``(solution, AdaptCheckpoint)``.
+    ``_levenberg_marquardt`` with the exact output Jacobian, or by
+    ``lbfgs.minimize``, the evaluations of scipy's L-BFGS-B in numpy, with
+    the exact window gradient; both derivatives come from the same reverse
+    pass of ``models``.  Both warm-start at the prior and reject a trial
+    point where the model blows up: LM as a step that does not lower the
+    objective, L-BFGS as a failed line search, which falls back to the last
+    accepted iterate.  If the optimizer reports a point no better than the
+    prior, the prior is returned unchanged.  Returns ``(solution,
+    AdaptCheckpoint)``; LM's ``iterations`` counts its Jacobians.
 
     The record's costs at the prior and at the solution are those of the
     optimizer's own evaluations there, in the same bits as ``mhe_cost``;
     ``mhe_cost`` rolls the model out only for a point it never evaluated.
     """
     mask = models.trainable_mask(spec)
-    base = prior.values.copy()
-    theta_p = base[mask]
+    theta_p = prior.values[mask]
     mu = config.mu
-    sqmu = np.sqrt(mu)
     evaluated = {}        # theta bytes -> (total, fit, prior_term)
 
     def embed(theta_t):
-        vals = base.copy()
+        vals = prior.values.copy()
         vals[mask] = theta_t
         return prior.replace_values(vals)
 
@@ -205,39 +236,19 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
         return hit if hit is not None else mhe_cost(spec, params, window, prior, mu)
 
     if config.solver == "lm":
-        n = len(theta_p)
-        m = window.outputs.size + n
-
-        def residuals(theta_t):
-            # the trust-region solver may probe non-finite or blowing-up
-            # points; report them as arbitrarily bad so the step is rejected
-            if not np.all(np.isfinite(theta_t)):
-                return np.full(m, 1e100)
+        def fit(theta_t):
             try:
-                pred, _ = models.simulate(spec, embed(theta_t),
-                                          window.x_init, window.inputs)
+                pred, _ = models.simulate(spec, embed(theta_t), window.x_init, window.inputs)
             except models.NumericalBlowupError:
-                return np.full(m, 1e100)
+                return np.inf, None
             res = pred - window.outputs
-            _, dv = record(theta_t, float(np.sum(res * res)))
-            return np.concatenate([res.ravel(), sqmu * dv])
+            return record(theta_t, float(np.sum(res * res)))[0], res.ravel()
 
-        def jacobian(theta_t):
-            _, J = models.output_jacobian(spec, embed(theta_t),
-                                          window.x_init, window.inputs)
-            return np.vstack([J, sqmu * np.eye(n)])
+        def linearize(theta):
+            return models.output_jacobian(spec, embed(theta), window.x_init, window.inputs)[1]
 
-        with warnings.catch_warnings():
-            # the 1e100 rejection residuals make the trust-region
-            # subproblem arithmetic overflow internally by design
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = _optimize().least_squares(residuals, theta_p, jac=jacobian,
-                                            method="trf",
-                                            xtol=None, ftol=config.ftol,
-                                            gtol=config.gtol,
-                                            max_nfev=config.max_iter)
-        x_opt, nit, nfev = res.x, int(res.njev or 0), int(res.nfev)
-        success, message = bool(res.status > 0), str(res.message)
+        x_opt, nit, nfev, success, message = _levenberg_marquardt(
+            fit, linearize, theta_p, mu, config.max_iter, config.gtol, config.ftol)
     else:
         def objective(theta_t):
             try:
@@ -252,11 +263,8 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
             objective, theta_p, config.max_iter, config.gtol, config.ftol)
 
     total_prior, fit_prior, _ = costs(theta_p, prior)
-    if np.all(np.isfinite(x_opt)):
-        solution = embed(x_opt)
-        total, fit, prior_term = costs(x_opt, solution)
-    else:
-        solution, total = prior, np.inf
+    solution = embed(x_opt)
+    total, fit, prior_term = costs(x_opt, solution)
     if not np.isfinite(total) or total > total_prior:
         solution = prior
         total, fit, prior_term = total_prior, fit_prior, 0.0
@@ -278,17 +286,13 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
     With ``config.observer == "oracle"`` the sample at the window start
     must carry the true model state in its ``x`` field.
     """
-    if config.solver == "lm":
-        _optimize()  # now, not inside the first update's latency
     N, washout = config.N, config.washout
     history_need = spec.order if spec.kind == "nnarx" else washout
     maxlen = history_need + N + 1
     buffer = deque(maxlen=maxlen)
-    peak = 0
     prior = initial_params
     checkpoints = []
-    last_t = None
-    next_k = None
+    last_t = next_k = None
     for sample in stream:
         if last_t is not None and sample.t != last_t + 1:
             raise ValueError(f"stream gap at t={sample.t} (expected {last_t + 1})")
@@ -296,7 +300,6 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
             next_k = sample.t + history_need + N
         last_t = sample.t
         buffer.append(sample)
-        peak = max(peak, len(buffer))
         if sample.t < next_k or len(buffer) < maxlen:
             continue
         window_samples = list(buffer)[-(N + 1):]
@@ -320,7 +323,8 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
             on_checkpoint(ckpt)
         prior = solution
         next_k = sample.t + N
-    return checkpoints, {"peak_buffered": peak, "buffer_capacity": maxlen}
+    # the deque never shrinks, so its final length is its peak
+    return checkpoints, {"peak_buffered": len(buffer), "buffer_capacity": maxlen}
 
 
 def sequence_stream(sequence, states=None):
@@ -343,9 +347,5 @@ def save_checkpoints(path, checkpoints):
 
 
 def load_checkpoints(path, spec: ModelSpec):
-    out = []
     with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                out.append(AdaptCheckpoint.from_json(line, spec))
-    return out
+        return [AdaptCheckpoint.from_json(line, spec) for line in fh if line.strip()]

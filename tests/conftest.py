@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mhenet import models, plant
 
@@ -27,6 +28,19 @@ def random_params(spec, rng, scale=0.3):
     mask = models.trainable_mask(spec)
     vals[mask] += rng.normal(scale=scale, size=int(mask.sum()))
     return p.replace_values(vals)
+
+
+@st.composite
+def specs(draw, max_n_h=12):
+    """Any kind with small random dimensions, at most ``max_n_h`` hidden units."""
+    kind = draw(st.sampled_from(models.KINDS))
+    n_u, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    if kind == "nnarx":
+        return models.ModelSpec(kind, n_u, 0, n_y, order=draw(st.integers(1, 3)),
+                                mlp_width=draw(st.integers(1, 6)))
+    if kind == "linear":
+        return models.ModelSpec(kind, n_u, 0, n_y)
+    return models.ModelSpec(kind, n_u, draw(st.integers(1, max_n_h)), n_y)
 
 
 def run_python(code, *args):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import multiprocessing
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -476,18 +477,35 @@ class TestEvalSetWorker:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("tag", ["drift-eval", "adapt", "sweep"])
-    def test_worker_failure_reaches_the_caller(self, train_run, tmp_path, tag):
+    def test_worker_failure_reaches_the_caller(self, train_run, tmp_path, monkeypatch,
+                                               tag):
         _, _, model_out = train_run
         # the plant at kA = 1e3 leaves its domain while it settles, so only the
         # evaluation set fails: the run itself stays on the nominal kA
         config = tiny_config(tag, tmp_path, model_dir=str(model_out),
                              drift=plant.DriftSchedule(end_value=1e3, t_start=4.0,
-                                                       t_end=1e12))
+                                                       t_end=1e12),
+                             sweep_grid=[(mu, 40) for mu in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)])
+        # each update of this process takes 0.5 s more; the failure, seen
+        # between updates and between sweep rows, stops the run before half
+        # of its updates have run
+        solve, calls = mhe.solve_update, []
+
+        def slow_solve(*args):
+            calls.append(1)
+            time.sleep(0.5)
+            return solve(*args)
+
+        monkeypatch.setattr(mhe, "solve_update", slow_solve)
         with pytest.raises(ValueError, match="non-finite or non-positive"):
             experiments.run(config)
         manifest = RunManifest.load(tmp_path / "manifest.json")
         assert manifest.status == "failed"
         assert multiprocessing.active_children() == []
+        T = round(config.adapt_time / config.dataset.tau)
+        rows = config.sweep_grid if tag == "sweep" else [(config.mhe.mu, config.mhe.N)]
+        n_updates = sum(len(range(config.mhe.washout + N, T, N)) for _, N in rows)
+        assert n_updates >= 24 and len(calls) < n_updates / 2
 
 
 class TestModelIdentity:
@@ -570,27 +588,11 @@ class TestReproducibility:
         assert m1.summary() != m2.summary()
 
 
-class TestCsvStream:
-    def test_stream_matches_sequence(self, tmp_path):
-        cfg = plant.DatasetConfig(n_sequences=1, seq_len=15, n_train=1, n_test=0,
-                                  substeps=2)
-        ds = plant.collect_dataset(cfg, seed=0)
-        path = tmp_path / "seq.csv"
-        plant.save_sequence_csv(path, ds.sequences[0])
-        samples = list(experiments.csv_stream(path))
-        assert len(samples) == 15
-        assert np.allclose(samples[3].u, ds.sequences[0].u[3])
-        assert np.allclose(samples[3].y, ds.sequences[0].y[3])
-        assert samples[3].t == 3
-
-
 class TestNoScipy:
     def test_import_simulate_and_train_load_no_scipy(self, tmp_path):
         # criterion-10 sizes; the run goes through the CLI, as a user's would.
         # Only the stages that build the drifted evaluation set load the
-        # process pool.  converge runs last, as its LM solve loads scipy, and
-        # scipy.optimize itself imports concurrent.futures: there the check
-        # is for the modules of the pool alone
+        # process pool, and no stage loads scipy
         configs = []
         for tag in ("simulate", "train", "converge"):
             config = tiny_config(
@@ -611,12 +613,8 @@ class TestNoScipy:
                 rc = mhenet.cli.main([tag, "--config", path])
                 loaded[tag] = [rc, modules("scipy"), modules("concurrent", "multiprocessing")]
             print(json.dumps(loaded))""", *configs)
-        converge_rc, _, converge_loaded = loaded.pop("converge")
         assert loaded == {"import": [[], []], "simulate": [0, [], []],
-                          "train": [0, [], []]}
-        assert converge_rc == 0
-        assert [m for m in converge_loaded if m == "concurrent.futures.process"
-                or m.partition(".")[0] == "multiprocessing"] == []
+                          "train": [0, [], []], "converge": [0, [], []]}
         assert (tmp_path / "train" / "params.json").is_file()
 
     def test_lbfgs_adapt_and_sweep_load_no_scipy(self, tmp_path):
@@ -644,6 +642,38 @@ class TestNoScipy:
         assert loaded == {"train": [0, []], "adapt": [0, []], "sweep": [0, []]}
         assert (tmp_path / "adapt" / "checkpoints.jsonl").is_file()
         assert (tmp_path / "sweep" / "sweep.csv").is_file()
+
+    def test_six_tags_run_with_scipy_refused(self, tmp_path):
+        # every tag at criterion-10 sizes, through the CLI, in an interpreter
+        # that cannot import scipy at all: scipy is a test oracle only
+        configs = []
+        for tag in experiments.TAGS:
+            config = tiny_config(
+                tag, tmp_path / tag, seed=5,
+                dataset=plant.DatasetConfig(n_sequences=4, seq_len=120, n_train=3,
+                                            n_test=1, substeps=4),
+                train=training.TrainConfig(epochs=10, washout=20, patience=10),
+                mhe=mhe.MheConfig(N=5, mu=0.1, washout=20, solver="lbfgs", max_iter=10),
+                model_dir=None if tag in ("simulate", "train", "converge")
+                else str(tmp_path / "train"))
+            configs += [tag, str(tmp_path / f"{tag}.json")]
+            (tmp_path / f"{tag}.json").write_text(json.dumps(config.to_dict()))
+        codes = run_python("""if True:
+            import json, sys
+
+            class RefuseScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "scipy":
+                        raise ImportError(f"scipy refused: {name}")
+
+            sys.meta_path.insert(0, RefuseScipy())
+            import mhenet.cli
+            codes = {tag: mhenet.cli.main([tag, "--config", path])
+                     for tag, path in zip(sys.argv[1::2], sys.argv[2::2])}
+            codes["scipy"] = sorted(m for m in sys.modules if m.startswith("scipy"))
+            print(json.dumps(codes))""", *configs)
+        assert codes == dict.fromkeys(experiments.TAGS, 0) | {"scipy": []}
+        assert (tmp_path / "converge" / "convergence.json").is_file()
 
 
 class TestCli:

@@ -3,12 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mhenet import lbfgs, mhe, models
 from mhenet.models import ModelSpec
 from mhenet.plant import Sequence
 
-from conftest import ALL_SPECS, random_params, run_python
+from conftest import ALL_SPECS, random_params, specs
 
 SCALAR = ModelSpec("linear", 1, 0, 1)
 
@@ -196,6 +197,127 @@ class TestSolveUpdate:
             assert b <= a + 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLevenbergMarquardt:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=specs(max_n_h=4), T=st.integers(1, 6), mu=st.floats(0.05, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cost_no_worse_than_scipy_trf(self, spec, T, mu, seed):
+        # scipy's trust-region least squares is the oracle, on the stacked
+        # residuals [y - yhat; sqrt(mu) (theta - prior)] with the same Jacobian.
+        # The window comes from weights near the prior, so that both local
+        # solvers start in the basin of one minimum
+        from scipy.optimize import least_squares
+        rng = np.random.default_rng(seed)
+        prior = random_params(spec, rng)
+        mask = models.trainable_mask(spec)
+        theta_p = prior.values[mask]
+        near = prior.values.copy()
+        near[mask] += rng.normal(scale=0.1, size=len(theta_p))
+        x0 = rng.normal(scale=0.3, size=models.state_size(spec))
+        u = rng.normal(size=(T, spec.n_u))
+        y, _ = models.simulate(spec, prior.replace_values(near), x0, u)
+        w = mhe.HorizonWindow(inputs=u, outputs=y, x_init=x0, k=T - 1)
+        cfg = mhe.MheConfig(N=max(T - 1, 1), mu=mu, gtol=1e-12, ftol=1e-15)
+        _, stats = mhe.solve_update(spec, w, prior, cfg)
+
+        def embed(theta):
+            vals = prior.values.copy()
+            vals[mask] = theta
+            return prior.replace_values(vals)
+
+        def residuals(theta):
+            # trf probes non-finite points too; they count as arbitrarily bad
+            if not np.all(np.isfinite(theta)):
+                return np.full(y.size + len(theta), 1e100)
+            pred, _ = models.simulate(spec, embed(theta), x0, u)
+            return np.concatenate([(pred - y).ravel(), np.sqrt(mu) * (theta - theta_p)])
+
+        def jacobian(theta):
+            _, J = models.output_jacobian(spec, embed(theta), x0, u)
+            return np.vstack([J, np.sqrt(mu) * np.eye(len(theta))])
+
+        with np.errstate(all="ignore"):   # trf's subproblem may divide 0 by 0 here
+            trf = least_squares(residuals, theta_p, jac=jacobian, method="trf", xtol=None,
+                                ftol=cfg.ftol, gtol=cfg.gtol, max_nfev=cfg.max_iter)
+        trf_total = mhe.mhe_cost(spec, embed(trf.x), w, prior, mu)[0]
+        assert stats.n_evals <= cfg.max_iter
+        assert stats.total_cost <= trf_total * (1 + 1e-9)
+
+    def test_large_residual_window_converges(self):
+        # outputs of unrelated weights leave a large residual, where undamped
+        # Gauss-Newton steps gain little yet are accepted: a poor gain ratio
+        # must start the damping, or the solve crawls to its evaluation limit
+        spec = ModelSpec("gru", 3, 4, 3)
+        rng = np.random.default_rng(645)
+        prior = random_params(spec, rng)
+        x0 = rng.normal(scale=0.3, size=models.state_size(spec))
+        u = rng.normal(size=(5, 3))
+        y, _ = models.simulate(spec, random_params(spec, rng), x0, u)
+        w = mhe.HorizonWindow(inputs=u, outputs=y, x_init=x0, k=4)
+        _, stats = mhe.solve_update(spec, w, prior,
+                                    mhe.MheConfig(N=4, mu=0.05, gtol=1e-12, ftol=1e-15))
+        assert stats.converged and stats.n_evals < 100
+        # scipy trf stops here at 0.12298195930949656, after 44 evaluations
+        assert stats.total_cost <= 0.12298195930949656 * (1 + 1e-9)
+
+    def test_blown_up_trial_is_rejected(self, rng, monkeypatch):
+        # every trial farther than 0.05 from the prior blows up: the solve
+        # shortens its step and still descends, with no overflow warning
+        spec, w, prior = TestSolveUpdate._lstm_update(rng)
+        simulate, blowups = models.simulate, []
+
+        def far_blows_up(spec, params, *args):
+            if np.linalg.norm(params.values - prior.values) > 0.05:
+                blowups.append(params)
+                raise models.NumericalBlowupError("non-finite values at step 0", step=0)
+            return simulate(spec, params, *args)
+
+        monkeypatch.setattr(models, "simulate", far_blows_up)
+        cfg = mhe.MheConfig(N=7, mu=0.3, max_iter=60)
+        sol, stats = mhe.solve_update(spec, w, prior, cfg)
+        assert blowups and stats.n_evals <= cfg.max_iter
+        assert 0.0 < np.linalg.norm(sol.values - prior.values) <= 0.05
+        assert stats.total_cost < mhe.mhe_cost(spec, prior, w, prior, cfg.mu)[0]
+        assert (stats.total_cost, stats.fit_cost, stats.prior_cost) == \
+            mhe.mhe_cost(spec, sol, w, prior, cfg.mu)
+
+    def test_mu_zero_with_fewer_residuals_than_weights(self, rng):
+        # y = K u with u = (1, 0): J'J = [[1, 0], [0, 0]] is singular, and
+        # the weight on the zero input stays at the prior
+        spec = ModelSpec("linear", 2, 0, 1)
+        w = mhe.HorizonWindow(inputs=np.array([[1.0, 0.0]]), outputs=np.array([[2.0]]),
+                              x_init=np.zeros(0), k=0)
+        cfg = mhe.MheConfig(N=1, mu=0.0, gtol=1e-14)
+        sol, stats = mhe.solve_update(spec, w, models.ParamVector(spec, [0.5, -0.7]), cfg)
+        assert sol.values[0] == pytest.approx(2.0, abs=1e-8) and sol.values[1] == -0.7
+        assert stats.converged and stats.n_evals <= cfg.max_iter
+        # a GRU: 6 residuals for its weights
+        spec = ModelSpec("gru", 2, 3, 2)
+        prior = random_params(spec, rng)
+        w = mhe.HorizonWindow(inputs=rng.normal(size=(3, 2)), outputs=rng.normal(size=(3, 2)),
+                              x_init=rng.normal(size=3), k=2)
+        cfg = mhe.MheConfig(N=2, mu=0.0, max_iter=40)
+        _, stats = mhe.solve_update(spec, w, prior, cfg)
+        assert stats.n_evals <= cfg.max_iter and stats.prior_cost > 0.0
+        assert stats.total_cost == stats.fit_cost < mhe.mhe_cost(spec, prior, w, prior, 0.0)[0]
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 8])
+    def test_evaluations_capped_by_max_iter(self, max_iter, rng, monkeypatch):
+        # every evaluation of the objective is one rollout, counted here
+        spec, w, prior = TestSolveUpdate._lstm_update(rng)
+        simulate, calls = models.simulate, []
+
+        def counted(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(models, "simulate", counted)
+        cfg = mhe.MheConfig(N=7, mu=0.3, max_iter=max_iter, gtol=1e-14, ftol=1e-15)
+        _, stats = mhe.solve_update(spec, w, prior, cfg)
+        assert len(calls) == stats.n_evals == max_iter and not stats.converged
+
+
 class TestReconstructInitialState:
     def test_nnarx_exact_regressor(self, rng):
         spec = ModelSpec("nnarx", 2, 0, 1, order=2, mlp_width=3)
@@ -296,25 +418,6 @@ class TestRunAdaptation:
                    for t in [0, 1, 2, 4]]
         with pytest.raises(ValueError, match="gap"):
             mhe.run_adaptation(spec, p, iter(samples), mhe.MheConfig(N=1, washout=0))
-
-    def test_scipy_loaded_before_the_first_sample(self):
-        # the import takes about half a second: inside an update's latency
-        # it would break the N * tau budget of the first update
-        seen = run_python("""if True:
-            import json, sys
-            import numpy as np
-            from mhenet import mhe, models
-            spec = models.ModelSpec("linear", 1, 0, 1)
-            seen = {"before": "scipy.optimize" in sys.modules}
-            def stream():
-                seen["first_sample"] = "scipy.optimize" in sys.modules
-                for t in range(3):
-                    yield mhe.IOSample(u=np.array([1.0]), y=np.array([1.0]), t=t)
-            ckpts, _ = mhe.run_adaptation(spec, models.ParamVector(spec, [1.0]), stream(),
-                                          mhe.MheConfig(N=1, washout=0))
-            seen["updates"] = len(ckpts)
-            print(json.dumps(seen))""")
-        assert seen == {"before": False, "first_sample": True, "updates": 2}
 
     def test_oracle_observer_requires_states(self, rng):
         spec, _, start, seq, _ = self._matched_data(rng, n_samples=40)

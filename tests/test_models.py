@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from mhenet import models
 from mhenet.models import ModelSpec
 
-from conftest import ALL_SPECS, fd_gradient, random_params, reference_kernel, reference_rollout
+from conftest import (ALL_SPECS, fd_gradient, random_params, reference_kernel,
+                      reference_rollout, specs)
 
 
 class TestModelSpec:
@@ -178,19 +179,6 @@ class TestSimulate:
             y1, x1 = models.simulate(spec, p, x0[b], u[:, b])
             assert np.allclose(ys[:, b], y1, atol=1e-14)
             assert np.allclose(xs[:, b], x1, atol=1e-14)
-
-
-@st.composite
-def specs(draw):
-    """Any kind with small random dimensions."""
-    kind = draw(st.sampled_from(models.KINDS))
-    n_u, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    if kind == "nnarx":
-        return ModelSpec(kind, n_u, 0, n_y, order=draw(st.integers(1, 3)),
-                         mlp_width=draw(st.integers(1, 6)))
-    if kind == "linear":
-        return ModelSpec(kind, n_u, 0, n_y)
-    return ModelSpec(kind, n_u, draw(st.integers(1, 12)), n_y)
 
 
 class TestBatchParamOutputs:
