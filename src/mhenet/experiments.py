@@ -24,6 +24,7 @@ as plain CSV series so any plotting tool can consume it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -297,16 +298,23 @@ def _timed_eval_dataset(config: ExperimentConfig):
     return ds, time.perf_counter() - t0
 
 
+@contextlib.contextmanager
 def _process_pool(max_workers=1):
     """A process pool whose workers start from a fresh interpreter, so
     they inherit no thread or lock of this one.  Each worker imports the
     caller's main module, so a script that runs these stages guards its
     entry point with ``if __name__ == "__main__":``.  The pool is
     imported here, so that only the stages that build the drifted
-    evaluation set load it."""
+    evaluation set load it.  Leaving the block cancels the tasks still
+    queued, which only an error leaves, and waits for those that have
+    started: a failed sweep runs no more rows and leaves no child behind."""
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
-    return ProcessPoolExecutor(max_workers, mp_context=get_context("spawn"))
+    pool = ProcessPoolExecutor(max_workers, mp_context=get_context("spawn"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _fail_early(future):

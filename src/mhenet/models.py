@@ -39,7 +39,10 @@ One reverse loop over them gives the window-loss gradient, seeded with
 the residuals, and the output Jacobian, seeded with every output.  For
 the gradient, the weight products of a block are formed by one batched
 matmul and added in reverse time, so the result has the bits of a plain
-per-step loop, which tests/conftest.py keeps as the reference.
+per-step loop, which tests/conftest.py keeps as the reference.  No
+pre-activation is clamped: in float64, tanh(x) is exactly +-1 from |x| =
+19 up to +-inf, and sigmoid(x) = (1 + tanh(x/2)) / 2 exactly 0 or 1 from
+|x| = 38, so a saturated unit has a derivative of exactly 0.
 """
 
 from __future__ import annotations
@@ -56,14 +59,6 @@ KINDS = ("lstm", "gru", "esn", "nnarx", "linear")
 INIT_SCHEMES = ("zeros", "uniform")
 
 _FROZEN = ("Win", "W", "bres")    # the ESN reservoir: never trained
-
-# Pre-activations are clamped here before sigmoids/tanh; a no-op in the
-# benchmark's operating range, it only guards against overflow blow-ups.
-# In float64, tanh(x) rounds to +-1 from |x| = 19 on, and sigmoid(x) =
-# (1 + tanh(x/2)) / 2 to 0 or 1 from |x| = 38 on, so every clamped entry
-# already has an activation derivative of exactly 0: the reverse pass
-# needs no mask of where the clamp was active.
-CLIP = 50.0
 
 
 class DimensionError(ValueError):
@@ -310,12 +305,6 @@ def _lstm_gate_consts(n_h):
     return half, shift
 
 
-def _clip(a):
-    """Clamp ``a`` to [-CLIP, CLIP] in place."""
-    np.maximum(a, -CLIP, out=a)
-    np.minimum(a, CLIP, out=a)
-
-
 # One step of each recurrent kind: writes x_{t+1} into ``x_next`` (B, S)
 # from the state x_t (B, S) and the input u_t (B, n_u).  ``saved`` is None
 # or this step's rows of the ``_new_cache`` arrays, which the step fills.
@@ -326,7 +315,6 @@ def _lstm_cell(spec, P, x, u, x_next, saved):
     half, shift = _lstm_gate_consts(n_h)
     a = _mm(P["Wg"], np.concatenate([u, x[:, n_h:]], axis=1))
     a += P["bg"]
-    _clip(a)
     a *= half
     s = np.tanh(a, out=a if sg is None else sg)
     s += shift
@@ -342,7 +330,6 @@ def _gru_cell(spec, P, h, u, h_next, saved):
     s, rh, n = saved or (None, None, None)
     a = _mm(P["Wg"], np.concatenate([u, h], axis=1))
     a += P["bg"]
-    _clip(a)
     a *= 0.5
     s = np.tanh(a, out=a if s is None else s)
     s += 1.0
@@ -350,7 +337,6 @@ def _gru_cell(spec, P, h, u, h_next, saved):
     rh = np.multiply(s[:, n_h:], h, out=rh)
     an = _mm(P["Wn"], np.concatenate([u, rh], axis=1))
     an += P["bn"]
-    _clip(an)
     n = np.tanh(an, out=an if n is None else n)
     zg = s[:, :n_h]
     np.subtract(1.0, zg, out=h_next)
@@ -361,7 +347,6 @@ def _gru_cell(spec, P, h, u, h_next, saved):
 def _esn_cell(spec, P, h, u, h_next, saved):
     pre = _mm(P["Win"], u) + _mm(P["W"], h)
     pre += P["bres"]
-    _clip(pre)
     a = spec.leak_rate
     np.multiply(1.0 - a, h, out=h_next)
     h_next += a * np.tanh(pre, out=pre)
@@ -372,7 +357,6 @@ def _nnarx_cell(spec, P, x, u, x_next, saved):
     h1, = saved or (None,)
     a1 = _mm(P["W1"], x)
     a1 += P["b1"]
-    _clip(a1)
     h1 = np.tanh(a1, out=a1 if h1 is None else h1)
     S, blk, n_y = x.shape[1], spec.n_u + spec.n_y, spec.n_y
     x_next[:, :S - blk] = x[:, blk:]
@@ -434,8 +418,8 @@ def _rollout(spec, P, x0, inputs, cache):
 # ``seed``, row k of the mapped output adjoints, and returns them with
 # each affine map's pre-activation adjoint, written into ``out`` when
 # given.  Products stay in the order of the plain chain rule, so a step
-# gives the bits of a per-step reverse pass (see CLIP for why no clip
-# mask enters).
+# gives the bits of a per-step reverse pass.  No mask of saturated
+# pre-activations enters: their activation derivatives are exactly 0.
 
 def _lstm_block(spec, P, inputs, states, cache, dy, sl):
     n_h = spec.n_h
@@ -529,19 +513,6 @@ _BACKS = {"lstm": (_lstm_block, _lstm_back, (("Wg", "bg"),)),
 BLOCK, BLOCK_ROWS = 32, 512
 
 
-def _sum_in_order(terms, out):
-    """out = ((terms[0] + terms[1]) + ...) + terms[-1].
-
-    np.add.reduce along the leading axis adds in this order, except when
-    each term is one number: the axis is then the contiguous one and it
-    sums pairwise instead, so that case accumulates.
-    """
-    if terms[0].size > 1:
-        np.add.reduce(terms, axis=0, out=out)
-    else:
-        out[...] = np.add.accumulate(terms, axis=0)[-1]
-
-
 def _backward(spec, P, inputs, states, cache, dy, rows):
     """The reverse pass of a ``_rollout``, seeded with ``dy`` (T, R, n_y),
     the adjoint of every output.  Returns the gradient summed over the R
@@ -592,8 +563,6 @@ def _reverse_steps(spec, P, inputs, states, cache, dy, rows, grads):
     K = max(1, min(T, BLOCK, BLOCK_ROWS // states.shape[1]))
     if not rows:
         das = [np.empty((K, R, P[b].shape[-1])) for _, b in maps]
-        sums = [(np.empty((K + 1,) + P[W].shape), np.empty((K + 1,) + P[b].shape))
-                for W, b in maps]
     for t1 in range(T, 0, -K):
         t0 = max(t1 - K, 0)
         sl = slice(t1 - 1, t0 - 1 if t0 else None, -1)
@@ -612,12 +581,11 @@ def _reverse_steps(spec, P, inputs, states, cache, dy, rows, grads):
                 grads[b][lo:] += a
         if rows:
             continue
-        for (W, b), a, z, (gw, gb) in zip(maps, das, zs, sums):
-            np.matmul(a[:n].transpose(0, 2, 1), z, out=gw[1:n + 1])
-            np.sum(a[:n], axis=1, out=gb[1:n + 1])
-            for total, name in ((gw, W), (gb, b)):
-                total[0] = grads[name]
-                _sum_in_order(total[:n + 1], grads[name])
+        for (W, b), a, z in zip(maps, das, zs):
+            for name, terms in ((W, np.matmul(a[:n].transpose(0, 2, 1), z)),
+                                (b, a[:n].sum(axis=1))):
+                for term in terms:
+                    grads[name] += term
 
 
 def batch_param_outputs(spec: ModelSpec, values_batch, x0, inputs) -> np.ndarray:

@@ -134,7 +134,13 @@ def reference_plant():
 # Reference model kernel: one cell per step that returns its readout, its
 # next state and its intermediates, and one reverse loop that accumulates
 # every weight product per step.  The blocked kernel of mhenet.models must
-# give the same bits, so parity tests use np.array_equal.
+# give the same bits, so parity tests use np.array_equal.  The reference
+# clamps every pre-activation to [-CLIP, CLIP] and masks the clamped
+# entries' derivatives; the kernel does neither, and the parity tests show
+# that this changes no bit.
+CLIP = 50.0
+
+
 def _ref_mm(W, x):
     if W.ndim == 2:
         return x @ W.T
@@ -146,7 +152,7 @@ def _ref_sigmoid(a):
 
 
 def _ref_lstm_cell(spec, P, x, u):
-    n_h, CLIP = spec.n_h, models.CLIP
+    n_h = spec.n_h
     c, h = x[:, :n_h], x[:, n_h:]
     y = _ref_mm(P["C"], h) + P["d"]
     z = np.concatenate([u, h], axis=1)
@@ -161,7 +167,7 @@ def _ref_lstm_cell(spec, P, x, u):
 
 
 def _ref_gru_cell(spec, P, h, u):
-    n_h, CLIP = spec.n_h, models.CLIP
+    n_h = spec.n_h
     y = _ref_mm(P["C"], h) + P["d"]
     zin = np.concatenate([u, h], axis=1)
     a = _ref_mm(P["Wg"], zin) + P["bg"]
@@ -179,13 +185,13 @@ def _ref_esn_cell(spec, P, h, u):
     y = _ref_mm(P["C"], h) + P["d"]
     pre = _ref_mm(P["Win"], u) + _ref_mm(P["W"], h) + P["bres"]
     a = spec.leak_rate
-    return y, (1.0 - a) * h + a * np.tanh(np.clip(pre, -models.CLIP, models.CLIP)), ()
+    return y, (1.0 - a) * h + a * np.tanh(np.clip(pre, -CLIP, CLIP)), ()
 
 
 def _ref_nnarx_cell(spec, P, x, u):
     a1 = _ref_mm(P["W1"], x) + P["b1"]
-    m1 = np.abs(a1) < models.CLIP
-    h1 = np.tanh(np.clip(a1, -models.CLIP, models.CLIP))
+    m1 = np.abs(a1) < CLIP
+    h1 = np.tanh(np.clip(a1, -CLIP, CLIP))
     y = _ref_mm(P["W2"], h1) + P["b2"]
     return y, np.concatenate([x[:, spec.n_u + spec.n_y:], u, y], axis=1), (h1, m1)
 

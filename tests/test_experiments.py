@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import multiprocessing
+import pathlib
 import shutil
 import time
 
@@ -506,6 +507,33 @@ class TestEvalSetWorker:
         rows = config.sweep_grid if tag == "sweep" else [(config.mhe.mu, config.mhe.N)]
         n_updates = sum(len(range(config.mhe.washout + N, T, N)) for _, N in rows)
         assert n_updates >= 24 and len(calls) < n_updates / 2
+
+
+def _marked_row(config, params, scaled, mu, N):
+    """A sweep row that first leaves a file named after its mu in the run's
+    directory; module-level, so that a worker process can run it."""
+    (pathlib.Path(config.out_dir) / f"row_{mu}").touch()
+    return experiments._adapt_row(config, params, scaled, mu, N)
+
+
+class TestFailedSweepCancels:
+    def test_queued_rows_do_not_start(self, train_run, tmp_path, monkeypatch):
+        _, _, model_out = train_run
+        jobs, mus = 2, [0.01 * k for k in range(1, 25)]
+        # as above, only the evaluation set fails, in the pool's first task
+        config = tiny_config("sweep", tmp_path, model_dir=str(model_out), jobs=jobs,
+                             drift=plant.DriftSchedule(end_value=1e3, t_start=4.0,
+                                                       t_end=1e12),
+                             sweep_grid=[(mu, 5) for mu in mus])
+        monkeypatch.setattr(experiments, "_adapt_row", _marked_row)
+        with pytest.raises(ValueError, match="non-finite or non-positive"):
+            experiments.run(config)
+        assert multiprocessing.active_children() == []
+        # the failure is seen at the first row's result; by then each worker
+        # may have finished a row and started the next, and the pool has
+        # handed jobs + 1 more to its workers' queue, where none is cancelled
+        started = len(list(tmp_path.glob("row_*")))
+        assert 1 <= started <= 3 * jobs + 1 < len(mus)
 
 
 class TestModelIdentity:

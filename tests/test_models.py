@@ -8,6 +8,10 @@ from mhenet.models import ModelSpec
 from conftest import (ALL_SPECS, fd_gradient, random_params, reference_kernel,
                       reference_rollout, specs)
 
+# the kernels clamp no pre-activation: on the installed numpy, no overflow
+# or invalid value may reach an activation unnoticed
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestModelSpec:
     @pytest.mark.parametrize("args,kwargs,name", [
@@ -157,13 +161,14 @@ class TestSimulate:
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_reports_step(self):
         spec = ModelSpec("linear", 1, 0, 1)
         p = models.ParamVector(spec, [1e200])
         u = np.ones((5, 1))
         u[2] = 1e200  # y_2 = 1e400 overflows
-        with pytest.raises(models.NumericalBlowupError) as exc:
+        # numpy's error state, not a warning filter: pytestmark's filter
+        # would take precedence over one on this test
+        with np.errstate(all="ignore"), pytest.raises(models.NumericalBlowupError) as exc:
             models.simulate(spec, p, np.zeros(0), u)
         assert exc.value.step == 2
 
@@ -263,7 +268,9 @@ def _kernel_results(spec, params, x0, u, targets, w):
 
 
 class TestKernelParity:
-    """The blocked kernel against the per-step reference of conftest.
+    """The blocked kernel against the per-step reference of conftest, which
+    clamps every pre-activation to [-50, 50] and masks the clamped entries'
+    derivatives where the kernel does neither.
 
     Single-weight paths must give the same bits.  The batch-of-weights path
     forms its products with np.matmul where the reference used np.einsum,
@@ -273,7 +280,8 @@ class TestKernelParity:
     @pytest.mark.parametrize("kind", list(PARITY_SPECS))
     @pytest.mark.parametrize("T,B,weight_scale,input_scale", [
         (11, None, 0.3, 1.0), (70, None, 1.0, 1.0), (70, 3, 0.3, 1.0), (20, 3, 30.0, 100.0),
-    ], ids=["short-window", "long-sequence", "batch-of-sequences", "clipping"])
+        (20, None, 30.0, 1e100),
+    ], ids=["short-window", "long-sequence", "batch-of-sequences", "clipping", "saturation"])
     def test_single_weight_paths_bit_equal(self, kind, T, B, weight_scale, input_scale, rng):
         spec = PARITY_SPECS[kind]
         params = random_params(spec, rng, scale=weight_scale)
@@ -288,8 +296,9 @@ class TestKernelParity:
         for a, b in zip(new, ref, strict=True):
             assert np.array_equal(a, b)
         if weight_scale > 1 and spec.kind in ("lstm", "gru", "nnarx"):
-            # the reference's clip masks show that clipping was active: the
-            # kernel keeps none, as every clamped entry has a zero derivative
+            # the reference's clip masks show that its clamp was active: the
+            # kernel has none, as tanh and sigmoid saturate exactly (see
+            # TestSaturation), so a clamped entry's derivative is 0 either way
             x0b, ub, _ = models._as_batch(spec, x0, u)
             steps = reference_rollout(spec, models._unpack(spec, params.values), x0b, ub, True)[2]
             assert not all(a.all() for step in steps for a in step if a.dtype == bool)
@@ -322,6 +331,29 @@ class TestKernelParity:
         with reference_kernel():
             ref = models.batch_param_outputs(spec, vb, x0, u)
         assert np.max(np.abs(new - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+class TestSaturation:
+    """What the clamp-free kernels rest on: in float64, tanh(x) is exactly
+    +-1 from |x| = 19.1 up to +-inf, and sigmoid(x) = (1 + tanh(x/2)) / 2
+    exactly 0 or 1 from |x| = 38.2, so clamping a pre-activation to
+    [-50, 50] changes no activation and no derivative.  Arrays from 1 to
+    33 entries and one of 4001 reach numpy's vector loop and its tail."""
+
+    @staticmethod
+    def _parts(lo):
+        x = np.concatenate([np.linspace(lo, 1e3, 2000), np.geomspace(1e3, 1e308, 2000),
+                            [np.inf]])
+        return [part for n in range(1, 34) for part in (x[:n], x[-n:])] + [x]
+
+    def test_tanh_is_exactly_one(self):
+        for x in self._parts(19.1):
+            assert np.all(np.tanh(x) == 1.0) and np.all(np.tanh(-x) == -1.0)
+
+    def test_sigmoid_is_exactly_zero_or_one(self):
+        for x in self._parts(38.2):
+            assert np.all((1.0 + np.tanh(x / 2)) / 2 == 1.0)
+            assert np.all((1.0 + np.tanh(-x / 2)) / 2 == 0.0)
 
 
 class TestWindowLossAndGradient:
