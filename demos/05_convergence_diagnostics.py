@@ -40,10 +40,10 @@ y, xs = models.simulate(spec, theta_true, models.zero_state(spec), u)
 # Perturb the weights by eps0 = 0.04 (squared distance) to get the
 # initial model, then list the windows the run will solve on.
 eps0 = 0.04
-mask = models.trainable_mask(spec)
-d = rng.normal(size=int(mask.sum()))
+n = models.param_count(spec)
+d = rng.normal(size=n)
 vals = theta_true.values.copy()
-vals[mask] += np.sqrt(eps0) / np.linalg.norm(d) * d
+vals[:n] += np.sqrt(eps0) / np.linalg.norm(d) * d
 prior = theta_true.replace_values(vals)
 
 windows = [mhe.HorizonWindow(inputs=u[k - N:k + 1], outputs=y[k - N:k + 1],

@@ -30,8 +30,8 @@ def epsilon(theta_true: ParamVector, theta: ParamVector) -> float:
     """Squared weight error over trainable coordinates."""
     if theta_true.spec != theta.spec:
         raise ValueError("parameter vectors belong to different specs")
-    mask = models.trainable_mask(theta_true.spec)
-    dv = (theta_true.values - theta.values)[mask]
+    n = models.param_count(theta_true.spec)
+    dv = theta_true.values[:n] - theta.values[:n]
     return float(dv @ dv)
 
 
@@ -68,8 +68,7 @@ def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
     """
     if not windows:
         raise ValueError("need at least one window")
-    mask = models.trainable_mask(spec)
-    n = int(mask.sum())
+    n = models.param_count(spec)
     rng = np.random.default_rng(config.seed)
     perturbations = []
     for _ in range(config.n_samples):
@@ -99,7 +98,7 @@ def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
     # rollout per window gives every ratio on that window
     D = np.array(perturbations)
     batch = np.tile(theta_true.values, (len(D) + 1, 1))
-    batch[1:, mask] += D
+    batch[1:, :n] += D
     ratios = np.empty((len(D), len(windows)))
     for wi, w in enumerate(windows):
         outs = models.batch_param_outputs(spec, batch, w.x_init, w.inputs)

@@ -515,19 +515,20 @@ def _run_converge(config, out, artifacts, metrics, walls):
     cc = config.converge
     theta_o = models.init_params(spec, config.seed_twin, "uniform")
     rng = np.random.default_rng(config.seed_twin + 1)
-    N, washout = cc.horizon, cc.washout
-    # first update at k = washout + N, then every N steps: exactly n_updates
-    T = washout + cc.n_updates * N + 1
+    N = cc.horizon
+    history = mhe.history_length(spec, cc.washout)
+    # first update at k = history + N, then every N steps: exactly n_updates
+    T = history + cc.n_updates * N + 1
     n_levels = -(-T // cc.hold_steps)
     u = rng.normal(size=(n_levels, spec.n_u)).repeat(cc.hold_steps, axis=0)[:T]
     y, xs = models.simulate(spec, theta_o, models.zero_state(spec), u)
     seq = plant.Sequence(u=u, y=y, tau=config.dataset.tau)
 
-    mask = models.trainable_mask(spec)
-    d = np.random.default_rng(config.seed_twin + 2).normal(size=int(mask.sum()))
+    n = models.param_count(spec)
+    d = np.random.default_rng(config.seed_twin + 2).normal(size=n)
     d *= np.sqrt(cc.eps0) / np.linalg.norm(d)
     vals = theta_o.values.copy()
-    vals[mask] += d
+    vals[:n] += d
     prior = theta_o.replace_values(vals)
     eps0 = convergence.epsilon(theta_o, prior)
 
@@ -535,7 +536,7 @@ def _run_converge(config, out, artifacts, metrics, walls):
     # will solve on are known in advance; estimate delta over exactly those
     windows = [mhe.HorizonWindow(inputs=u[k - N:k + 1], outputs=y[k - N:k + 1],
                                  x_init=xs[k - N], k=k)
-               for k in range(washout + N, T, N)]
+               for k in range(history + N, T, N)]
     t0 = time.perf_counter()
     sampler = convergence.DeltaSamplerConfig(
         n_samples=cc.delta_samples, radius=2.0 * np.sqrt(eps0),
@@ -545,8 +546,8 @@ def _run_converge(config, out, artifacts, metrics, walls):
     mu = 0.5 * (2.0 / 3.0) * estimate.delta_hat
     rho_c, satisfied = convergence.contraction_coefficient(mu, estimate.delta_hat)
 
-    cfg = replace(config.mhe, N=N, mu=mu, washout=washout, observer="oracle",
-                  solver="lm", max_iter=cc.max_iter, gtol=1e-14, ftol=3e-16)
+    cfg = mhe.MheConfig(N=N, mu=mu, max_iter=cc.max_iter, gtol=1e-14, ftol=3e-16,
+                        washout=cc.washout, observer="oracle", solver="lm")
     t1 = time.perf_counter()
     checkpoints, _ = mhe.run_adaptation(spec, prior, mhe.sequence_stream(seq, xs), cfg)
     walls["adapt"] = time.perf_counter() - t1

@@ -12,7 +12,8 @@ anchor trades tracking speed against forgetting of previously acquired
 information.
 
 The stream consumer is bounded-memory: it never buffers more than
-washout + N + 1 samples regardless of stream length.
+h + N + 1 samples regardless of stream length, where the history length
+h (``history_length``) is the NNARX order, else the washout.
 
 Each update yields one ``AdaptCheckpoint``: the time index k, the
 solution, the fit/prior/total costs at it, the solver's iteration and
@@ -108,6 +109,12 @@ class AdaptCheckpoint:
         return cls(**{**d, "solution": ParamVector(spec, np.array(d["solution"]))})
 
 
+def history_length(spec: ModelSpec, washout: int) -> int:
+    """Samples before a window that its initial state is rebuilt from:
+    the NNARX regressor's ``order``, else ``washout``."""
+    return spec.order if spec.kind == "nnarx" else washout
+
+
 def reconstruct_initial_state(spec: ModelSpec, params: ParamVector,
                               history_u, history_y, washout: int) -> np.ndarray:
     """Model state at the window start, from measured history before it.
@@ -140,8 +147,8 @@ def mhe_cost(spec: ModelSpec, candidate: ParamVector, window: HorizonWindow,
     pred, _ = models.simulate(spec, candidate, window.x_init, window.inputs)
     res = pred - window.outputs
     fit = float(np.sum(res * res))
-    mask = models.trainable_mask(spec)
-    dv = (candidate.values - prior.values)[mask]
+    n = models.param_count(spec)
+    dv = candidate.values[:n] - prior.values[:n]
     prior_term = float(dv @ dv)
     return fit + mu * prior_term, fit, prior_term
 
@@ -214,14 +221,14 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
     optimizer's own evaluations there, in the same bits as ``mhe_cost``;
     ``mhe_cost`` rolls the model out only for a point it never evaluated.
     """
-    mask = models.trainable_mask(spec)
-    theta_p = prior.values[mask]
+    n = models.param_count(spec)
+    theta_p = prior.values[:n]       # a view of the prior: nothing writes through it
     mu = config.mu
     evaluated = {}        # theta bytes -> (total, fit, prior_term)
 
     def embed(theta_t):
         vals = prior.values.copy()
-        vals[mask] = theta_t
+        vals[:n] = theta_t
         return prior.replace_values(vals)
 
     def record(theta_t, fit):
@@ -257,12 +264,17 @@ def solve_update(spec: ModelSpec, window: HorizonWindow, prior: ParamVector,
             except models.NumericalBlowupError:
                 return np.inf, np.full_like(theta_t, np.nan)
             total, dv = record(theta_t, fit)
-            return total, grad[mask] + 2.0 * mu * dv
+            return total, grad + 2.0 * mu * dv
 
         x_opt, nit, nfev, success, message = lbfgs.minimize(
             objective, theta_p, config.max_iter, config.gtol, config.ftol)
 
-    total_prior, fit_prior, _ = costs(theta_p, prior)
+    try:
+        total_prior, fit_prior, _ = costs(theta_p, prior)
+    except models.NumericalBlowupError as exc:
+        raise models.NumericalBlowupError(
+            f"update at k={window.k}: the prior itself blows up on its window: {exc}",
+            step=exc.step) from exc
     solution = embed(x_opt)
     total, fit, prior_term = costs(x_opt, solution)
     if not np.isfinite(total) or total > total_prior:
@@ -278,16 +290,18 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
                    config: MheConfig, on_checkpoint=None):
     """Periodic MHE updates over a sample stream.
 
-    The first update fires at k = washout + N (enough history for state
-    reconstruction) and then every N steps, each solve anchored to the
-    previous solution.  Yields nothing; returns (checkpoints, run_stats)
-    where run_stats records the peak number of buffered samples.
+    The first update fires at k = t0 + h + N, where t0 is the first
+    sample's time and h = ``history_length(spec, config.washout)`` (enough
+    history for state reconstruction), and then every N steps, each solve
+    anchored to the previous solution.  Yields nothing; returns
+    (checkpoints, run_stats) where run_stats records the peak number of
+    buffered samples.
 
     With ``config.observer == "oracle"`` the sample at the window start
     must carry the true model state in its ``x`` field.
     """
-    N, washout = config.N, config.washout
-    history_need = spec.order if spec.kind == "nnarx" else washout
+    N = config.N
+    history_need = history_length(spec, config.washout)
     maxlen = history_need + N + 1
     buffer = deque(maxlen=maxlen)
     prior = initial_params

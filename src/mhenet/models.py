@@ -118,8 +118,8 @@ def state_size(spec: ModelSpec) -> int:
 def _layout(spec: ModelSpec):
     """Mapping name -> (slice, shape) into the flat parameter vector.
 
-    Trainable blocks come first so that ``param_count`` is a prefix
-    length; for the ESN the frozen reservoir blocks follow the readout.
+    Trainable blocks come first: the decision variables are the prefix of
+    length ``param_count``, and the ESN's frozen reservoir follows its readout.
     The result is cached per spec and shared: callers must not mutate it.
     """
     blocks = []
@@ -152,22 +152,15 @@ def _layout(spec: ModelSpec):
 
 
 def param_count(spec: ModelSpec) -> int:
-    """Number of trainable scalars (ESN: readout only)."""
-    if spec.kind == "esn":
-        return spec.n_y * (spec.n_h + 1)
-    return values_size(spec)
+    """Number of trainable scalars: the stored vector's prefix up to the
+    first frozen block (ESN: the readout), else all of it."""
+    layout, total = _layout(spec)
+    return min((layout[name][0].start for name in _FROZEN if name in layout), default=total)
 
 
 def values_size(spec: ModelSpec) -> int:
     """Length of the stored parameter vector, frozen entries included."""
     return _layout(spec)[1]
-
-
-def trainable_mask(spec: ModelSpec) -> np.ndarray:
-    """Boolean mask over the stored vector: True where a decision variable."""
-    mask = np.zeros(values_size(spec), dtype=bool)
-    mask[: param_count(spec)] = True
-    return mask
 
 
 @dataclass
@@ -195,13 +188,13 @@ class ParamVector:
         return ParamVector(self.spec, np.array(values, dtype=float),
                            seed=self.seed, scheme=self.scheme)
 
-    def to_json(self, created_at=None) -> str:
+    def to_json(self) -> str:
         return json.dumps({
             "spec": asdict(self.spec),
             "values": [float(v) for v in self.values],
             "seed": self.seed,
             "scheme": self.scheme,
-            "created_at": created_at,
+            "created_at": None,
         })
 
     @classmethod
@@ -676,9 +669,9 @@ def window_loss_and_gradient(spec: ModelSpec, params: ParamVector, x0,
                              inputs, targets, step_weights=None):
     """Squared-error window loss and its exact reverse-mode gradient.
 
-    loss = sum_t w_t * ||targets_t - y_t||^2, gradient w.r.t. every
-    entry of the stored parameter vector (zeros on frozen reservoir
-    coordinates).  Accepts single sequences (T, n) or batches (T, B, n).
+    loss = sum_t w_t * ||targets_t - y_t||^2; the gradient, (param_count,),
+    is w.r.t. the trainable prefix, as each row of ``output_jacobian`` is.
+    Accepts single sequences (T, n) or batches (T, B, n).
     """
     x0, inputs, batched = _as_batch(spec, x0, inputs)
     targets = np.asarray(targets, dtype=float)
@@ -695,10 +688,8 @@ def window_loss_and_gradient(spec: ModelSpec, params: ParamVector, x0,
     buf = w[:, None, None] * res         # the weighted square, then the adjoints
     buf *= res
     loss = float(np.sum(buf))
-    flat = np.zeros(values_size(spec))
-    flat[:param_count(spec)] = _backward(spec, P, inputs, states, cache,
-                                         np.multiply(2.0 * w[:, None, None], res, out=buf),
-                                         rows=False)
-    if not (np.isfinite(loss) and np.all(np.isfinite(flat))):
+    grad = _backward(spec, P, inputs, states, cache,
+                     np.multiply(2.0 * w[:, None, None], res, out=buf), rows=False)
+    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
         raise NumericalBlowupError("non-finite loss or gradient")
-    return loss, flat
+    return loss, grad

@@ -126,12 +126,12 @@ def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
     n_eff = (T - config.washout) * spec.n_y
 
     params = models.init_params(spec, config.seed, config.init_scheme)
-    mask = models.trainable_mask(spec)
     theta = params.values.copy()
+    n = models.param_count(spec)
 
-    # Adam state over trainable coordinates
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    # Adam state over the trainable prefix
+    m = np.zeros(n)
+    v = np.zeros(n)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = config.learning_rate
     rng = np.random.default_rng(config.seed + 1)
@@ -159,7 +159,7 @@ def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
             v = beta2 * v + (1 - beta2) * g * g
             mhat = m / (1 - beta1 ** t_adam)
             vhat = v / (1 - beta2 ** t_adam)
-            theta = theta - mask * lr * mhat / (np.sqrt(vhat) + eps)
+            theta[:n] -= lr * mhat / (np.sqrt(vhat) + eps)
         if not np.isfinite(epoch_mse):
             raise FloatingPointError(f"training diverged at epoch {epoch}")
         lr *= config.lr_decay

@@ -25,8 +25,8 @@ def random_params(spec, rng, scale=0.3):
     """Random trainable weights around the seeded init (reservoir kept)."""
     p = models.init_params(spec, int(rng.integers(1 << 31)), "uniform")
     vals = p.values.copy()
-    mask = models.trainable_mask(spec)
-    vals[mask] += rng.normal(scale=scale, size=int(mask.sum()))
+    n = models.param_count(spec)
+    vals[:n] += rng.normal(scale=scale, size=n)
     return p.replace_values(vals)
 
 
@@ -56,11 +56,11 @@ def run_python(code, *args):
 
 
 def fd_gradient(spec, params, x0, inputs, targets, h=1e-6):
-    """Central finite differences of the window loss, trainable coords only."""
+    """Central finite differences of the window loss over the trainable
+    prefix, (param_count,) like the exact gradient."""
     vals = params.values
-    g = np.zeros_like(vals)
-    mask = models.trainable_mask(spec)
-    for j in np.flatnonzero(mask):
+    g = np.zeros(models.param_count(spec))
+    for j in range(len(g)):
         vp, vm = vals.copy(), vals.copy()
         vp[j] += h
         vm[j] -= h

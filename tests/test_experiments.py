@@ -546,7 +546,7 @@ class TestModelIdentity:
                 shutil.copy(model_out / name, d / name)
         params = models.ParamVector.from_json((dirs[2] / "params.json").read_text())
         vals = params.values.copy()
-        vals[np.flatnonzero(models.trainable_mask(params.spec))[0]] += 1e-3
+        vals[0] += 1e-3                   # the first trainable weight
         (dirs[2] / "params.json").write_text(params.replace_values(vals).to_json())
         a, b, changed = (experiments.run(tiny_config("adapt", tmp_path / f"run_{d.name}",
                                                      model_dir=str(d)))
@@ -603,6 +603,26 @@ class TestConverge:
         rows = (tmp_path / "convergence.csv").read_text().strip().split("\n")
         assert rows[0] == "k,epsilon,ratio,rho_c,violated"
 
+    def test_nnarx_delta_windows_are_the_updates(self, tmp_path, monkeypatch):
+        # an NNARX twin rebuilds its state from `order` samples, not the
+        # washout, so its first update comes at order + N
+        estimate, seen = experiments.convergence.estimate_delta, []
+
+        def recorded(spec, theta, windows, *args, **kwargs):
+            seen.extend(w.k for w in windows)
+            return estimate(spec, theta, windows, *args, **kwargs)
+
+        monkeypatch.setattr(experiments.convergence, "estimate_delta", recorded)
+        config = tiny_config(
+            "converge", tmp_path, model=ModelSpec("nnarx", 2, 0, 2, order=2, mlp_width=3),
+            converge=experiments.ConvergeConfig(horizon=20, washout=10, n_updates=3,
+                                                delta_samples=4, probe_smallest=1,
+                                                max_iter=60))
+        experiments.run(config)
+        rows = (tmp_path / "convergence.csv").read_text().strip().split("\n")[1:]
+        assert seen == [int(r.split(",")[0]) for r in rows] == [22, 42, 62]
+        assert len(rows) == config.converge.n_updates
+
 
 class TestReproducibility:
     def test_simulate_manifest_identical(self, tmp_path):
@@ -646,7 +666,7 @@ class TestNoScipy:
         assert (tmp_path / "train" / "params.json").is_file()
 
     def test_lbfgs_adapt_and_sweep_load_no_scipy(self, tmp_path):
-        # only the LM solve loads scipy; adapt and sweep run L-BFGS
+        # adapt and sweep run L-BFGS; no stage loads scipy
         configs = []
         for tag in ("train", "adapt", "sweep"):
             config = tiny_config(

@@ -13,18 +13,18 @@ MU = 0.1
 def window_objective(spec, rng, T=11):
     """The horizon objective of ``mhe.solve_update`` on a random window."""
     prior = random_params(spec, rng)
-    mask = models.trainable_mask(spec)
-    theta_p = prior.values[mask]
+    n = models.param_count(spec)
+    theta_p = prior.values[:n]
     x_init = rng.normal(scale=0.2, size=len(models.zero_state(spec)))
     u, y = rng.normal(size=(T, spec.n_u)), rng.normal(size=(T, spec.n_y))
 
     def fun(theta):
         vals = prior.values.copy()
-        vals[mask] = theta
+        vals[:n] = theta
         fit, grad = models.window_loss_and_gradient(
             spec, prior.replace_values(vals), x_init, u, y)
         dv = theta - theta_p
-        return fit + MU * (dv @ dv), grad[mask] + 2.0 * MU * dv
+        return fit + MU * (dv @ dv), grad + 2.0 * MU * dv
 
     return fun, theta_p
 

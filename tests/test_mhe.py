@@ -131,6 +131,17 @@ class TestSolveUpdate:
         assert (stats.total_cost, stats.fit_cost, stats.prior_cost) == \
             mhe.mhe_cost(spec, sol, w, prior, cfg.mu)
 
+    @pytest.mark.parametrize("solver", ["lm", "lbfgs"])
+    def test_prior_blowup_names_the_update(self, solver):
+        # y = 1e308 * 10 overflows on the prior's own window: no point is
+        # ever evaluated, and the error says which update and why
+        prior = models.ParamVector(SCALAR, [1e308])
+        w = scalar_window(np.full(8, 10.0), np.zeros(8), k=7)
+        with pytest.raises(models.NumericalBlowupError,
+                           match="^update at k=7: the prior itself blows up"), \
+                np.errstate(over="ignore"):
+            mhe.solve_update(SCALAR, w, prior, mhe.MheConfig(N=7, solver=solver))
+
     def test_fallback_records_mhe_cost_at_prior(self, rng, monkeypatch):
         # the optimizer reports a point it never evaluated, and a far worse one
         spec, w, prior = self._lstm_update(rng)
@@ -210,10 +221,10 @@ class TestLevenbergMarquardt:
         from scipy.optimize import least_squares
         rng = np.random.default_rng(seed)
         prior = random_params(spec, rng)
-        mask = models.trainable_mask(spec)
-        theta_p = prior.values[mask]
+        n = models.param_count(spec)
+        theta_p = prior.values[:n]
         near = prior.values.copy()
-        near[mask] += rng.normal(scale=0.1, size=len(theta_p))
+        near[:n] += rng.normal(scale=0.1, size=n)
         x0 = rng.normal(scale=0.3, size=models.state_size(spec))
         u = rng.normal(size=(T, spec.n_u))
         y, _ = models.simulate(spec, prior.replace_values(near), x0, u)
@@ -223,7 +234,7 @@ class TestLevenbergMarquardt:
 
         def embed(theta):
             vals = prior.values.copy()
-            vals[mask] = theta
+            vals[:n] = theta
             return prior.replace_values(vals)
 
         def residuals(theta):

@@ -54,6 +54,25 @@ class TestParamCount:
         assert models.param_count(spec) == 2 * 51
         assert models.values_size(spec) > models.param_count(spec)
 
+    @staticmethod
+    def _check_trainable_prefix(spec):
+        # the decision variables are the stored vector's prefix: every frozen
+        # block follows every trainable one, and param_count is their size
+        blocks = sorted(models._layout(spec)[0].items(), key=lambda kv: kv[1][0].start)
+        frozen = [name in models._FROZEN for name, _ in blocks]
+        assert frozen == sorted(frozen)
+        assert models.param_count(spec) == sum(
+            sl.stop - sl.start for name, (sl, _) in blocks if name not in models._FROZEN)
+
+    @pytest.mark.parametrize("kind", list(ALL_SPECS))
+    def test_trainable_blocks_are_a_prefix(self, kind):
+        self._check_trainable_prefix(ALL_SPECS[kind])
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=specs())
+    def test_trainable_blocks_are_a_prefix_drawn(self, spec):
+        self._check_trainable_prefix(spec)
+
 
 class TestInitParams:
     def test_deterministic(self):
@@ -249,9 +268,8 @@ class TestOutputJacobian:
         _, grad = models.window_loss_and_gradient(spec, p, x0, u, targets, step_weights=w)
         y, J = models.output_jacobian(spec, p, x0, u)
         expected = 2.0 * J.T @ (w[:, None] * (y - targets)).ravel()
-        n = models.param_count(spec)
-        assert np.linalg.norm(grad[:n] - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert np.all(grad[n:] == 0.0)
+        assert grad.shape == (models.param_count(spec),)
+        assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 PARITY_SPECS = {**ALL_SPECS, "lstm-6-10-4": ModelSpec("lstm", 6, 10, 4)}
@@ -388,9 +406,8 @@ class TestWindowLossAndGradient:
             targets = rng.normal(size=(6, spec.n_y))
             _, grad = models.window_loss_and_gradient(spec, p, x0, u, targets)
             fd = fd_gradient(spec, p, x0, u, targets)
-            mask = models.trainable_mask(spec)
-            assert np.all(np.abs(grad[mask] - fd[mask])
-                          <= 1e-5 * np.maximum(np.abs(grad[mask]), np.abs(fd[mask])) + 1e-8)
+            assert grad.shape == fd.shape
+            assert np.all(np.abs(grad - fd) <= 1e-5 * np.maximum(np.abs(grad), np.abs(fd)) + 1e-8)
 
     def test_esn_reservoir_gradient_is_zero(self, rng):
         spec = ALL_SPECS["esn"]
@@ -399,9 +416,10 @@ class TestWindowLossAndGradient:
         targets = rng.normal(size=(8, spec.n_y))
         _, grad = models.window_loss_and_gradient(
             spec, p, rng.normal(size=spec.n_h), u, targets)
-        frozen = ~models.trainable_mask(spec)
-        assert np.all(grad[frozen] == 0.0)
-        assert np.any(grad[~frozen] != 0.0)
+        # the reservoir is no decision variable: the gradient spans the readout
+        assert grad.shape == (models.param_count(spec),)
+        assert models.param_count(spec) < models.values_size(spec)
+        assert np.any(grad != 0.0)
 
     def test_mismatched_lengths_raise(self, rng):
         spec = ALL_SPECS["linear"]
@@ -429,6 +447,6 @@ class TestCheckpointJson:
     def test_roundtrip_full_precision(self, rng):
         spec = ALL_SPECS["lstm"]
         p = random_params(spec, rng)
-        q = models.ParamVector.from_json(p.to_json(created_at="2026-01-01"))
+        q = models.ParamVector.from_json(p.to_json())
         assert np.array_equal(p.values, q.values)
         assert q.spec == spec
