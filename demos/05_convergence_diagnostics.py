@@ -33,7 +33,8 @@ print(f"matched twin: GRU with {models.param_count(spec)} weights")
 # Excite the twin with piecewise-constant random inputs.
 rng = np.random.default_rng(7)
 N, washout, n_updates = 60, 20, 6
-T = washout + N + n_updates * N + 1
+history = mhe.history_length(spec, washout)
+T = history + n_updates * N + 1   # first update at k = history + N, then every N
 u = rng.normal(size=(-(-T // 5), spec.n_u)).repeat(5, axis=0)[:T]
 y, xs = models.simulate(spec, theta_true, models.zero_state(spec), u)
 
@@ -48,7 +49,7 @@ prior = theta_true.replace_values(vals)
 
 windows = [mhe.HorizonWindow(inputs=u[k - N:k + 1], outputs=y[k - N:k + 1],
                              x_init=xs[k - N], k=k)
-           for k in range(washout + N, T, N)]
+           for k in range(history + N, T, N)]
 
 sampler = convergence.DeltaSamplerConfig(n_samples=30,
                                          radius=2.0 * np.sqrt(eps0),

@@ -307,7 +307,7 @@ def _process_pool(max_workers=1):
     imported here, so that only the stages that build the drifted
     evaluation set load it.  Leaving the block cancels the tasks still
     queued, which only an error leaves, and waits for those that have
-    started: a failed sweep runs no more rows and leaves no child behind."""
+    started: a failed sweep stops within the rows already handed out."""
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
     pool = ProcessPoolExecutor(max_workers, mp_context=get_context("spawn"))
@@ -318,14 +318,13 @@ def _process_pool(max_workers=1):
 
 
 def _fail_early(future):
-    """A callback that raises the exception of ``future`` as soon as it
-    has failed, and passes its argument through: called between updates
-    or rows, it stops a stage whose evaluation-set build failed there,
-    not at the join after the last update."""
-    def check(value=None):
+    """A check that raises the exception of ``future`` once it has failed:
+    called between updates, or before a sweep hands the pool its next
+    row, it stops a stage whose evaluation-set build failed there, not at
+    the join after the last update."""
+    def check(*_):
         if future.done():
             future.result()
-        return value
     return check
 
 
@@ -337,6 +336,10 @@ def _join_eval_set(eval_set, walls):
     ds, walls["eval_set"] = eval_set.result()
     walls["eval_set_wait"] = time.perf_counter() - t0
     return ds
+
+
+def _score(config, params, scaler, sequences):
+    return training.evaluate_mse(config.model, params, sequences, config.train.washout, scaler)
 
 
 def _mse_row(label, report):
@@ -377,10 +380,7 @@ def _run_train(config, out, artifacts, metrics, walls):
     _save(artifacts, out, "scaler.json", scaler.to_json())
     _write_csv(artifacts, out, "history.csv", ("epoch", "train_mse"),
                [(int(e), float(tr)) for e, tr in history])
-    train_rep = training.evaluate_mse(config.model, params, ds.train,
-                                      cfg.washout, scaler)
-    test_rep = training.evaluate_mse(config.model, params, ds.test,
-                                     cfg.washout, scaler)
+    train_rep, test_rep = (_score(config, params, scaler, s) for s in (ds.train, ds.test))
     metrics.update({"epochs_run": len(history),
                     "train_mse": train_rep.average,
                     "test_mse": test_rep.average,
@@ -395,11 +395,9 @@ def _run_drift_eval(config, out, artifacts, metrics, walls):
         t0 = time.perf_counter()
         ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset,
                                    params=config.plant)
-        pre = training.evaluate_mse(config.model, params, ds.test,
-                                    config.train.washout, scaler)
+        pre = _score(config, params, scaler, ds.test)
         post_ds = _join_eval_set(post_set, walls)
-    post = training.evaluate_mse(config.model, params, post_ds.test,
-                                 config.train.washout, scaler)
+    post = _score(config, params, scaler, post_ds.test)
     walls["evaluate"] = time.perf_counter() - t0
     header = ("phase",) + plant.STATE_COLUMNS + ("average",)
     _write_csv(artifacts, out, "drift_eval.csv", header,
@@ -429,7 +427,7 @@ def _drift_data(config, scaler, walls):
 
 
 def _adapt(config, params, scaled, mu, N, on_checkpoint=None):
-    """(checkpoints, run_stats, wall time) of one (mu, N) adaptation."""
+    """(checkpoints, run_stats, wall time) of one (mu, N) adaptation; top-level for a pool."""
     cfg = replace(config.mhe, mu=mu, N=N)
     t0 = time.perf_counter()
     checkpoints, stats = mhe.run_adaptation(config.model, params,
@@ -441,13 +439,6 @@ def _adapt(config, params, scaled, mu, N, on_checkpoint=None):
     return checkpoints, stats, wall
 
 
-def _adapt_row(config, params, scaled, mu, N):
-    """(final solution, wall time) of one (mu, N) adaptation; top-level so
-    that a process pool can run it."""
-    checkpoints, _, wall = _adapt(config, params, scaled, mu, N)
-    return checkpoints[-1].solution, wall
-
-
 def _run_adapt(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
     with _process_pool() as pool:
@@ -457,9 +448,7 @@ def _run_adapt(config, out, artifacts, metrics, walls):
             config, params, scaled, config.mhe.mu, config.mhe.N, _fail_early(eval_set))
         eval_ds = _join_eval_set(eval_set, walls)
     adapted = checkpoints[-1].solution
-    un, ad = (training.evaluate_mse(config.model, p, eval_ds.test,
-                                    config.train.washout, scaler)
-              for p in (params, adapted))
+    un, ad = (_score(config, p, scaler, eval_ds.test) for p in (params, adapted))
     plant.save_sequence_csv(out / "drift_run.csv", run)
     _record_artifact(artifacts, out, "drift_run.csv")
     mhe.save_checkpoints(out / "checkpoints.jsonl", checkpoints)
@@ -484,22 +473,32 @@ def _run_adapt(config, out, artifacts, metrics, walls):
 
 def _run_sweep(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
-    mus, Ns = zip(*config.sweep_grid)
     with _process_pool(config.jobs) as pool:
         eval_set = pool.submit(_timed_eval_dataset, config)  # the first task
-        _, scaled = _drift_data(config, scaler, walls)
-        row = partial(_adapt_row, config, params, scaled)
-        t0 = time.perf_counter()
-        # rows run in this process at jobs = 1, beside the set's build
         fail_early = _fail_early(eval_set)
-        results = [fail_early(r) for r in (pool.map if config.jobs > 1 else map)(row, mus, Ns)]
+        _, scaled = _drift_data(config, scaler, walls)
+        row = partial(_adapt, config, params, scaled)
+
+        def landed():   # each row's (checkpoints, stats, wall), in grid order
+            queued = []
+            for mu, N in config.sweep_grid:
+                if config.jobs == 1:   # the row runs here, beside the set's build
+                    yield row(mu, N, fail_early)
+                    continue
+                if len(queued) == config.jobs:   # the next row waits for the oldest
+                    yield queued.pop(0).result()
+                    fail_early()
+                queued.append(pool.submit(row, mu, N))
+            yield from (q.result() for q in queued)
+
+        t0 = time.perf_counter()   # rows keep their last solution only, not every checkpoint
+        results = [(checkpoints[-1].solution, wall) for checkpoints, _, wall in landed()]
         walls["sweep"] = time.perf_counter() - t0
         eval_ds = _join_eval_set(eval_set, walls)
     walls["sweep_rows"] = [wall for _, wall in results]
     rows, table = [], []
-    for mu, N, (solution, _) in zip(mus, Ns, results):
-        rep = training.evaluate_mse(config.model, solution, eval_ds.test,
-                                    config.train.washout, scaler)
+    for (mu, N), (solution, _) in zip(config.sweep_grid, results):
+        rep = _score(config, solution, scaler, eval_ds.test)
         channel = [float(v) for v in rep.channel_mse]
         rows.append({"mu": mu, "N": N, "channel_mse": channel, "average": rep.average})
         table.append([mu, N] + channel + [rep.average])

@@ -153,6 +153,14 @@ def mhe_cost(spec: ModelSpec, candidate: ParamVector, window: HorizonWindow,
     return fit + mu * prior_term, fit, prior_term
 
 
+def _norm(v):
+    """|v|, taken over v / max|v| where the plain sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    s = np.max(np.abs(v))
+    return s * np.linalg.norm(v / s) if n == np.inf and np.isfinite(s) else n
+
+
 def _levenberg_marquardt(fit, linearize, x0, mu, max_iter, gtol, ftol):
     """Minimize F(x) = |r(x)|^2 + mu |x - x0|^2 from x0 by damped Gauss-Newton
     (Madsen, Nielsen & Tingleff 2004, alg. 3.16).  ``fit(x)`` returns (F, r),
@@ -166,7 +174,7 @@ def _levenberg_marquardt(fit, linearize, x0, mu, max_iter, gtol, ftol):
     of ``fit``; returns (x, Jacobians, evaluations, success, message)."""
     x, (F, r) = x0, fit(x0)
     nfev, njev, lam, nu = 1, 0, 0.0, 2.0
-    radius, eye = max(np.linalg.norm(x0), 1.0), np.eye(len(x0))
+    radius, eye = max(_norm(x0), 1.0), np.eye(len(x0))
     while np.isfinite(F):
         J, njev = linearize(x), njev + 1
         JtJ, g = J.T @ J, J.T @ r + mu * (x - x0)
@@ -181,7 +189,7 @@ def _levenberg_marquardt(fit, linearize, x0, mu, max_iter, gtol, ftol):
             except np.linalg.LinAlgError:      # mu = 0 and fewer residuals than weights
                 h = np.full_like(g, np.inf)
             hn = np.linalg.norm(h)
-            if hn <= lbfgs.EPS * (np.linalg.norm(x) + lbfgs.EPS):
+            if hn <= lbfgs.EPS * (_norm(x) + lbfgs.EPS):
                 return x, njev, nfev, True, "CONVERGENCE: |step| <= eps |x|"
             if hn <= radius:
                 if nfev >= max_iter:
@@ -293,17 +301,17 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
     The first update fires at k = t0 + h + N, where t0 is the first
     sample's time and h = ``history_length(spec, config.washout)`` (enough
     history for state reconstruction), and then every N steps, each solve
-    anchored to the previous solution.  Yields nothing; returns
-    (checkpoints, run_stats) where run_stats records the peak number of
-    buffered samples.
+    anchored to the previous solution; a gap raises ``ValueError``.
+    Returns (checkpoints, ``{"peak_buffered": n}``), n the most samples
+    held at once, h + N + 1 from the first update on.  ``on_checkpoint``
+    is called with each checkpoint; what it raises ends the run there.
 
     With ``config.observer == "oracle"`` the sample at the window start
     must carry the true model state in its ``x`` field.
     """
     N = config.N
     history_need = history_length(spec, config.washout)
-    maxlen = history_need + N + 1
-    buffer = deque(maxlen=maxlen)
+    buffer = deque(maxlen=history_need + N + 1)
     prior = initial_params
     checkpoints = []
     last_t = next_k = None
@@ -314,10 +322,10 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
             next_k = sample.t + history_need + N
         last_t = sample.t
         buffer.append(sample)
-        if sample.t < next_k or len(buffer) < maxlen:
+        if sample.t < next_k:
             continue
-        window_samples = list(buffer)[-(N + 1):]
-        history = list(buffer)[:-(N + 1)]
+        buffered = list(buffer)
+        history, window_samples = buffered[:-(N + 1)], buffered[-(N + 1):]
         if config.observer == "oracle":
             x_init = window_samples[0].x
             if x_init is None:
@@ -338,7 +346,7 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
         prior = solution
         next_k = sample.t + N
     # the deque never shrinks, so its final length is its peak
-    return checkpoints, {"peak_buffered": len(buffer), "buffer_capacity": maxlen}
+    return checkpoints, {"peak_buffered": len(buffer)}
 
 
 def sequence_stream(sequence, states=None):

@@ -1,3 +1,9 @@
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -321,3 +327,18 @@ class TestTrackError:
         rows = rep.to_rows()
         assert rows[0]["k"] == 3
         assert set(rows[0]) == {"k", "epsilon", "ratio", "rho_c", "violated"}
+
+
+def test_demo_05_solves_its_n_updates_windows(tmp_path):
+    # the demo sets n_updates = 6: it must estimate delta over 6 windows and
+    # print one table row per update, as converge does
+    demo = pathlib.Path(__file__).resolve().parents[1] / "demos" / "05_convergence_diagnostics.py"
+    src = pathlib.Path(models.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert re.search(r"probes over (\d+) windows", done.stdout).group(1) == "6"
+    table = re.findall(r"^ *\d+ +\S+e[-+]\d+ +\d+\.\d{4}$", done.stdout, re.MULTILINE)
+    assert len(table) == 6

@@ -440,9 +440,9 @@ class TestEvalSetWorker:
         sweep_config, sweep, _ = sweep_run
         _, scaled = experiments._drift_data(sweep_config, scaler, {})
         for row in sweep.metrics["rows"]:
-            solution, _ = experiments._adapt_row(sweep_config, params, scaled,
-                                                 row["mu"], row["N"])
-            rep = mse_in_process(sweep_config, solution)
+            checkpoints, _, _ = experiments._adapt(sweep_config, params, scaled,
+                                                   row["mu"], row["N"])
+            rep = mse_in_process(sweep_config, checkpoints[-1].solution)
             assert rep.average == row["average"]
             assert [float(v) for v in rep.channel_mse] == row["channel_mse"]
 
@@ -509,11 +509,15 @@ class TestEvalSetWorker:
         assert n_updates >= 24 and len(calls) < n_updates / 2
 
 
-def _marked_row(config, params, scaled, mu, N):
+_real_adapt = experiments._adapt
+
+
+def _marked_row(config, params, scaled, mu, N, on_checkpoint=None):
     """A sweep row that first leaves a file named after its mu in the run's
-    directory; module-level, so that a worker process can run it."""
+    directory, then runs the real ``_adapt``; module-level, so that a
+    worker process can run it."""
     (pathlib.Path(config.out_dir) / f"row_{mu}").touch()
-    return experiments._adapt_row(config, params, scaled, mu, N)
+    return _real_adapt(config, params, scaled, mu, N, on_checkpoint)
 
 
 class TestFailedSweepCancels:
@@ -525,15 +529,15 @@ class TestFailedSweepCancels:
                              drift=plant.DriftSchedule(end_value=1e3, t_start=4.0,
                                                        t_end=1e12),
                              sweep_grid=[(mu, 5) for mu in mus])
-        monkeypatch.setattr(experiments, "_adapt_row", _marked_row)
+        monkeypatch.setattr(experiments, "_adapt", _marked_row)
         with pytest.raises(ValueError, match="non-finite or non-positive"):
             experiments.run(config)
         assert multiprocessing.active_children() == []
-        # the failure is seen at the first row's result; by then each worker
-        # may have finished a row and started the next, and the pool has
-        # handed jobs + 1 more to its workers' queue, where none is cancelled
+        # the pool holds at most jobs rows and hands out the next only once
+        # the oldest has landed and the build has not failed: the first jobs
+        # rows start, and one more if a row lands before the build fails
         started = len(list(tmp_path.glob("row_*")))
-        assert 1 <= started <= 3 * jobs + 1 < len(mus)
+        assert 1 <= started <= jobs + 1 < len(mus)
 
 
 class TestModelIdentity:

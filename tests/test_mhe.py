@@ -11,6 +11,8 @@ from mhenet.plant import Sequence
 
 from conftest import ALL_SPECS, random_params, specs
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SCALAR = ModelSpec("linear", 1, 0, 1)
 
 
@@ -208,7 +210,6 @@ class TestSolveUpdate:
             assert b <= a + 1e-9
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLevenbergMarquardt:
     @settings(max_examples=40, deadline=None)
     @given(spec=specs(max_n_h=4), T=st.integers(1, 6), mu=st.floats(0.05, 2.0),
@@ -312,6 +313,17 @@ class TestLevenbergMarquardt:
         _, stats = mhe.solve_update(spec, w, prior, cfg)
         assert stats.n_evals <= cfg.max_iter and stats.prior_cost > 0.0
         assert stats.total_cost == stats.fit_cost < mhe.mhe_cost(spec, prior, w, prior, 0.0)[0]
+
+    @pytest.mark.parametrize("solver", ["lm", "lbfgs"])
+    def test_weights_whose_squares_overflow(self, solver):
+        # |1e200|^2 overflows float64: the weight norms of the trust radius
+        # and the step test must not, and both solvers return the prior,
+        # where the gradient 8e-200 is below gtol
+        prior = models.ParamVector(SCALAR, [1e200])
+        w = scalar_window(np.full(8, 1e-200), np.full(8, 2.0), k=7)
+        sol, stats = mhe.solve_update(SCALAR, w, prior, mhe.MheConfig(N=7, solver=solver))
+        assert sol.values[0] == 1e200 and stats.converged
+        assert stats.total_cost == 8.0
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 8])
     def test_evaluations_capped_by_max_iter(self, max_iter, rng, monkeypatch):
