@@ -290,12 +290,26 @@ def _eval_dataset(config: ExperimentConfig) -> plant.Dataset:
                                  params=replace(config.plant, kA=config.drift.end_value))
 
 
-def _timed_eval_dataset(config: ExperimentConfig):
-    """(the drifted evaluation set, seconds its build took); top-level so
-    that a worker process can build it."""
+# the drifted evaluation set's test sequences, by config hash; at most one
+# entry, held by the process that scores on the set
+_EVAL_SETS = {}
+
+
+def _eval_scores(config: ExperimentConfig, scaler, params_list):
+    """(seconds the set's build took, one EvalReport per weight vector of
+    ``params_list``, the set's first test sequence) on the drifted
+    evaluation set; top-level, so that a worker process can run it.  The
+    set is built on the first call and kept in this process, so that every
+    later request with the same config reuses it: a stage's worker builds
+    it once, and only reports and one sequence leave the worker."""
+    key = config.config_hash()
     t0 = time.perf_counter()
-    ds = _eval_dataset(config)
-    return ds, time.perf_counter() - t0
+    if key not in _EVAL_SETS:
+        _EVAL_SETS.clear()
+        _EVAL_SETS[key] = _eval_dataset(config).test
+    build_s = time.perf_counter() - t0
+    test = _EVAL_SETS[key]
+    return build_s, [_score(config, p, scaler, test) for p in params_list], test[0]
 
 
 @contextlib.contextmanager
@@ -304,10 +318,12 @@ def _process_pool(max_workers=1):
     they inherit no thread or lock of this one.  Each worker imports the
     caller's main module, so a script that runs these stages guards its
     entry point with ``if __name__ == "__main__":``.  The pool is
-    imported here, so that only the stages that build the drifted
-    evaluation set load it.  Leaving the block cancels the tasks still
-    queued, which only an error leaves, and waits for those that have
-    started: a failed sweep stops within the rows already handed out."""
+    imported here, so that only the stages that read a trained model load
+    it: each scores on the drifted evaluation set in a one-worker pool,
+    and a sweep at ``jobs > 1`` runs its rows in a second pool of ``jobs``
+    workers.  Leaving the block cancels the tasks still queued, which
+    only an error leaves, and waits for those that have started: a failed
+    sweep stops within the rows already handed out."""
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
     pool = ProcessPoolExecutor(max_workers, mp_context=get_context("spawn"))
@@ -318,24 +334,27 @@ def _process_pool(max_workers=1):
 
 
 def _fail_early(future):
-    """A check that raises the exception of ``future`` once it has failed:
-    called between updates, or before a sweep hands the pool its next
-    row, it stops a stage whose evaluation-set build failed there, not at
-    the join after the last update."""
+    """A check that raises the exception of ``future``, a stage's first
+    ``_eval_scores`` request, once it has failed: called between updates,
+    or before a sweep hands out its next row, it stops a stage whose
+    evaluation-set build failed there, not when the reports are collected
+    after the last update."""
     def check(*_):
         if future.done():
             future.result()
     return check
 
 
-def _join_eval_set(eval_set, walls):
-    """The drifted evaluation set from the future ``eval_set``.  The
-    worker's build time goes to ``walls["eval_set"]``, and the time this
-    process blocked on it to ``walls["eval_set_wait"]``."""
+def _reports(requests, walls):
+    """(the EvalReports of the ``_eval_scores`` futures ``requests``, in
+    order, the set's first test sequence).  The first request's build time
+    goes to ``walls["eval_set"]``, and the time this process blocked on
+    the reports to ``walls["eval_set_wait"]``."""
     t0 = time.perf_counter()
-    ds, walls["eval_set"] = eval_set.result()
+    results = [r.result() for r in requests]
     walls["eval_set_wait"] = time.perf_counter() - t0
-    return ds
+    walls["eval_set"], _, first_test = results[0]
+    return [rep for _, reps, _ in results for rep in reps], first_test
 
 
 def _score(config, params, scaler, sequences):
@@ -385,19 +404,18 @@ def _run_train(config, out, artifacts, metrics, walls):
                     "train_mse": train_rep.average,
                     "test_mse": test_rep.average,
                     "channel_test_mse": [float(v) for v in test_rep.channel_mse]})
-    emit_plotdata(out, config, artifacts, params, scaler, ds)
+    emit_plotdata(out, config, artifacts, params, scaler, ds.test[0])
 
 
 def _run_drift_eval(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
     with _process_pool() as pool:
-        post_set = pool.submit(_timed_eval_dataset, config)
+        request = pool.submit(_eval_scores, config, scaler, [params])
         t0 = time.perf_counter()
         ds = plant.collect_dataset(config.dataset, seed=config.seed_dataset,
                                    params=config.plant)
         pre = _score(config, params, scaler, ds.test)
-        post_ds = _join_eval_set(post_set, walls)
-    post = _score(config, params, scaler, post_ds.test)
+        (post,), _ = _reports([request], walls)
     walls["evaluate"] = time.perf_counter() - t0
     header = ("phase",) + plant.STATE_COLUMNS + ("average",)
     _write_csv(artifacts, out, "drift_eval.csv", header,
@@ -414,8 +432,8 @@ def _drift_data(config, scaler, walls):
     """The drift run and its scaled copy; they depend on the seeds only,
     so every (mu, N) row shares them.  The run's time goes to
     ``walls["drift_run"]``.  The drifted evaluation set is not built
-    here: each stage starts it in a worker process before this call and
-    joins it only when it first evaluates on it."""
+    here: each stage's first ``_eval_scores`` request builds it in a
+    worker process before this call, and the set stays there."""
     t0 = time.perf_counter()
     run = plant.drift_run(config.adapt_time, config.drift,
                           config.dataset.excitation, seed=config.seed_drift,
@@ -442,20 +460,21 @@ def _adapt(config, params, scaled, mu, N, on_checkpoint=None):
 def _run_adapt(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
     with _process_pool() as pool:
-        eval_set = pool.submit(_timed_eval_dataset, config)
+        unadapted = pool.submit(_eval_scores, config, scaler, [params])   # the first task
         run, scaled = _drift_data(config, scaler, walls)
         checkpoints, stats, walls["adapt"] = _adapt(
-            config, params, scaled, config.mhe.mu, config.mhe.N, _fail_early(eval_set))
-        eval_ds = _join_eval_set(eval_set, walls)
-    adapted = checkpoints[-1].solution
-    un, ad = (_score(config, p, scaler, eval_ds.test) for p in (params, adapted))
-    plant.save_sequence_csv(out / "drift_run.csv", run)
-    _record_artifact(artifacts, out, "drift_run.csv")
-    mhe.save_checkpoints(out / "checkpoints.jsonl", checkpoints)
-    _record_artifact(artifacts, out, "checkpoints.jsonl")
-    _save(artifacts, out, "adapted_params.json", adapted.to_json())
-    _save(artifacts, out, "unadapted_params.json", params.to_json())
-    _save(artifacts, out, "scaler.json", scaler.to_json())
+            config, params, scaled, config.mhe.mu, config.mhe.N, _fail_early(unadapted))
+        adapted = checkpoints[-1].solution
+        requests = [unadapted, pool.submit(_eval_scores, config, scaler, [adapted])]
+        # the artifacts that need no score are written while the worker scores
+        plant.save_sequence_csv(out / "drift_run.csv", run)
+        _record_artifact(artifacts, out, "drift_run.csv")
+        mhe.save_checkpoints(out / "checkpoints.jsonl", checkpoints)
+        _record_artifact(artifacts, out, "checkpoints.jsonl")
+        _save(artifacts, out, "adapted_params.json", adapted.to_json())
+        _save(artifacts, out, "unadapted_params.json", params.to_json())
+        _save(artifacts, out, "scaler.json", scaler.to_json())
+        (un, ad), first_test = _reports(requests, walls)
     header = ("model",) + plant.STATE_COLUMNS + ("average",)
     _write_csv(artifacts, out, "adapt_eval.csv", header,
                [_mse_row("unadapted", un), _mse_row("adapted", ad)])
@@ -468,37 +487,53 @@ def _run_adapt(config, out, artifacts, metrics, walls):
         "channel_adapted": [float(v) for v in ad.channel_mse],
         "mse_reduction": 1.0 - ad.average / un.average,
     })
-    emit_plotdata(out, config, artifacts, params, scaler, eval_ds, adapted)
+    emit_plotdata(out, config, artifacts, params, scaler, first_test, adapted)
+
+
+def _pooled_rows(pool, row, grid, jobs, build):
+    """(index, result) of each (mu, N) row of ``grid`` as it lands from
+    ``pool``.  At most ``jobs`` rows are in flight, and the next one is
+    handed out as soon as any row lands, after ``_fail_early``'s check of
+    the evaluation-set request ``build``; the wait also watches ``build``,
+    so that a failed build stops the hand-outs when it fails."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+    check, running, todo = _fail_early(build), {}, list(enumerate(grid))[::-1]
+    while todo or running:
+        check()
+        if todo and len(running) < jobs:
+            i, (mu, N) = todo.pop()
+            running[pool.submit(row, mu, N)] = i
+            continue
+        watched = running.keys() if build.done() else running.keys() | {build}
+        done, _ = wait(watched, return_when=FIRST_COMPLETED)
+        for future in done & running.keys():
+            yield running.pop(future), future.result()
 
 
 def _run_sweep(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
-    with _process_pool(config.jobs) as pool:
-        eval_set = pool.submit(_timed_eval_dataset, config)  # the first task
-        fail_early = _fail_early(eval_set)
+    grid = config.sweep_grid
+    with contextlib.ExitStack() as pools:
+        scorer = pools.enter_context(_process_pool())
+        build = scorer.submit(_eval_scores, config, scaler, [])   # the first task
         _, scaled = _drift_data(config, scaler, walls)
         row = partial(_adapt, config, params, scaled)
-
-        def landed():   # each row's (checkpoints, stats, wall), in grid order
-            queued = []
-            for mu, N in config.sweep_grid:
-                if config.jobs == 1:   # the row runs here, beside the set's build
-                    yield row(mu, N, fail_early)
-                    continue
-                if len(queued) == config.jobs:   # the next row waits for the oldest
-                    yield queued.pop(0).result()
-                    fail_early()
-                queued.append(pool.submit(row, mu, N))
-            yield from (q.result() for q in queued)
-
-        t0 = time.perf_counter()   # rows keep their last solution only, not every checkpoint
-        results = [(checkpoints[-1].solution, wall) for checkpoints, _, wall in landed()]
+        if config.jobs == 1:   # the rows run here, beside the set's build
+            check = _fail_early(build)
+            landed = ((i, row(mu, N, check)) for i, (mu, N) in enumerate(grid))
+        else:
+            landed = _pooled_rows(pools.enter_context(_process_pool(config.jobs)),
+                                  row, grid, config.jobs, build)
+        t0 = time.perf_counter()
+        scored = [None] * len(grid)   # per row: its score request and wall time
+        for i, (checkpoints, _, wall) in landed:   # the scorer gets its last solution only
+            scored[i] = scorer.submit(_eval_scores, config, scaler,
+                                      [checkpoints[-1].solution]), wall
         walls["sweep"] = time.perf_counter() - t0
-        eval_ds = _join_eval_set(eval_set, walls)
-    walls["sweep_rows"] = [wall for _, wall in results]
+        reports, _ = _reports([build] + [request for request, _ in scored], walls)
+    walls["sweep_rows"] = [wall for _, wall in scored]
     rows, table = [], []
-    for (mu, N), (solution, _) in zip(config.sweep_grid, results):
-        rep = _score(config, solution, scaler, eval_ds.test)
+    for (mu, N), rep in zip(grid, reports):
         channel = [float(v) for v in rep.channel_mse]
         rows.append({"mu": mu, "N": N, "channel_mse": channel, "average": rep.average})
         table.append([mu, N] + channel + [rep.average])
@@ -608,18 +643,18 @@ def _open_loop_prediction(config, params, scaler, sequence):
     return scaler.unscale_y(pred)
 
 
-def emit_plotdata(out_dir, config, artifacts, params, scaler, ds, adapted=None):
+def emit_plotdata(out_dir, config, artifacts, params, scaler, seq, adapted=None):
     """Write and record a stage's figure-data CSVs from one open-loop
-    rollout per model on the first test sequence of ``ds``.
+    rollout per model, in this process, on the test sequence ``seq``.
 
     Without ``adapted`` (train): fig3/fig4, truth vs the prediction of
-    ``params`` for xA2/xB2 on the training dataset.  With ``adapted``
-    (adapt): fig5, the drifting kA trace, then fig6/fig7, truth vs the
-    unadapted ``params`` vs the ``adapted`` prediction of xA2/xB2 on the
-    drifted evaluation set.
+    ``params`` for xA2/xB2 on the training dataset's first test sequence.
+    With ``adapted`` (adapt): fig5, the drifting kA trace, then fig6/fig7,
+    truth vs the unadapted ``params`` vs the ``adapted`` prediction of
+    xA2/xB2 on the first test sequence of the drifted evaluation set, the
+    one sequence of the set that the scoring worker returns.
     """
     out = pathlib.Path(out_dir)
-    seq = ds.test[0]
     preds = [_open_loop_prediction(config, p, scaler, seq)
              for p in (params, adapted) if p is not None]
     if adapted is None:

@@ -170,8 +170,11 @@ def _levenberg_marquardt(fit, linearize, x0, mu, max_iter, gtol, ftol):
     with lam = 0.  A singular solve, a step longer than max(|x0|, 1) or one
     that does not lower F raises lam; an accepted one rescales it by its gain
     ratio rho, from 0 if rho < 1/4.  Stops at max|g| <= gtol, a relative
-    decrease of F <= ftol, |h| <= eps (|x| + eps), or at max_iter evaluations
-    of ``fit``; returns (x, Jacobians, evaluations, success, message)."""
+    decrease of F <= ftol, a step below every weight's resolution, max_i
+    |h_i| / max(|x_i|, 1) <= eps (the relative step test of Dennis & Schnabel
+    1983, sec. 7.2), so that one huge weight does not hide a step in the
+    others, or at max_iter evaluations of ``fit``; returns (x, Jacobians,
+    evaluations, success, message)."""
     x, (F, r) = x0, fit(x0)
     nfev, njev, lam, nu = 1, 0, 0.0, 2.0
     radius, eye = max(_norm(x0), 1.0), np.eye(len(x0))
@@ -188,10 +191,9 @@ def _levenberg_marquardt(fit, linearize, x0, mu, max_iter, gtol, ftol):
                 h = np.linalg.solve(JtJ + (mu + lam) * eye, -g)
             except np.linalg.LinAlgError:      # mu = 0 and fewer residuals than weights
                 h = np.full_like(g, np.inf)
-            hn = np.linalg.norm(h)
-            if hn <= lbfgs.EPS * (_norm(x) + lbfgs.EPS):
-                return x, njev, nfev, True, "CONVERGENCE: |step| <= eps |x|"
-            if hn <= radius:
+            if np.max(np.abs(h) / np.maximum(np.abs(x), 1.0)) <= lbfgs.EPS:
+                return x, njev, nfev, True, "CONVERGENCE: max|step| <= eps max(|x|, 1)"
+            if np.linalg.norm(h) <= radius:
                 if nfev >= max_iter:
                     return x, njev, nfev, False, "STOP: max_iter evaluations"
                 F_new, r_new = fit(x + h)

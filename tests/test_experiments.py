@@ -454,11 +454,40 @@ class TestEvalSetWorker:
         collect, calls = plant.collect_dataset, []
         monkeypatch.setattr(plant, "collect_dataset",
                             lambda *a, **k: calls.append(1) or collect(*a, **k))
+        evaluate, scores = training.evaluate_mse, []
+        monkeypatch.setattr(training, "evaluate_mse",
+                            lambda *a, **k: scores.append(1) or evaluate(*a, **k))
         experiments.run(tiny_config(tag, tmp_path, model_dir=str(model_out)))
-        # the drifted set is built in the worker; drift-eval collects the
-        # nominal set here
-        assert len(calls) == parent_collects
+        # the drifted set is built and scored in the worker; drift-eval
+        # collects and scores the nominal set here
+        assert len(calls) == len(scores) == parent_collects
         assert multiprocessing.active_children() == []
+
+    def test_one_build_serves_every_request(self, train_run, monkeypatch):
+        _, _, model_out = train_run
+        config = tiny_config("adapt", "unused", model_dir=str(model_out))
+        params, scaler = experiments._load_model(config, {})
+        vals = params.values.copy()
+        vals[0] += 1e-3
+        other = params.replace_values(vals)
+        monkeypatch.setattr(experiments, "_EVAL_SETS", {})
+        collect, calls = plant.collect_dataset, []
+        monkeypatch.setattr(plant, "collect_dataset",
+                            lambda *a, **k: calls.append(1) or collect(*a, **k))
+        first = experiments._eval_scores(config, scaler, [params])
+        second = experiments._eval_scores(config, scaler, [params, other])
+        assert len(calls) == 1
+        test = experiments._eval_dataset(config).test
+
+        def fields(reports):
+            return [(list(r.channel_mse), r.n_sequences, r.washout) for r in reports]
+
+        expected = [training.evaluate_mse(config.model, p, test, config.train.washout, scaler)
+                    for p in (params, other)]
+        assert fields(first[1]) == fields(expected[:1])
+        assert fields(second[1]) == fields(expected)
+        for _, _, seq in (first, second):
+            assert np.array_equal(seq.u, test[0].u) and np.array_equal(seq.y, test[0].y)
 
     def test_parent_failure_mid_adaptation(self, train_run, tmp_path, monkeypatch):
         _, _, model_out = train_run
@@ -520,6 +549,36 @@ def _marked_row(config, params, scaled, mu, N, on_checkpoint=None):
     return _real_adapt(config, params, scaled, mu, N, on_checkpoint)
 
 
+def _slow_first_row(config, params, scaled, mu, N, on_checkpoint=None):
+    """A sweep row that leaves a file named after its mu when it starts;
+    the first row of the grid then waits, up to 30 s, for the third row's
+    file before it runs the real ``_adapt``."""
+    out = pathlib.Path(config.out_dir)
+    (out / f"start_{mu}").touch()
+    if mu == config.sweep_grid[0][0]:
+        third = out / f"start_{config.sweep_grid[2][0]}"
+        deadline = time.monotonic() + 30.0
+        while not third.exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        (out / f"first_saw_third_{third.exists()}").touch()
+    return _real_adapt(config, params, scaled, mu, N, on_checkpoint)
+
+
+class TestPooledSweep:
+    def test_a_later_row_starts_while_the_first_runs(self, train_run, tmp_path,
+                                                     monkeypatch):
+        _, _, model_out = train_run
+        config = tiny_config("sweep", tmp_path, model_dir=str(model_out), jobs=2,
+                             sweep_grid=((0.1, 5), (0.2, 5), (0.3, 5)))
+        monkeypatch.setattr(experiments, "_adapt", _slow_first_row)
+        manifest = experiments.run(config)
+        # the second row lands while the first waits, and the third is
+        # handed out then, not once the first has landed
+        assert (tmp_path / "first_saw_third_True").exists()
+        assert [(r["mu"], r["N"]) for r in manifest.metrics["rows"]] == list(config.sweep_grid)
+        assert multiprocessing.active_children() == []
+
+
 class TestFailedSweepCancels:
     def test_queued_rows_do_not_start(self, train_run, tmp_path, monkeypatch):
         _, _, model_out = train_run
@@ -534,8 +593,8 @@ class TestFailedSweepCancels:
             experiments.run(config)
         assert multiprocessing.active_children() == []
         # the pool holds at most jobs rows and hands out the next only once
-        # the oldest has landed and the build has not failed: the first jobs
-        # rows start, and one more if a row lands before the build fails
+        # a row has landed and the build has not failed: the first jobs rows
+        # start, and one more if a row lands before the build fails
         started = len(list(tmp_path.glob("row_*")))
         assert 1 <= started <= jobs + 1 < len(mus)
 

@@ -325,6 +325,21 @@ class TestLevenbergMarquardt:
         assert sol.values[0] == 1e200 and stats.converged
         assert stats.total_cost == 8.0
 
+    def test_huge_weight_does_not_hide_a_step_in_the_others(self):
+        # y = w1 u1 + w2 u2 with w1 u1 = 1: the step in w2 is far below
+        # eps |x| = 2e184, yet it is the whole solution.  The closed form
+        # w2 = 32 / 16.2 gives 8 (w2 - 2)^2 + 0.1 w2^2; at the prior it is 32
+        spec = ModelSpec("linear", 2, 0, 1)
+        w = mhe.HorizonWindow(inputs=np.tile([1e-200, 1.0], (8, 1)),
+                              outputs=np.full((8, 1), 3.0), x_init=np.zeros(0), k=7)
+        prior = models.ParamVector(spec, [1e200, 0.0])
+        sol, stats = mhe.solve_update(spec, w, prior, mhe.MheConfig(N=7, mu=0.1, solver="lm"))
+        w2 = 32.0 / 16.2
+        assert sol.values[0] == 1e200 and sol.values[1] == pytest.approx(w2, rel=1e-12)
+        assert stats.converged
+        assert stats.total_cost == pytest.approx(8.0 * (w2 - 2.0) ** 2 + 0.1 * w2 ** 2,
+                                                 rel=1e-12)
+
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 8])
     def test_evaluations_capped_by_max_iter(self, max_iter, rng, monkeypatch):
         # every evaluation of the objective is one rollout, counted here
