@@ -14,15 +14,19 @@ of windowed output-error energy to weight-error energy.  delta is not
 computable globally; this module delivers a sampled surrogate (minimum
 of the ratio over drawn perturbations and windows) and scopes all
 verdicts to that sample.
+
+``twin_study`` runs the whole check on a matched twin: the ``converge``
+experiment and demo 05 both call it, and only write or print its result.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import mhe, models, plant
 from .models import ModelSpec, ParamVector
 
 
@@ -164,3 +168,80 @@ def track_error(checkpoints, initial: ParamVector, theta_true: ParamVector,
         prev = e
     return ConvergenceReport(ks=ks, epsilons=eps, ratios=ratios, rho_c=rho_c,
                              violations=violations, tol=tol)
+
+
+@dataclass(frozen=True)
+class ConvergeConfig:
+    """Settings of the matched-twin contraction study."""
+
+    horizon: int = 200        # window length N of the twin study
+    washout: int = 50
+    n_updates: int = 10
+    eps0: float = 0.1         # squared weight error of the perturbed prior
+    hold_steps: int = 5       # input levels held this many samples
+    delta_samples: int = 30   # random perturbations for delta estimation
+    probe_smallest: int = 2   # least-identifiable directions probed per window
+    max_iter: int = 400
+
+    def __post_init__(self):
+        plant.check_fields(self, ints=(("horizon", 1), ("washout", 0), ("n_updates", 1),
+                                       ("hold_steps", 1), ("delta_samples", 0),
+                                       ("probe_smallest", 0), ("max_iter", 1)))
+        if not 0.0 < self.eps0:
+            raise ValueError("eps0 must be positive")
+        if not np.isfinite(self.eps0):
+            raise ValueError("eps0 must be finite")
+        if self.delta_samples == self.probe_smallest == 0:
+            raise ValueError("delta_samples and probe_smallest cannot both be 0")
+
+
+def twin_study(spec: ModelSpec, cc: ConvergeConfig, seed: int, walls: dict):
+    """(summary, ConvergenceReport) of the matched-twin contraction study.
+
+    The twin's weights come from ``seed``; its held random inputs, the
+    prior's perturbation (squared norm ``cc.eps0``) and the delta sampler
+    from ``seed + 1``, ``+ 2`` and ``+ 3``.  delta is estimated on the
+    ``cc.n_updates`` windows the run solves on, mu = delta_hat / 3 (so
+    rho_c = 4/7), and the run adapts with the oracle observer and a tightly
+    converged LM.  ``walls`` gets the estimate's and the run's wall times.
+    """
+    theta_o = models.init_params(spec, seed, "uniform")
+    N = cc.horizon
+    history = mhe.history_length(spec, cc.washout)
+    # first update at k = history + N, then every N steps: exactly n_updates
+    T = history + cc.n_updates * N + 1
+    rng = np.random.default_rng(seed + 1)
+    u = rng.normal(size=(-(-T // cc.hold_steps), spec.n_u)).repeat(cc.hold_steps, axis=0)[:T]
+    y, xs = models.simulate(spec, theta_o, models.zero_state(spec), u)
+
+    n = models.param_count(spec)
+    d = np.random.default_rng(seed + 2).normal(size=n)
+    d *= np.sqrt(cc.eps0) / np.linalg.norm(d)
+    vals = theta_o.values.copy()
+    vals[:n] += d
+    prior = theta_o.replace_values(vals)
+    eps0 = epsilon(theta_o, prior)
+
+    windows = [mhe.HorizonWindow(inputs=u[k - N:k + 1], outputs=y[k - N:k + 1],
+                                 x_init=xs[k - N], k=k)
+               for k in range(history + N, T, N)]
+    t0 = time.perf_counter()
+    sampler = DeltaSamplerConfig(n_samples=cc.delta_samples, radius=2.0 * np.sqrt(eps0),
+                                 seed=seed + 3, probe_smallest=cc.probe_smallest)
+    estimate = estimate_delta(spec, theta_o, windows, sampler)
+    walls["estimate_delta"] = time.perf_counter() - t0
+    mu = 0.5 * (2.0 / 3.0) * estimate.delta_hat
+    rho_c, satisfied = contraction_coefficient(mu, estimate.delta_hat)
+
+    cfg = mhe.MheConfig(N=N, mu=mu, max_iter=cc.max_iter, gtol=1e-14, ftol=3e-16,
+                        washout=cc.washout, observer="oracle", solver="lm")
+    t1 = time.perf_counter()
+    checkpoints, _ = mhe.run_adaptation(spec, prior,
+                                        mhe.sequence_stream(plant.Sequence(u=u, y=y), xs), cfg)
+    walls["adapt"] = time.perf_counter() - t1
+    report = track_error(checkpoints, prior, theta_o, estimate.delta_hat, mu)
+    summary = {"delta_hat": estimate.delta_hat, "mu": mu, "rho_c": rho_c,
+               "contraction_satisfied": satisfied, "eps0": eps0,
+               "final_epsilon": report.epsilons[-1], "n_updates": len(checkpoints),
+               "violations": report.violations, "delta_samples": estimate.n_samples}
+    return summary, report

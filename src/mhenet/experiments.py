@@ -36,6 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import convergence, mhe, models, plant, training
+from .convergence import ConvergeConfig
 from .mhe import MheConfig
 from .models import ModelSpec, ParamVector
 from .plant import DatasetConfig, DriftSchedule, PlantParams
@@ -56,32 +57,6 @@ class ConfigError(ValueError):
 
 def _digest(d: dict) -> str:
     return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class ConvergeConfig:
-    """Settings of the matched-twin contraction study."""
-
-    horizon: int = 200        # window length N of the twin study
-    washout: int = 50
-    n_updates: int = 10
-    eps0: float = 0.1         # squared weight error of the perturbed prior
-    hold_steps: int = 5       # input levels held this many samples
-    delta_samples: int = 30   # random perturbations for delta estimation
-    probe_smallest: int = 2   # least-identifiable directions probed per window
-    max_iter: int = 400
-
-    def __post_init__(self):
-        plant.check_fields(self, ints=(("horizon", 1), ("washout", 0), ("n_updates", 1),
-                                       ("hold_steps", 1), ("delta_samples", 0),
-                                       ("probe_smallest", 0), ("max_iter", 1)),
-                           error=ConfigError)
-        if not 0.0 < self.eps0:
-            raise ConfigError("eps0 must be positive")
-        if not np.isfinite(self.eps0):
-            raise ConfigError("eps0 must be finite")
-        if self.delta_samples == self.probe_smallest == 0:
-            raise ConfigError("delta_samples and probe_smallest cannot both be 0")
 
 
 @dataclass(frozen=True)
@@ -457,6 +432,13 @@ def _adapt(config, params, scaled, mu, N, on_checkpoint=None):
     return checkpoints, stats, wall
 
 
+def _sweep_row(adapt, mu, N, on_checkpoint=None):
+    """(last solution, wall time) of the (mu, N) row that ``adapt``, an
+    ``_adapt`` partial, runs: all a sweep keeps, and all a pooled row sends back."""
+    checkpoints, _, wall = adapt(mu, N, on_checkpoint)
+    return checkpoints[-1].solution, wall
+
+
 def _run_adapt(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
     with _process_pool() as pool:
@@ -487,7 +469,7 @@ def _run_adapt(config, out, artifacts, metrics, walls):
         "channel_adapted": [float(v) for v in ad.channel_mse],
         "mse_reduction": 1.0 - ad.average / un.average,
     })
-    emit_plotdata(out, config, artifacts, params, scaler, first_test, adapted)
+    emit_plotdata(out, config, artifacts, params, scaler, first_test, adapted, run.t)
 
 
 def _pooled_rows(pool, row, grid, jobs, build):
@@ -517,7 +499,7 @@ def _run_sweep(config, out, artifacts, metrics, walls):
         scorer = pools.enter_context(_process_pool())
         build = scorer.submit(_eval_scores, config, scaler, [])   # the first task
         _, scaled = _drift_data(config, scaler, walls)
-        row = partial(_adapt, config, params, scaled)
+        row = partial(_sweep_row, partial(_adapt, config, params, scaled))
         if config.jobs == 1:   # the rows run here, beside the set's build
             check = _fail_early(build)
             landed = ((i, row(mu, N, check)) for i, (mu, N) in enumerate(grid))
@@ -526,9 +508,8 @@ def _run_sweep(config, out, artifacts, metrics, walls):
                                   row, grid, config.jobs, build)
         t0 = time.perf_counter()
         scored = [None] * len(grid)   # per row: its score request and wall time
-        for i, (checkpoints, _, wall) in landed:   # the scorer gets its last solution only
-            scored[i] = scorer.submit(_eval_scores, config, scaler,
-                                      [checkpoints[-1].solution]), wall
+        for i, (solution, wall) in landed:
+            scored[i] = scorer.submit(_eval_scores, config, scaler, [solution]), wall
         walls["sweep"] = time.perf_counter() - t0
         reports, _ = _reports([build] + [request for request, _ in scored], walls)
     walls["sweep_rows"] = [wall for _, wall in scored]
@@ -545,61 +526,17 @@ def _run_sweep(config, out, artifacts, metrics, walls):
 
 
 def _run_converge(config, out, artifacts, metrics, walls):
-    spec = config.model
-    cc = config.converge
-    theta_o = models.init_params(spec, config.seed_twin, "uniform")
-    rng = np.random.default_rng(config.seed_twin + 1)
-    N = cc.horizon
-    history = mhe.history_length(spec, cc.washout)
-    # first update at k = history + N, then every N steps: exactly n_updates
-    T = history + cc.n_updates * N + 1
-    n_levels = -(-T // cc.hold_steps)
-    u = rng.normal(size=(n_levels, spec.n_u)).repeat(cc.hold_steps, axis=0)[:T]
-    y, xs = models.simulate(spec, theta_o, models.zero_state(spec), u)
-    seq = plant.Sequence(u=u, y=y, tau=config.dataset.tau)
-
-    n = models.param_count(spec)
-    d = np.random.default_rng(config.seed_twin + 2).normal(size=n)
-    d *= np.sqrt(cc.eps0) / np.linalg.norm(d)
-    vals = theta_o.values.copy()
-    vals[:n] += d
-    prior = theta_o.replace_values(vals)
-    eps0 = convergence.epsilon(theta_o, prior)
-
-    # the update schedule is fixed by the stream, so the windows the run
-    # will solve on are known in advance; estimate delta over exactly those
-    windows = [mhe.HorizonWindow(inputs=u[k - N:k + 1], outputs=y[k - N:k + 1],
-                                 x_init=xs[k - N], k=k)
-               for k in range(history + N, T, N)]
-    t0 = time.perf_counter()
-    sampler = convergence.DeltaSamplerConfig(
-        n_samples=cc.delta_samples, radius=2.0 * np.sqrt(eps0),
-        seed=config.seed_twin + 3, probe_smallest=cc.probe_smallest)
-    estimate = convergence.estimate_delta(spec, theta_o, windows, sampler)
-    walls["estimate_delta"] = time.perf_counter() - t0
-    mu = 0.5 * (2.0 / 3.0) * estimate.delta_hat
-    rho_c, satisfied = convergence.contraction_coefficient(mu, estimate.delta_hat)
-
-    cfg = mhe.MheConfig(N=N, mu=mu, max_iter=cc.max_iter, gtol=1e-14, ftol=3e-16,
-                        washout=cc.washout, observer="oracle", solver="lm")
-    t1 = time.perf_counter()
-    checkpoints, _ = mhe.run_adaptation(spec, prior, mhe.sequence_stream(seq, xs), cfg)
-    walls["adapt"] = time.perf_counter() - t1
-    report = convergence.track_error(checkpoints, prior, theta_o,
-                                     estimate.delta_hat, mu)
-
-    _write_csv(artifacts, out, "convergence.csv",
-               ("k", "epsilon", "ratio", "rho_c", "violated"),
-               [[r["k"], r["epsilon"], r["ratio"], r["rho_c"], r["violated"]]
-                for r in report.to_rows()])
-    result = {"delta_hat": estimate.delta_hat, "mu": mu, "rho_c": rho_c,
-              "contraction_satisfied": satisfied, "eps0": eps0,
-              "final_epsilon": report.epsilons[-1], "n_updates": len(checkpoints),
-              "violations": report.violations, "delta_samples": estimate.n_samples}
+    """Run ``convergence.twin_study`` on a twin of ``config.model`` from
+    ``config.seed_twin`` and write its update rows and its summary."""
+    result, report = convergence.twin_study(config.model, config.converge,
+                                            config.seed_twin, walls)
+    header = ("k", "epsilon", "ratio", "rho_c", "violated")
+    _write_csv(artifacts, out, "convergence.csv", header,
+               [[r[h] for h in header] for r in report.to_rows()])
     _save(artifacts, out, "convergence.json", json.dumps(result, indent=1))
     metrics.update({k: result[k] for k in ("delta_hat", "mu", "rho_c", "eps0",
                                            "final_epsilon", "violations")},
-                   epsilon_reduction=report.epsilons[-1] / eps0)
+                   epsilon_reduction=result["final_epsilon"] / result["eps0"])
 
 
 _RUNNERS = {"simulate": _run_simulate, "train": _run_train,
@@ -635,34 +572,28 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
     return manifest
 
 
-def _open_loop_prediction(config, params, scaler, sequence):
-    """Raw-unit open-loop prediction of a model over one sequence."""
-    u = scaler.scale_u(sequence.u)
-    pred, _ = models.simulate(config.model, params,
-                              models.zero_state(config.model), u)
-    return scaler.unscale_y(pred)
-
-
-def emit_plotdata(out_dir, config, artifacts, params, scaler, seq, adapted=None):
+def emit_plotdata(out_dir, config, artifacts, params, scaler, seq, adapted=None,
+                  drift_t=None):
     """Write and record a stage's figure-data CSVs from one open-loop
     rollout per model, in this process, on the test sequence ``seq``.
 
     Without ``adapted`` (train): fig3/fig4, truth vs the prediction of
     ``params`` for xA2/xB2 on the training dataset's first test sequence.
-    With ``adapted`` (adapt): fig5, the drifting kA trace, then fig6/fig7,
-    truth vs the unadapted ``params`` vs the ``adapted`` prediction of
-    xA2/xB2 on the first test sequence of the drifted evaluation set, the
-    one sequence of the set that the scoring worker returns.
+    With ``adapted`` (adapt): fig5, the drifting kA at the drift run's
+    sample times ``drift_t``, then fig6/fig7, truth vs the unadapted
+    ``params`` vs the ``adapted`` prediction of xA2/xB2 on the first test
+    sequence of the drifted evaluation set, the one sequence of the set
+    that the scoring worker returns.
     """
     out = pathlib.Path(out_dir)
-    preds = [_open_loop_prediction(config, p, scaler, seq)
+    u, x0 = scaler.scale_u(seq.u), models.zero_state(config.model)
+    preds = [scaler.unscale_y(models.simulate(config.model, p, x0, u)[0])
              for p in (params, adapted) if p is not None]
     if adapted is None:
         names, header = ("fig3.csv", "fig4.csv"), ("t", "truth", "prediction")
     else:
-        ts = np.arange(0.0, config.adapt_time, config.dataset.tau)
         _write_csv(artifacts, out, "fig5.csv", ("t", "kA"),
-                   zip(ts, plant.drift_value(config.drift, ts)))
+                   zip(drift_t, plant.drift_value(config.drift, drift_t)))
         names, header = ("fig6.csv", "fig7.csv"), ("t", "truth", "unadapted", "adapted")
     for name, channel in zip(names, (1, 2)):   # xA2 / xB2
         _write_csv(artifacts, out, name, header,

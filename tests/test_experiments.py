@@ -2,8 +2,11 @@ import copy
 import dataclasses
 import json
 import multiprocessing
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -191,6 +194,11 @@ class TestConfig:
         assert cli.main(["drift-eval", "--config", str(p)]) == 1
         assert "config error: n_eval_sequences: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("adapt_time", [4.0, 3.5])
+    def test_adapt_time_must_pass_the_drift_onset(self, tmp_path, adapt_time):
+        with pytest.raises(ConfigError, match="adapt_time must extend past the drift onset"):
+            tiny_config("adapt", tmp_path, adapt_time=adapt_time)   # onset at 4.0 s
+
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -217,6 +225,15 @@ class TestSimulate:
         target.write_text(target.read_text().replace("0", "1", 1))
         with pytest.raises(ValueError, match="checksum"):
             plant.load_dataset(tmp_path / "dataset")
+
+    def test_verify_artifacts_detects_one_changed_byte(self, tmp_path):
+        manifest = experiments.run(tiny_config("simulate", tmp_path))
+        assert manifest.verify_artifacts(tmp_path)
+        target = tmp_path / "dataset" / "seq_000.csv"
+        data = bytearray(target.read_bytes())
+        data[-2] ^= 1
+        target.write_bytes(bytes(data))
+        assert not manifest.verify_artifacts(tmp_path)
 
 
 class TestTrain:
@@ -370,6 +387,37 @@ class TestAdapt:
             experiments.run(config)
         manifest = RunManifest.load(tmp_path / "manifest.json")
         assert manifest.status == "failed"
+
+    def test_fig5_times_are_the_drift_runs(self, train_run, tmp_path):
+        # adapt_time / tau = 200.5: the drift run streams 200 samples, and
+        # fig5 traces kA at exactly those times
+        _, _, model_out = train_run
+        config = tiny_config("adapt", tmp_path, model_dir=str(model_out), adapt_time=20.05)
+        experiments.run(config)
+        fig5, run = ([r.split(",")[0] for r in (tmp_path / name).read_text().split()[1:]]
+                     for name in ("fig5.csv", "drift_run.csv"))
+        assert len(run) == 200
+        assert fig5 == run
+
+    def test_cli_runtime_failure_exits_2(self, train_run, tmp_path):
+        # through `python -m mhenet.cli`, whose scoring worker starts from
+        # a real __main__; the run is too short for any update
+        _, _, model_out = train_run
+        config = tiny_config("adapt", tmp_path / "out", model_dir=str(model_out),
+                             drift=plant.DriftSchedule(t_start=0.5, t_end=1.0),
+                             adapt_time=2.0)
+        path = tmp_path / "adapt.json"
+        path.write_text(json.dumps(config.to_dict()))
+        src = pathlib.Path(experiments.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "mhenet.cli", "adapt", "--config", str(path)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=300)
+        assert done.returncode == 2, done.stderr
+        assert "produced no checkpoints" in done.stderr
+        assert "runtime failure in experiment 'adapt'" in done.stderr
+        assert RunManifest.load(tmp_path / "out" / "manifest.json").status == "failed"
 
 
 @pytest.fixture(scope="module")
@@ -620,6 +668,23 @@ class TestModelIdentity:
         assert changed.config_hash == a.config_hash
         assert changed.summary() != a.summary()
         assert changed.metrics["model_sha256"] != a.metrics["model_sha256"]
+
+    @pytest.mark.parametrize("broken", ["no-params", "other-spec"])
+    def test_unusable_model_dir_is_config_error(self, train_run, tmp_path, capsys, broken):
+        _, _, model_out = train_run
+        model_dir = tmp_path / "model"
+        shutil.copytree(model_out, model_dir)
+        overrides = {}
+        if broken == "no-params":
+            (model_dir / "params.json").unlink()
+        else:
+            overrides["model"] = ModelSpec("lstm", 6, 4, 4)
+        config = tiny_config("adapt", tmp_path / "out", model_dir=str(model_dir), **overrides)
+        path = tmp_path / "adapt.json"
+        path.write_text(json.dumps(config.to_dict()))
+        assert cli.main(["adapt", "--config", str(path)]) == 1
+        assert "config error: model_dir: " in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -112,6 +112,16 @@ class TestTrainOffline:
         rep = training.evaluate_mse(spec, params, ds.test, 10, scaler)
         assert rep.average < 1e-2
 
+    def test_stops_after_patience_epochs_without_improvement(self, rng):
+        # a learning rate of 1e-12 moves the loss by far less than the
+        # relative 1e-6 that counts as an improvement: only epoch 0 improves
+        spec, teacher, ds = toy_dataset(rng)
+        cfg = training.TrainConfig(epochs=50, learning_rate=1e-12, washout=10,
+                                   seed=1, patience=3)
+        _, hist = training.train_offline(spec, ds, cfg)
+        assert [row[0] for row in hist] == [0, 1, 2, 3]
+        assert len({row[1] for row in hist}) == 1
+
     def test_washout_longer_than_sequence_rejected(self, rng):
         spec, teacher, ds = toy_dataset(rng, T=20)
         with pytest.raises(ValueError, match="washout"):
