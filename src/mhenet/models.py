@@ -304,7 +304,7 @@ def _lstm_gate_consts(n_h):
 
 def _lstm_cell(spec, P, x, u, x_next, saved):
     n_h = spec.n_h
-    sg, tc = saved or (None, None)
+    sg, = saved or (None,)
     half, shift = _lstm_gate_consts(n_h)
     a = _mm(P["Wg"], np.concatenate([u, x[:, n_h:]], axis=1))
     a += P["bg"]
@@ -314,27 +314,25 @@ def _lstm_cell(spec, P, x, u, x_next, saved):
     s *= half                                     # s = [f | i | o | g]
     c2 = s[:, :n_h] * x[:, :n_h]
     c2 += s[:, n_h:2 * n_h] * s[:, 3 * n_h:]
-    h2 = s[:, 2 * n_h:3 * n_h] * np.tanh(c2, out=tc)
+    h2 = s[:, 2 * n_h:3 * n_h] * np.tanh(c2)
     np.concatenate([c2, h2], axis=1, out=x_next)
 
 
 def _gru_cell(spec, P, h, u, h_next, saved):
     n_h = spec.n_h
-    s, rh, n = saved or (None, None, None)
+    s, n = saved or (None, None)
     a = _mm(P["Wg"], np.concatenate([u, h], axis=1))
     a += P["bg"]
     a *= 0.5
     s = np.tanh(a, out=a if s is None else s)
     s += 1.0
     s *= 0.5                                      # s = [z | r]
-    rh = np.multiply(s[:, n_h:], h, out=rh)
-    an = _mm(P["Wn"], np.concatenate([u, rh], axis=1))
+    an = _mm(P["Wn"], np.concatenate([u, s[:, n_h:] * h], axis=1))
     an += P["bn"]
     n = np.tanh(an, out=an if n is None else n)
-    zg = s[:, :n_h]
-    np.subtract(1.0, zg, out=h_next)
+    np.subtract(1.0, s[:, :n_h], out=h_next)
     h_next *= h
-    h_next += zg * n
+    h_next += s[:, :n_h] * n
 
 
 def _esn_cell(spec, P, h, u, h_next, saved):
@@ -363,12 +361,12 @@ _CELLS = {"lstm": _lstm_cell, "gru": _gru_cell, "esn": _esn_cell,
 
 def _new_cache(spec, T, B):
     """What a rollout keeps for its reverse pass: one (T, B, width) array
-    per intermediate.  LSTM: the activations [f | i | o | g] and
-    tanh(c_{t+1}); GRU: [z | r], r * h and the candidate n; NNARX: the
-    hidden layer.  The other inputs of the affine maps are rebuilt from
-    ``inputs`` and the states."""
+    per activation that only a matmul would rebuild.  LSTM: [f | i | o |
+    g], 4 n_h a row-step; GRU: [z | r] and the candidate n, 3 n_h; NNARX:
+    the hidden layer.  A reverse block rebuilds tanh(c_{t+1}), r * h_t and
+    the affine maps' inputs from the states, in the forward's bits."""
     n_h = spec.n_h
-    widths = {"lstm": (4 * n_h, n_h), "gru": (2 * n_h, n_h, n_h),
+    widths = {"lstm": (4 * n_h,), "gru": (2 * n_h, n_h),
               "nnarx": (spec.mlp_width,)}.get(spec.kind, ())
     return tuple(np.empty((T, B, width)) for width in widths)
 
@@ -376,17 +374,18 @@ def _new_cache(spec, T, B):
 def _rollout(spec, P, x0, inputs, cache):
     """The forward kernel behind every rollout.
 
-    x0: (B, S), inputs: (T, B, n_u), P from ``_unpack``: either one
+    x0: (B or 1, S), inputs: (T, B, n_u), P from ``_unpack``: either one
     weight vector for all B sequences or one per sequence.  Returns
     outputs (T, B, n_y), states (T+1, B, S) and, if ``cache`` is true,
     the ``_new_cache`` arrays for the backward pass (None otherwise).
 
     The time loop carries only the recurrence: each step writes its next
-    state straight into ``states`` and, with a cache, its intermediates
-    straight into the cache.  The readouts
-    y_t = C h_t + d of the LSTM, GRU and ESN are one product over the
-    stored states after the loop.  The NNARX output is fed back into the
-    state, so it is computed in the step and read from the states.
+    state straight into ``states`` and, with a cache, its matmul-fed
+    activations into the cache; tanh(c_{t+1}) and r * h_t go to
+    temporaries, as a reverse block rebuilds them from the states.  The
+    readouts y_t = C h_t + d of the LSTM, GRU and ESN are one product
+    over the stored states after the loop.  The NNARX output is fed back
+    into the state, so it is computed in the step and read from the states.
     """
     T, B = inputs.shape[0], inputs.shape[1]
     states = np.empty((T + 1, B, x0.shape[1]))
@@ -406,7 +405,9 @@ def _rollout(spec, P, x0, inputs, cache):
 # The reverse pass per kind, in two parts.  The block part takes the
 # steps ``sl`` of one block, in reverse time, and returns what no step
 # adjoint enters: factors f, the output adjoints mapped into the state
-# (dy @ C, or dy itself for NNARX), and per affine map its inputs.  The
+# (dy @ C, or dy itself for NNARX), and per affine map its inputs.  It
+# rebuilds what the cache does not keep, tanh(c_{t+1}), r * h_t and the
+# affine maps' inputs, from the states by the forward's own operation.  The
 # step part maps the adjoints dx of x_{t+1} to those of x_t, given
 # ``seed``, row k of the mapped output adjoints, and returns them with
 # each affine map's pre-activation adjoint, written into ``out`` when
@@ -416,8 +417,9 @@ def _rollout(spec, P, x0, inputs, cache):
 
 def _lstm_block(spec, P, inputs, states, cache, dy, sl):
     n_h = spec.n_h
-    sg, tc = (c[sl] for c in cache)
+    sg, = (c[sl] for c in cache)
     s, g = sg[..., :3 * n_h], sg[..., 3 * n_h:]
+    tc = np.tanh(states[1:][sl, :, :n_h])         # tanh(c_{t+1}), as the forward's
     # da = [dc2, dc2, dh, dc2] * r1 * r2 * r3, left to right: the gates'
     # [dc2 c_t, dc2 g, dh tanh(c_{t+1})] * s * (1 - s), the candidate's
     # dc2 s_i * 1 * (1 - g^2)
@@ -448,12 +450,12 @@ def _lstm_back(f, k, dx, seed, out):
 
 def _gru_block(spec, P, inputs, states, cache, dy, sl):
     n_h, n_u = spec.n_h, spec.n_u
-    s, rh, n = (c[sl] for c in cache)
+    s, n = (c[sl] for c in cache)
     h, u = states[sl], inputs[sl]
     # dan = dh * z * (1 - n^2); ds = [dh, drh] * [n - h, h] * s * (1 - s)
     f = (P["Wn"], P["Wg"], n_u, s[..., :n_h], 1.0 - n * n,
          np.concatenate([n - h, h], axis=-1), s, 1.0 - s, 1.0 - s[..., :n_h], s[..., n_h:])
-    return f, dy @ P["C"], (np.concatenate([u, rh], axis=-1),
+    return f, dy @ P["C"], (np.concatenate([u, s[..., n_h:] * h], axis=-1),
                             np.concatenate([u, h], axis=-1))
 
 
@@ -515,11 +517,8 @@ def _backward(spec, P, inputs, states, cache, dy, rows):
     and only the rows from there on are computed.
 
     The readout gradients are one contraction over all steps.  The steps
-    run in blocks (see ``BLOCK``), latest first.  Per block, everything that
-    does not depend on the adjoint is computed at once: the derivative
-    factors, dy @ C and the inputs of the affine maps.  Inside a step only
-    the recurrence remains: the elementwise chain rule and the product with
-    the recurrent weights.  Without ``rows`` each step writes its
+    run in blocks (see ``BLOCK``), latest first, each as a block part and
+    its step parts (see above).  Without ``rows`` each step writes its
     pre-activation adjoints into a block buffer; at the end of the block
     one batched matmul forms every step's weight product, and they are
     added to the running total in reverse time, as a per-step loop would
@@ -631,11 +630,13 @@ def _check_io(spec, x0, inputs, window=False):
 
 
 def _as_batch(spec, x0, inputs):
-    """(x0 (B, S), inputs (T, B, n_u), batched) from one sequence or a batch."""
+    """(x0 (B or 1, S), inputs (T, B, n_u), batched) from one sequence or a batch."""
     x0, inputs = _check_io(spec, x0, inputs)
-    if inputs.ndim == 3:
-        return x0, inputs, True
-    return (x0[None, :] if x0.ndim == 1 else x0), inputs[:, None, :], False
+    batched = inputs.ndim == 3
+    x0, inputs = np.atleast_2d(x0), inputs if batched else inputs[:, None, :]
+    if x0.ndim != 2 or len(x0) not in (1, inputs.shape[1]):
+        raise DimensionError(f"x0 {x0.shape} fits no batch of {inputs.shape[1]} sequences")
+    return x0, inputs, batched
 
 
 def forward_step(spec: ModelSpec, params: ParamVector, state, u):
@@ -681,6 +682,8 @@ def window_loss_and_gradient(spec: ModelSpec, params: ParamVector, x0,
     if targets.shape[-1] != spec.n_y:
         raise DimensionError(f"target width {targets.shape[-1]} != {spec.n_y}")
     w = np.ones(len(inputs)) if step_weights is None else np.asarray(step_weights, dtype=float)
+    if w.shape != (len(inputs),):
+        raise DimensionError(f"step_weights must be ({len(inputs)},), not {w.shape}")
 
     P = _unpack(spec, params.values)
     outputs, states, cache = _rollout(spec, P, x0, inputs, True)

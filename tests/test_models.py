@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +341,28 @@ class TestKernelParity:
         for a, b in zip(new, ref, strict=True):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "lstm-6-10-4"])
+    @pytest.mark.parametrize("B", [models.BLOCK_ROWS + 1, models.BLOCK_ROWS // 5],
+                             ids=["one-step-blocks", "few-step-blocks"])
+    def test_wide_batches_bit_equal(self, kind, B, rng):
+        # a reverse block spans max(1, BLOCK_ROWS // B) steps: one at B =
+        # 513, five at B = 102, where 13 steps end in a part block.  Each
+        # block rebuilds its slice of tanh(c_{t+1}) and r * h_t from the
+        # states.
+        K = max(1, models.BLOCK_ROWS // B)
+        assert K == 1 or 1 < K < models.BLOCK
+        spec = PARITY_SPECS[kind]
+        params = random_params(spec, rng)
+        x0 = rng.normal(size=(B, models.state_size(spec)))
+        u = rng.normal(size=(13, B, spec.n_u))
+        targets = rng.normal(size=(13, B, spec.n_y))
+        w = rng.uniform(0.5, 2.0, size=13)
+        new = _kernel_results(spec, params, x0, u, targets, w)
+        with reference_kernel():
+            ref = _kernel_results(spec, params, x0, u, targets, w)
+        for a, b in zip(new, ref, strict=True):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("kind", list(PARITY_SPECS))
     def test_batch_of_weight_vectors(self, kind, rng):
         spec = PARITY_SPECS[kind]
@@ -420,6 +444,62 @@ class TestWindowLossAndGradient:
         assert grad.shape == (models.param_count(spec),)
         assert models.param_count(spec) < models.values_size(spec)
         assert np.any(grad != 0.0)
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (11, 1)], ids=["one", "five", "column"])
+    def test_step_weights_must_have_one_entry_per_step(self, shape, rng):
+        # refused before the rollout: one entry would weight every step
+        # alike, and a column would fail only inside the reverse pass
+        spec = ALL_SPECS["lstm"]
+        p = random_params(spec, rng)
+        u, targets = rng.normal(size=(11, spec.n_u)), rng.normal(size=(11, spec.n_y))
+        with pytest.raises(models.DimensionError, match="step_weights"):
+            models.window_loss_and_gradient(spec, p, np.zeros(models.state_size(spec)), u,
+                                            targets, step_weights=np.full(shape, 2.0))
+
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_batched_x0_must_fit_the_batch(self, rows, rng):
+        spec = ALL_SPECS["gru"]
+        p = random_params(spec, rng)
+        x0 = rng.normal(size=(rows, models.state_size(spec)))
+        u, targets = rng.normal(size=(7, 4, spec.n_u)), rng.normal(size=(7, 4, spec.n_y))
+        with pytest.raises(models.DimensionError, match="x0"):
+            models.window_loss_and_gradient(spec, p, x0, u, targets)
+        with pytest.raises(models.DimensionError, match="x0"):
+            models.simulate(spec, p, x0, u)
+
+    def test_one_x0_serves_every_sequence(self, rng):
+        spec = ALL_SPECS["gru"]
+        p = random_params(spec, rng)
+        x0 = rng.normal(size=models.state_size(spec))
+        u, targets = rng.normal(size=(7, 4, spec.n_u)), rng.normal(size=(7, 4, spec.n_y))
+        tiled = models.window_loss_and_gradient(spec, p, np.tile(x0, (4, 1)), u, targets)
+        for one in (x0, x0[None, :]):
+            loss, grad = models.window_loss_and_gradient(spec, p, one, u, targets)
+            assert loss == tiled[0] and np.array_equal(grad, tiled[1])
+
+    @pytest.mark.parametrize("kind,kept", [("lstm", 4), ("gru", 3)])
+    def test_peak_memory_per_step(self, kind, kept, rng):
+        # what a gradient holds for every step of the window: the states
+        # (S doubles a row), the activations only a matmul gives ([f | i |
+        # o | g], or [z | r] and n: kept * n_h), and two output-sized
+        # arrays (the residuals and their weighted square, then adjoints).
+        # tanh(c_{t+1}) and r * h_t are rebuilt per block; the inputs and
+        # targets are the caller's.
+        spec = ModelSpec(kind, 6, 10, 4)
+        B, T1, T2 = 100, 400, 800
+        p = models.init_params(spec, 0)
+        step_bytes = B * (models.state_size(spec) + kept * spec.n_h + 2 * spec.n_y) * 8
+        peaks = []
+        for T in (T1, T2):
+            x0 = np.zeros((B, models.state_size(spec)))
+            u, targets = rng.normal(size=(T, B, spec.n_u)), rng.normal(size=(T, B, spec.n_y))
+            tracemalloc.start()
+            try:
+                models.window_loss_and_gradient(spec, p, x0, u, targets)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.01 * (T2 - T1) * step_bytes
 
     def test_mismatched_lengths_raise(self, rng):
         spec = ALL_SPECS["linear"]
