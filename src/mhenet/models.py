@@ -28,7 +28,9 @@ when the weights are unpacked; the stored parameter layout is unchanged.
 The time loops carry only the recurrence.  A forward step writes its
 next state into the states buffer and, when a gradient will need them,
 its activations into the cache; the readouts y_t = C h_t + d are one
-product over the stored states after the loop.
+product over the stored states after the loop.  The kernels keep the
+batch on the last axis (channel rows), so every slice of a step is one
+contiguous block, and form each product as a batch-major kernel would.
 
 Derivatives are exact reverse-mode accumulation through the unrolled
 recursion (no truncation).  Beside each forward cell is its backward
@@ -257,8 +259,15 @@ def _unpack(spec: ModelSpec, values):
     return P
 
 
+def _c_order(x, m):
+    """x, C-ordered if the other operand has one row (m = 1): only then do
+    BLAS's matrix-vector and dot kernels and einsum's loops follow x's layout."""
+    return np.ascontiguousarray(x) if m == 1 else x
+
+
 def _mm(W, x):
     """x @ W.T, where W is (m, n) or a batch (B, m, n) and x is (..., B, n)."""
+    x = _c_order(x, W.shape[-2])
     if W.ndim == 2:
         return x @ W.T
     return np.matmul(W, x[..., None])[..., 0]
@@ -283,76 +292,76 @@ def nnarx_state(spec: ModelSpec, us, ys) -> np.ndarray:
     return np.concatenate([np.concatenate([u, y]) for u, y in zip(us, ys)])
 
 
-@functools.cache
-def _lstm_gate_consts(n_h):
-    """(half, shift) over [f | i | o | g]: half is 1/2 for the gates and 1
-    for the candidate, shift is 1 and -0.0.  (tanh(a * half) + shift) *
-    half is [sigmoid(a) for the gates | tanh(a)], as sigmoid(a) = (1 +
-    tanh(a/2)) / 2, in the bits of separate sigmoid and tanh calls: the
-    gates take the same operations, and multiplying by 1 or adding -0.0
-    changes no bit of the candidate, not even a zero's sign.
-    """
-    half, shift = np.full(4 * n_h, 0.5), np.ones(4 * n_h)
-    half[3 * n_h:], shift[3 * n_h:] = 1.0, -0.0
+@functools.lru_cache(maxsize=16)
+def _lstm_gate_consts(n_h, B):
+    """(half, shift), full (B, 4 n_h) arrays over [f | i | o | g], as an
+    op on equal shapes is one contiguous loop: half is 1/2 for the gates
+    and 1 for the candidate, shift is 1 and -0.0.  (tanh(a * half) + shift)
+    * half is [sigmoid(a) = (1 + tanh(a/2)) / 2 | tanh(a)] in the bits of
+    separate calls: multiplying by 1 or adding -0.0 changes no bit."""
+    half, shift = np.full((B, 4 * n_h), 0.5), np.ones((B, 4 * n_h))
+    half[:, 3 * n_h:], shift[:, 3 * n_h:] = 1.0, -0.0
     half.flags.writeable = shift.flags.writeable = False
     return half, shift
 
 
-# One step of each recurrent kind: writes x_{t+1} into ``x_next`` (B, S)
-# from the state x_t (B, S) and the input u_t (B, n_u).  ``saved`` is None
-# or this step's rows of the ``_new_cache`` arrays, which the step fills.
+# One step of each recurrent kind, in channel rows: writes x_{t+1} into
+# ``x_next`` (S, B) from x_t (S, B) and u_t (B, n_u), and fills ``saved``,
+# its (width, B) rows of the ``_new_cache`` arrays.  An affine map is
+# ``_mm`` on the transposed rows ``z`` of its input; the (B, m) product
+# takes bias and activation in place, then is copied into rows (a product
+# written into transposed rows would swap its operands and bits).
 
-def _lstm_cell(spec, P, x, u, x_next, saved):
-    n_h = spec.n_h
-    sg, = saved or (None,)
-    half, shift = _lstm_gate_consts(n_h)
-    a = _mm(P["Wg"], np.concatenate([u, x[:, n_h:]], axis=1))
+def _lstm_cell(spec, P, x, u, x_next, saved, z):
+    n_h, n_u, (s,), z = spec.n_h, spec.n_u, saved, z[0]
+    half, shift = _lstm_gate_consts(n_h, len(u))
+    z[:n_u], z[n_u:] = u.T, x[n_h:]
+    a = _mm(P["Wg"], z.T)
     a += P["bg"]
     a *= half
-    s = np.tanh(a, out=a if sg is None else sg)
-    s += shift
-    s *= half                                     # s = [f | i | o | g]
-    c2 = s[:, :n_h] * x[:, :n_h]
-    c2 += s[:, n_h:2 * n_h] * s[:, 3 * n_h:]
-    h2 = s[:, 2 * n_h:3 * n_h] * np.tanh(c2)
-    np.concatenate([c2, h2], axis=1, out=x_next)
+    np.tanh(a, out=a)
+    a += shift
+    a *= half
+    s[...] = a.T                                  # s = [f | i | o | g]
+    c2 = np.multiply(s[:n_h], x[:n_h], out=x_next[:n_h])
+    c2 += s[n_h:2 * n_h] * s[3 * n_h:]
+    np.multiply(s[2 * n_h:3 * n_h], np.tanh(c2), out=x_next[n_h:])
 
 
-def _gru_cell(spec, P, h, u, h_next, saved):
-    n_h = spec.n_h
-    s, n = saved or (None, None)
-    a = _mm(P["Wg"], np.concatenate([u, h], axis=1))
+def _gru_cell(spec, P, h, u, h_next, saved, z):
+    n_h, n_u, (s, n) = spec.n_h, spec.n_u, saved
+    z[:, :n_u], z[0, n_u:] = u.T, h               # z = [u; h], [u; r * h]
+    a = _mm(P["Wg"], z[0].T)
     a += P["bg"]
     a *= 0.5
-    s = np.tanh(a, out=a if s is None else s)
-    s += 1.0
-    s *= 0.5                                      # s = [z | r]
-    an = _mm(P["Wn"], np.concatenate([u, s[:, n_h:] * h], axis=1))
-    an += P["bn"]
-    n = np.tanh(an, out=an if n is None else n)
-    np.subtract(1.0, s[:, :n_h], out=h_next)
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+    s[...] = a.T                                  # s = [z | r]
+    np.multiply(s[n_h:], h, out=z[1, n_u:])
+    a = _mm(P["Wn"], z[1].T)
+    a += P["bn"]
+    n[...] = np.tanh(a, out=a).T
+    np.subtract(1.0, s[:n_h], out=h_next)
     h_next *= h
-    h_next += s[:, :n_h] * n
+    h_next += s[:n_h] * n
 
 
-def _esn_cell(spec, P, h, u, h_next, saved):
-    pre = _mm(P["Win"], u) + _mm(P["W"], h)
+def _esn_cell(spec, P, h, u, h_next, saved, z):
+    pre = _mm(P["Win"], u) + _mm(P["W"], h.T)
     pre += P["bres"]
-    a = spec.leak_rate
-    np.multiply(1.0 - a, h, out=h_next)
-    h_next += a * np.tanh(pre, out=pre)
+    np.multiply(1.0 - spec.leak_rate, h, out=h_next)
+    h_next += (spec.leak_rate * np.tanh(pre, out=pre)).T
 
 
-def _nnarx_cell(spec, P, x, u, x_next, saved):
+def _nnarx_cell(spec, P, x, u, x_next, saved, z):
     # the state is the regressor; the model output is fed back into it
-    h1, = saved or (None,)
-    a1 = _mm(P["W1"], x)
-    a1 += P["b1"]
-    h1 = np.tanh(a1, out=a1 if h1 is None else h1)
-    S, blk, n_y = x.shape[1], spec.n_u + spec.n_y, spec.n_y
-    x_next[:, :S - blk] = x[:, blk:]
-    x_next[:, S - blk:S - n_y] = u
-    x_next[:, S - n_y:] = _mm(P["W2"], h1) + P["b2"]
+    (h1,), blk, n_y = saved, spec.n_u + spec.n_y, spec.n_y
+    a = _mm(P["W1"], x.T)
+    a += P["b1"]
+    h1[...] = np.tanh(a, out=a).T
+    x_next[:-blk], x_next[-blk:-n_y] = x[blk:], u.T
+    x_next[-n_y:] = (_mm(P["W2"], h1.T) + P["b2"]).T
 
 
 _CELLS = {"lstm": _lstm_cell, "gru": _gru_cell, "esn": _esn_cell,
@@ -360,15 +369,14 @@ _CELLS = {"lstm": _lstm_cell, "gru": _gru_cell, "esn": _esn_cell,
 
 
 def _new_cache(spec, T, B):
-    """What a rollout keeps for its reverse pass: one (T, B, width) array
-    per activation that only a matmul would rebuild.  LSTM: [f | i | o |
-    g], 4 n_h a row-step; GRU: [z | r] and the candidate n, 3 n_h; NNARX:
-    the hidden layer.  A reverse block rebuilds tanh(c_{t+1}), r * h_t and
-    the affine maps' inputs from the states, in the forward's bits."""
+    """What a rollout keeps for its reverse pass: one (T, width, B) array
+    of channel rows per activation that only a matmul would rebuild.
+    LSTM: [f | i | o | g], 4 n_h a row-step; GRU: [z | r] and the
+    candidate n, 3 n_h; NNARX: the hidden layer."""
     n_h = spec.n_h
     widths = {"lstm": (4 * n_h,), "gru": (2 * n_h, n_h),
               "nnarx": (spec.mlp_width,)}.get(spec.kind, ())
-    return tuple(np.empty((T, B, width)) for width in widths)
+    return tuple(np.empty((T, width, B)) for width in widths)
 
 
 def _rollout(spec, P, x0, inputs, cache):
@@ -379,120 +387,112 @@ def _rollout(spec, P, x0, inputs, cache):
     outputs (T, B, n_y), states (T+1, B, S) and, if ``cache`` is true,
     the ``_new_cache`` arrays for the backward pass (None otherwise).
 
-    The time loop carries only the recurrence: each step writes its next
-    state straight into ``states`` and, with a cache, its matmul-fed
-    activations into the cache; tanh(c_{t+1}) and r * h_t go to
-    temporaries, as a reverse block rebuilds them from the states.  The
-    readouts y_t = C h_t + d of the LSTM, GRU and ESN are one product
-    over the stored states after the loop.  The NNARX output is fed back
-    into the state, so it is computed in the step and read from the states.
-    """
+    The states are a transposed view of a (T+1, S, B) buffer of channel
+    rows, and every product takes transposed views of rows, in the order
+    of a batch-major kernel (see the cells).  The time loop carries only
+    the recurrence: a step writes its next state into the buffer and its
+    matmul-fed activations into the cache (without one, into reused
+    rows).  The readouts y_t = C h_t + d are one product over the states
+    after the loop, but for the NNARX's, which a step computes."""
     T, B = inputs.shape[0], inputs.shape[1]
-    states = np.empty((T + 1, B, x0.shape[1]))
+    rows = np.empty((T + 1, x0.shape[1], B))
+    states = rows.transpose(0, 2, 1)
     states[0] = x0
     saved = _new_cache(spec, T, B) if cache else None
     if spec.kind == "linear":
         return _mm(P["K"], inputs), states, saved
-    cell = _CELLS[spec.kind]
+    work, z = saved or _new_cache(spec, 1, B), np.empty((2, spec.n_u + spec.n_h, B))
+    # biases tiled to the batch: an add of equal shapes is one contiguous loop
+    cell, P = _CELLS[spec.kind], {k: np.broadcast_to(v, (B, v.shape[-1])).copy()
+                                  if k[0] == "b" else v for k, v in P.items()}
     for t in range(T):
-        cell(spec, P, states[t], inputs[t], states[t + 1],
-             saved and [c[t] for c in saved])
+        cell(spec, P, rows[t], inputs[t], rows[t + 1], [c[t if cache else 0] for c in work], z)
     if spec.kind == "nnarx":                      # y_t is the tail of x_{t+1}
         return states[1:, :, -spec.n_y:].copy(), states, saved
     return _mm(P["C"], states[:-1, :, -spec.n_h:]) + P["d"], states, saved
 
 
-# The reverse pass per kind, in two parts.  The block part takes the
-# steps ``sl`` of one block, in reverse time, and returns what no step
-# adjoint enters: factors f, the output adjoints mapped into the state
-# (dy @ C, or dy itself for NNARX), and per affine map its inputs.  It
-# rebuilds what the cache does not keep, tanh(c_{t+1}), r * h_t and the
-# affine maps' inputs, from the states by the forward's own operation.  The
-# step part maps the adjoints dx of x_{t+1} to those of x_t, given
-# ``seed``, row k of the mapped output adjoints, and returns them with
-# each affine map's pre-activation adjoint, written into ``out`` when
-# given.  Products stay in the order of the plain chain rule, so a step
-# gives the bits of a per-step reverse pass.  No mask of saturated
-# pre-activations enters: their activation derivatives are exactly 0.
+# The reverse pass per kind, in two parts, on channel rows: ``x`` of the
+# states, and the cache.  The block part takes the steps ``sl`` of one
+# block, in reverse time, and returns what no step adjoint enters: factors
+# f, the output adjoints mapped into the state (dy @ C, or dy for NNARX),
+# and per affine map the rows of its inputs, rebuilt, with tanh(c_{t+1})
+# and r * h_t, by the forward's own operations.  The step part maps the
+# adjoints dx (width, R) of x_{t+1} to those of x_t in place, given row k
+# of the mapped output adjoints, and writes each map's pre-activation
+# adjoint into ``out`` (R, m), which its matmuls read.  Products keep the
+# order of the plain chain rule, so a step has the bits of a per-step
+# reverse pass; no mask of saturated pre-activations enters, as their
+# activation derivatives are exactly 0.
 
-def _lstm_block(spec, P, inputs, states, cache, dy, sl):
-    n_h = spec.n_h
-    sg, = (c[sl] for c in cache)
-    s, g = sg[..., :3 * n_h], sg[..., 3 * n_h:]
-    tc = np.tanh(states[1:][sl, :, :n_h])         # tanh(c_{t+1}), as the forward's
-    # da = [dc2, dc2, dh, dc2] * r1 * r2 * r3, left to right: the gates'
-    # [dc2 c_t, dc2 g, dh tanh(c_{t+1})] * s * (1 - s), the candidate's
-    # dc2 s_i * 1 * (1 - g^2)
-    r1 = np.concatenate([states[sl, :, :n_h], g, tc, sg[..., n_h:2 * n_h]], axis=-1)
-    r2 = np.concatenate([s, np.ones_like(g)], axis=-1)
-    r3 = np.concatenate([1.0 - s, 1.0 - g * g], axis=-1)
+def _lstm_block(spec, P, inputs, x, cache, dy, sl):
+    n_h, (sg,) = spec.n_h, (c[sl] for c in cache)
+    s, g = sg[:, :3 * n_h], sg[:, 3 * n_h:]
+    tc = np.tanh(x[1:][sl, :n_h])              # tanh(c_{t+1}), as the forward's
+    # da = [dc2, dc2, dh, dc2] * r1, its gate rows * s, then all * r3:
+    # the gates' [dc2 c_t, dc2 g, dh tanh(c_{t+1})] * s * (1 - s), the
+    # candidate's dc2 s_i * (1 - g^2)
+    r1 = np.concatenate([x[sl, :n_h], g, tc, sg[:, n_h:2 * n_h]], axis=1)
+    r3 = np.subtract(1.0, sg)
+    np.subtract(1.0, g * g, out=r3[:, 3 * n_h:])
     # dc2 = dc + dh * s_o * (1 - tanh(c_{t+1})^2); dc_t = dc2 * s_f
-    f = (P["Wg"], spec.n_u, sg[..., 2 * n_h:3 * n_h], 1.0 - tc * tc,
-         sg[..., :n_h], r1, r2, r3)
-    z = np.concatenate([inputs[sl], states[sl, :, n_h:]], axis=-1)
+    f = (P["Wg"], spec.n_u, sg[:, 2 * n_h:3 * n_h], 1.0 - tc * tc, sg[:, :n_h], r1, s, r3)
+    z = np.concatenate([inputs[sl].transpose(0, 2, 1), x[sl, n_h:]], axis=1)
     return f, dy @ P["C"], (z,)
 
 
 def _lstm_back(f, k, dx, seed, out):
-    Wg, n_u, so, q, sf, r1, r2, r3 = f
-    dc, dh = dx
+    (Wg, n_u, so, q, sf, r1, s, r3), (dc, dh) = f, dx
     dc2 = dh * so[k]
     dc2 *= q[k]
     dc2 += dc
-    da = np.concatenate([dc2, dc2, dh, dc2], axis=1, out=out[0])
+    da = np.concatenate([dc2, dc2, dh, dc2])
     da *= r1[k]
-    da *= r2[k]
-    da *= r3[k]
-    dh = (da @ Wg)[:, n_u:]
-    dh += seed
-    return (dc2 * sf[k], dh), (da,)
+    da[:s.shape[1]] *= s[k]
+    np.multiply(da, r3[k], out=out[0].T)
+    np.multiply(dc2, sf[k], out=dc)
+    np.add((out[0] @ Wg)[:, n_u:].T, seed.T, out=dh)
 
 
-def _gru_block(spec, P, inputs, states, cache, dy, sl):
-    n_h, n_u = spec.n_h, spec.n_u
-    s, n = (c[sl] for c in cache)
-    h, u = states[sl], inputs[sl]
+def _gru_block(spec, P, inputs, x, cache, dy, sl):
+    n_h, n_u, (s, n) = spec.n_h, spec.n_u, (c[sl] for c in cache)
+    h, u = x[sl], inputs[sl].transpose(0, 2, 1)
     # dan = dh * z * (1 - n^2); ds = [dh, drh] * [n - h, h] * s * (1 - s)
-    f = (P["Wn"], P["Wg"], n_u, s[..., :n_h], 1.0 - n * n,
-         np.concatenate([n - h, h], axis=-1), s, 1.0 - s, 1.0 - s[..., :n_h], s[..., n_h:])
-    return f, dy @ P["C"], (np.concatenate([u, s[..., n_h:] * h], axis=-1),
-                            np.concatenate([u, h], axis=-1))
+    f = (P["Wn"], P["Wg"], n_u, s[:, :n_h], 1.0 - n * n,
+         np.concatenate([n - h, h], axis=1), s, 1.0 - s, 1.0 - s[:, :n_h], s[:, n_h:])
+    return f, dy @ P["C"], (np.concatenate([u, s[:, n_h:] * h], axis=1),
+                            np.concatenate([u, h], axis=1))
 
 
 def _gru_back(f, k, dx, seed, out):
-    Wn, Wg, n_u, zg, qn, f1, s, f3, omz, r = f
-    dh, = dx
-    dan = np.multiply(dh, zg[k], out=out[0])
-    dan *= qn[k]
-    drh = (dan @ Wn)[:, n_u:]
-    ds = np.concatenate([dh, drh], axis=1, out=out[1])
+    (Wn, Wg, n_u, zg, qn, f1, s, f3, omz, r), (dh,) = f, dx
+    np.multiply(dh * zg[k], qn[k], out=out[0].T)
+    drh = (out[0] @ Wn)[:, n_u:].T
+    ds = np.concatenate([dh, drh])
     ds *= f1[k]
     ds *= s[k]
-    ds *= f3[k]
-    dh = dh * omz[k]
+    np.multiply(ds, f3[k], out=out[1].T)
+    dh *= omz[k]
     dh += drh * r[k]
-    dh += (ds @ Wg)[:, n_u:]
-    dh += seed
-    return (dh,), (dan, ds)
+    dh += (out[1] @ Wg)[:, n_u:].T
+    dh += seed.T
 
 
-def _nnarx_block(spec, P, inputs, states, cache, dy, sl):
+def _nnarx_block(spec, P, inputs, x, cache, dy, sl):
     h1, = (c[sl] for c in cache)
     f = (P["W2"], P["W1"], 1.0 - h1 * h1, spec.n_u + spec.n_y, spec.n_y)
-    return f, dy, (np.ascontiguousarray(h1), np.ascontiguousarray(states[sl]))
+    return f, dy, (h1, x[sl])
 
 
 def _nnarx_back(f, k, dx, seed, out):
     # x_{t+1} = [x_t[blk:], u_t, y_t]: y_t is also fed back into the state
-    W2, W1, q, blk, n_y = f
-    dx, = dx
-    S = dx.shape[1]
-    dy = np.add(seed, dx[:, S - n_y:], out=out[0])
+    (W2, W1, q, blk, n_y), (dx,) = f, dx
+    dy = np.add(seed, dx[-n_y:].T, out=out[0])
     da1 = np.matmul(dy, W2, out=out[1])
-    da1 *= q[k]
-    dx_t = da1 @ W1
-    dx_t[:, blk:] += dx[:, :S - blk]
-    return (dx_t,), (dy, da1)
+    da1 *= q[k].T
+    dx_t = (da1 @ W1).T
+    dx_t[blk:] += dx[:-blk]
+    dx[...] = dx_t
 
 
 # per kind: block part, step part, and the (weight, bias) of each affine
@@ -516,15 +516,16 @@ def _backward(spec, P, inputs, states, cache, dy, rows):
     outputs in output order, so rows before t*n_y are still zero at step t
     and only the rows from there on are computed.
 
-    The readout gradients are one contraction over all steps.  The steps
-    run in blocks (see ``BLOCK``), latest first, each as a block part and
-    its step parts (see above).  Without ``rows`` each step writes its
-    pre-activation adjoints into a block buffer; at the end of the block
-    one batched matmul forms every step's weight product, and they are
-    added to the running total in reverse time, as a per-step loop would
-    add them, so the gradient keeps its bits.  With ``rows`` the per-row
-    outer products are added at each step, as a block of them would take
-    K times the memory of the gradient.
+    ``states`` is the (T+1, B, S) view that ``_rollout`` returns.  The
+    readout gradients are one contraction over all steps.  The steps run
+    in blocks (see ``BLOCK``), latest first, each as a block part and its
+    step parts (see above).  Without ``rows`` each step writes its
+    pre-activation adjoints into a (K, R, m) block buffer; at the end of
+    the block one batched matmul forms every step's weight product, and
+    they and the bias sums are added in reverse time, as a per-step loop
+    would add them, so the gradient keeps its bits.  With ``rows`` the
+    per-row outer products are added at each step, as a block of them
+    would take K times the memory of the gradient.
     """
     n_h, lead = spec.n_h, (dy.shape[1:2] if rows else ())
     grads = {name: np.zeros(lead + a.shape) for name, a in P.items()
@@ -534,7 +535,7 @@ def _backward(spec, P, inputs, states, cache, dy, rows):
     if spec.kind == "linear":
         grads["K"] = np.einsum(readout, dy, inputs)                 # y_t = K u_t
     elif spec.kind in ("lstm", "gru", "esn"):
-        grads["C"] = np.einsum(readout, dy, states[:-1, :, -n_h:])  # h_t is last
+        grads["C"] = np.einsum(readout, dy, _c_order(states, dy.shape[2])[:-1, :, -n_h:])
         grads["d"] = dy.sum(axis=0 if rows else (0, 1))
     if spec.kind in _BACKS:
         _reverse_steps(spec, P, inputs, states, cache, dy, rows, grads)
@@ -550,30 +551,30 @@ def _reverse_steps(spec, P, inputs, states, cache, dy, rows, grads):
     """The blocked reverse loop of ``_backward``; adds into ``grads``."""
     block, back, maps = _BACKS[spec.kind]
     T, R = dy.shape[:2]
-    widths = (spec.n_h, spec.n_h) if spec.kind == "lstm" else (states.shape[2],)
-    dx = [np.zeros((R, w)) for w in widths]         # LSTM: [dc, dh]
-    K = max(1, min(T, BLOCK, BLOCK_ROWS // states.shape[1]))
-    if not rows:
-        das = [np.empty((K, R, P[b].shape[-1])) for _, b in maps]
+    x = states.transpose(0, 2, 1)                   # the rollout's channel rows
+    widths = (spec.n_h, spec.n_h) if spec.kind == "lstm" else (x.shape[1],)
+    dx = [np.zeros((w, R)) for w in widths]         # LSTM: [dc, dh]
+    K = max(1, min(T, BLOCK, BLOCK_ROWS // x.shape[2]))
+    das = [np.empty((1 if rows else K, R, P[b].shape[-1])) for _, b in maps]
     for t1 in range(T, 0, -K):
         t0 = max(t1 - K, 0)
         sl = slice(t1 - 1, t0 - 1 if t0 else None, -1)
-        f, seeds, zs = block(spec, P, inputs, states, cache, dy[sl], sl)
+        f, seeds, zs = block(spec, P, inputs, x, cache, dy[sl], sl)
         n = t1 - t0
         for k in range(n):
             if not rows:
-                dx, _ = back(f, k, dx, seeds[k], [a[k] for a in das])
+                back(f, k, dx, seeds[k], [a[k] for a in das])
                 continue
             lo = (t1 - 1 - k) * spec.n_y
-            new, adj = back(f, k, [d[lo:] for d in dx], seeds[k, lo:], (None,) * len(maps))
-            for d, v in zip(dx, new):
-                d[lo:] = v
+            adj = [a[0, lo:] for a in das]
+            back(f, k, [d[:, lo:] for d in dx], seeds[k, lo:], adj)
             for (W, b), a, z in zip(maps, adj, zs):
-                grads[W][lo:] += a[:, :, None] * z[k][:, None, :]
+                grads[W][lo:] += a[:, :, None] * z[k].T[:, None, :]
                 grads[b][lo:] += a
         if rows:
             continue
         for (W, b), a, z in zip(maps, das, zs):
+            z = _c_order(z.transpose(0, 2, 1), a.shape[-1])
             for name, terms in ((W, np.matmul(a[:n].transpose(0, 2, 1), z)),
                                 (b, a[:n].sum(axis=1))):
                 for term in terms:
@@ -592,10 +593,8 @@ def batch_param_outputs(spec: ModelSpec, values_batch, x0, inputs) -> np.ndarray
     if vb.ndim != 2 or vb.shape[1] != values_size(spec):
         raise DimensionError("values_batch must be (B, values_size)")
     x0, inputs = _check_io(spec, x0, inputs, window=True)
-    B = vb.shape[0]
-    return _rollout(spec, _unpack(spec, vb), np.tile(x0, (B, 1)),
-                    np.broadcast_to(inputs[:, None, :], (len(inputs), B, spec.n_u)),
-                    False)[0]
+    u = np.broadcast_to(inputs[:, None, :], (len(inputs), len(vb), spec.n_u))
+    return _rollout(spec, _unpack(spec, vb), np.tile(x0, (len(vb), 1)), u, False)[0]
 
 
 def output_jacobian(spec: ModelSpec, params: ParamVector, x0,
@@ -620,12 +619,13 @@ def _check_io(spec, x0, inputs, window=False):
     """x0 and inputs as float arrays; a window is x0 (state,), inputs (T, n_u)."""
     x0 = np.asarray(x0, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim not in (2, 3) or window and (x0.ndim != 1 or inputs.ndim != 2):
+        raise DimensionError(f"x0 {x0.shape}, inputs {inputs.shape}: need inputs (T, n_u) "
+                             + ("and x0 (state,)" if window else "or (T, B, n_u)"))
     if x0.shape[-1] != state_size(spec):
         raise DimensionError(f"state length {x0.shape[-1]} != {state_size(spec)}")
     if inputs.shape[-1] != spec.n_u:
         raise DimensionError(f"input width {inputs.shape[-1]} != {spec.n_u}")
-    if window and (x0.ndim != 1 or inputs.ndim != 2):
-        raise DimensionError("x0 must be (state,) and inputs (T, n_u)")
     return x0, inputs
 
 
@@ -649,8 +649,9 @@ def forward_step(spec: ModelSpec, params: ParamVector, state, u):
 def simulate(spec: ModelSpec, params: ParamVector, x0, inputs):
     """Open-loop rollout: outputs[i] = g(x_i), states[i+1] = f(x_i, u_i).
 
-    ``inputs`` is (T, n_u) or batched (T, B, n_u); outputs/states match.
-    Aborts with the failing step index if values go non-finite.
+    ``inputs`` is (T, n_u) or batched (T, B, n_u); outputs/states match,
+    the states a view of the kernel's (T+1, S, B) channel rows.  Aborts
+    with the failing step index if values go non-finite.
     """
     x0, inputs, batched = _as_batch(spec, x0, inputs)
     if inputs.size == 0:
@@ -676,11 +677,10 @@ def window_loss_and_gradient(spec: ModelSpec, params: ParamVector, x0,
     """
     x0, inputs, batched = _as_batch(spec, x0, inputs)
     targets = np.asarray(targets, dtype=float)
+    want = inputs.shape[:2] + (spec.n_y,) if batched else (len(inputs), spec.n_y)
+    if targets.shape != want:     # one target per step, sequence and output
+        raise DimensionError(f"targets {targets.shape} != {want}, as the inputs fix")
     targets = targets if batched else targets[:, None, :]
-    if len(inputs) != len(targets):
-        raise DimensionError("inputs and targets must have equal length")
-    if targets.shape[-1] != spec.n_y:
-        raise DimensionError(f"target width {targets.shape[-1]} != {spec.n_y}")
     w = np.ones(len(inputs)) if step_weights is None else np.asarray(step_weights, dtype=float)
     if w.shape != (len(inputs),):
         raise DimensionError(f"step_weights must be ({len(inputs)},), not {w.shape}")

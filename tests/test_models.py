@@ -206,6 +206,30 @@ class TestSimulate:
             assert np.allclose(ys[:, b], y1, atol=1e-14)
             assert np.allclose(xs[:, b], x1, atol=1e-14)
 
+    @pytest.mark.parametrize("kind", list(ALL_SPECS))
+    def test_batched_states_continue_a_rollout(self, kind, rng):
+        # batched states keep their (T+1, B, S) shape, and the last one fed
+        # back as x0, as training.evaluate_mse does between blocks, continues
+        # the rollout in the bits of one whole rollout
+        spec = ALL_SPECS[kind]
+        p = random_params(spec, rng)
+        T, B, S = 12, 5, models.state_size(spec)
+        x0 = rng.normal(size=(B, S))
+        u = rng.normal(size=(T, B, spec.n_u))
+        ys, xs = models.simulate(spec, p, x0, u)
+        assert ys.shape == (T, B, spec.n_y) and xs.shape == (T + 1, B, S)
+        y1, x1 = models.simulate(spec, p, x0, u[:7])
+        y2, x2 = models.simulate(spec, p, x1[-1], u[7:])
+        assert np.array_equal(np.concatenate([y1, y2]), ys)
+        assert np.array_equal(np.concatenate([x1, x2[1:]]), xs)
+
+    def test_inputs_must_be_two_or_three_dimensional(self, rng):
+        spec = ALL_SPECS["gru"]
+        p = random_params(spec, rng)
+        for u in (np.zeros(spec.n_u), np.zeros((2, 3, 4, spec.n_u))):
+            with pytest.raises(models.DimensionError, match="inputs"):
+                models.simulate(spec, p, np.zeros(models.state_size(spec)), u)
+
 
 class TestBatchParamOutputs:
     @settings(max_examples=60, deadline=None)
@@ -341,7 +365,7 @@ class TestKernelParity:
         for a, b in zip(new, ref, strict=True):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("kind", ["lstm", "gru", "lstm-6-10-4"])
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "lstm-6-10-4", "esn", "nnarx"])
     @pytest.mark.parametrize("B", [models.BLOCK_ROWS + 1, models.BLOCK_ROWS // 5],
                              ids=["one-step-blocks", "few-step-blocks"])
     def test_wide_batches_bit_equal(self, kind, B, rng):
@@ -500,6 +524,15 @@ class TestWindowLossAndGradient:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 1.01 * (T2 - T1) * step_bytes
+
+    @pytest.mark.parametrize("shape", [(5, 1, 2), (5, 2)], ids=["one", "flat"])
+    def test_batched_targets_must_fit_every_sequence(self, shape, rng):
+        # a target batch of one must not broadcast over four sequences
+        spec = ModelSpec("gru", 2, 3, 2)
+        p = random_params(spec, rng)
+        u = rng.normal(size=(5, 4, spec.n_u))
+        with pytest.raises(models.DimensionError, match="targets"):
+            models.window_loss_and_gradient(spec, p, np.zeros(3), u, rng.normal(size=shape))
 
     def test_mismatched_lengths_raise(self, rng):
         spec = ALL_SPECS["linear"]
