@@ -1,4 +1,13 @@
-"""Moving-horizon weight adaptation during catalyst drift.
+"""What catalyst drift does to a trained surrogate, and how moving-horizon
+weight adaptation repairs it.
+
+Catalyst deactivation is modeled as a ramp in the Arrhenius
+pre-exponential factor kA from 0.336 down to 0.326.  A network trained
+on the nominal plant keeps tracking level and temperature almost
+unchanged after the drift — those follow from mass/energy balances that
+do not involve kA strongly — but its composition predictions (xA2, xB2)
+degrade by an order of magnitude, because the A -> B conversion rate it
+implicitly learned is now wrong.
 
 Every N samples the most recent N+1 input/output measurements are used
 to re-estimate the network weights:
@@ -13,10 +22,11 @@ iterations: each window has far fewer residuals than the network has
 weights, and a fully converged solve would chase noise along weakly
 identified weight directions.
 
-The demo streams a 300 s run during which kA ramps down over
-t in [100, 200] s, adapts the surrogate online, and compares the final
-adapted weights against the frozen nominal ones on fresh post-drift
-data.
+The demo trains a reduced surrogate and compares its open-loop MSE on
+fresh data from the nominal plant versus the drifted plant.  It then
+streams a 300 s run during which kA ramps down over t in [100, 200] s,
+adapts the surrogate online, and compares the final adapted weights
+against the frozen nominal ones on the same post-drift data.
 """
 
 import numpy as np
@@ -30,16 +40,32 @@ ds = plant.collect_dataset(
     plant.DatasetConfig(n_sequences=10, seq_len=500, n_train=8, n_test=2),
     seed=0)
 scaler = training.fit_scaler(ds.train)
+train_cfg = training.TrainConfig(epochs=2500, learning_rate=1e-2, lr_decay=0.999,
+                                 washout=50, seed=1, patience=300)
 print("training nominal surrogate ...")
-params, history = training.train_offline(
-    spec, ds,
-    training.TrainConfig(epochs=2500, learning_rate=1e-2, lr_decay=0.999,
-                         washout=50, seed=1, patience=300),
-    scaler=scaler)
+params, history = training.train_offline(spec, ds, train_cfg, scaler=scaler)
 print(f"  {len(history)} epochs, best train MSE {history[-1][1]:.3e}")
 
+schedule = plant.DriftSchedule()   # kA: 0.336 -> 0.326
+drifted = plant.collect_dataset(
+    plant.DatasetConfig(n_sequences=6, seq_len=500, n_train=0, n_test=6,
+                        kA=schedule.end_value),
+    seed=99)
+nominal = training.evaluate_mse(spec, params, ds.test, train_cfg.washout, scaler)
+frozen = training.evaluate_mse(spec, params, drifted.test, train_cfg.washout, scaler)
+
+print(f"\nkA drift: {schedule.start_value} -> {schedule.end_value} "
+      f"({100 * (1 - schedule.end_value / schedule.start_value):.1f}% loss "
+      "of catalyst activity)")
+print(f"\n{'channel':>8} {'nominal MSE':>12} {'drifted MSE':>12} {'ratio':>8}")
+for name, a, b in zip(plant.STATE_COLUMNS, nominal.channel_mse, frozen.channel_mse):
+    print(f"{name:>8} {a:12.3e} {b:12.3e} {b / a:7.1f}x")
+print(f"{'average':>8} {nominal.average:12.3e} {frozen.average:12.3e} "
+      f"{frozen.average / nominal.average:7.1f}x")
+print("\nThe composition channels xA2/xB2 carry nearly all of the "
+      "degradation;\nlevel H2 and temperature T2 are barely affected.")
+
 # One long closed-plant run with the catalyst drifting mid-way.
-schedule = plant.DriftSchedule()
 run = plant.drift_run(300.0, schedule, plant.default_excitation(), seed=7)
 stream_seq = Sequence(u=scaler.scale_u(run.u), y=scaler.scale_y(run.y),
                       tau=run.tau)
@@ -54,13 +80,8 @@ print(f"  peak buffered samples: {stats['peak_buffered']} "
       f"(washout + N + 1 = {cfg.washout + cfg.N + 1})")
 print(f"  total weight movement |theta_final - theta_0| = {moved:.3f}")
 
-drifted = plant.collect_dataset(
-    plant.DatasetConfig(n_sequences=6, seq_len=500, n_train=0, n_test=6,
-                        kA=schedule.end_value),
-    seed=99)
-frozen = training.evaluate_mse(spec, params, drifted.test, 50, scaler)
 adapted = training.evaluate_mse(spec, checkpoints[-1].solution,
-                                drifted.test, 50, scaler)
+                                drifted.test, train_cfg.washout, scaler)
 
 print(f"\nPost-drift open-loop MSE "
       f"({len(drifted.test)} fresh sequences, kA = {schedule.end_value}):")

@@ -47,8 +47,8 @@ class DeltaSamplerConfig:
     probe_smallest: int = 0      # least-identifiable directions per window to probe
 
     def __post_init__(self):
-        if not 0.0 < self.radius < np.inf or min(self.n_samples, self.probe_smallest) < 0:
-            raise ValueError("need 0 < radius < inf, n_samples >= 0, probe_smallest >= 0")
+        plant.check_fields(self, ints=(("n_samples", 0), ("probe_smallest", 0)),
+                           positive=("radius",))
 
 
 @dataclass
@@ -186,11 +186,8 @@ class ConvergeConfig:
     def __post_init__(self):
         plant.check_fields(self, ints=(("horizon", 1), ("washout", 0), ("n_updates", 1),
                                        ("hold_steps", 1), ("delta_samples", 0),
-                                       ("probe_smallest", 0), ("max_iter", 1)))
-        if not 0.0 < self.eps0:
-            raise ValueError("eps0 must be positive")
-        if not np.isfinite(self.eps0):
-            raise ValueError("eps0 must be finite")
+                                       ("probe_smallest", 0), ("max_iter", 1)),
+                           positive=("eps0",))
         if self.delta_samples == self.probe_smallest == 0:
             raise ValueError("delta_samples and probe_smallest cannot both be 0")
 

@@ -93,10 +93,8 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ConfigError(f"tag: expected one of {TAGS}, got {self.tag!r}")
         plant.check_fields(self, ints=(("seed", 0), ("jobs", 1), ("n_eval_sequences", 1)),
-                           positive=("adapt_time",), error=ConfigError)
+                           positive=("adapt_time",), choices=(("tag", TAGS),), error=ConfigError)
         if self.adapt_time <= self.drift.t_start:
             raise ConfigError("adapt_time must extend past the drift onset")
         # one nominal kA: the drift ramp and a dataset override start from the plant's
@@ -115,8 +113,8 @@ class ExperimentConfig:
         if any(isinstance(N, bool) or N != n
                for (_, N), (_, n) in zip(self.sweep_grid, grid)):
             raise ConfigError("sweep_grid: horizon N must be an integer")
-        if not grid or any(mu < 0 or N < 1 for mu, N in grid):
-            raise ConfigError("sweep_grid: needs rows [mu, N] with mu >= 0, N >= 1")
+        if not grid or any(not 0 <= mu < np.inf or N < 1 for mu, N in grid):
+            raise ConfigError("sweep_grid: needs rows [mu, N] with finite mu >= 0, N >= 1")
         object.__setattr__(self, "sweep_grid", grid)
 
     # derived stage seeds

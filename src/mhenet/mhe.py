@@ -52,13 +52,8 @@ class MheConfig:
 
     def __post_init__(self):
         check_fields(self, ints=(("N", 1), ("washout", 0), ("max_iter", 1)),
-                     positive=("gtol", "ftol"))
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError("mu must be nonnegative and finite")
-        if self.observer not in ("washout", "oracle"):
-            raise ValueError(f"unknown observer {self.observer!r}")
-        if self.solver not in ("lm", "lbfgs"):
-            raise ValueError(f"unknown solver {self.solver!r}")
+                     positive=("gtol", "ftol"), nonneg=("mu",),
+                     choices=(("observer", ("washout", "oracle")), ("solver", ("lm", "lbfgs"))))
 
 
 @dataclass

@@ -91,17 +91,16 @@ class ModelSpec:
     leak_rate: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
         check_fields(self, ints=(("n_u", 1), ("n_h", 0), ("n_y", 1), ("order", 0),
-                                 ("mlp_width", 0)))
+                                 ("mlp_width", 0)),
+                     positive=("leak_rate",), choices=(("kind", KINDS),))
         if self.kind in ("lstm", "gru", "esn") and self.n_h < 1:
-            raise ValueError("n_h must be >= 1 for recurrent kinds")
+            raise ValueError("n_h: must be >= 1 for recurrent kinds")
         if self.kind == "nnarx" and (self.order < 1 or self.mlp_width < 1):
-            raise ValueError("nnarx needs order >= 1 and mlp_width >= 1")
+            raise ValueError("order, mlp_width: nnarx needs both >= 1")
         if self.kind == "esn" and not (0.0 < self.spectral_radius < 1.0):
-            raise ValueError("esn spectral radius target must lie in (0, 1)")
-        if not 0.0 < self.leak_rate <= 1.0:  # NaN fails it too
+            raise ValueError("spectral_radius: esn needs it in (0, 1)")
+        if self.leak_rate > 1.0:
             raise ValueError("leak_rate: must lie in (0, 1]")
 
 
@@ -592,8 +591,8 @@ def batch_param_outputs(spec: ModelSpec, values_batch, x0, inputs) -> np.ndarray
     vb = np.asarray(values_batch, dtype=float)
     if vb.ndim != 2 or vb.shape[1] != values_size(spec):
         raise DimensionError("values_batch must be (B, values_size)")
-    x0, inputs = _check_io(spec, x0, inputs, window=True)
-    u = np.broadcast_to(inputs[:, None, :], (len(inputs), len(vb), spec.n_u))
+    x0, inputs, _ = _as_batch(spec, x0, inputs, window=True)
+    u = np.broadcast_to(inputs, (len(inputs), len(vb), spec.n_u))
     return _rollout(spec, _unpack(spec, vb), np.tile(x0, (len(vb), 1)), u, False)[0]
 
 
@@ -605,44 +604,40 @@ def output_jacobian(spec: ModelSpec, params: ParamVector, x0,
     Returns (outputs (T, n_y), J (T*n_y, param_count)); row t * n_y + i
     is the gradient of output i at step t w.r.t. the trainable prefix.
     """
-    x0, inputs = _check_io(spec, x0, inputs, window=True)
+    x0, inputs, _ = _as_batch(spec, x0, inputs, window=True)   # a batch of one
     T, R = len(inputs), len(inputs) * spec.n_y
     P = _unpack(spec, params.values)
-    inputs = inputs[:, None, :]                       # a batch of one sequence
-    outputs, states, cache = _rollout(spec, P, x0[None, :], inputs, True)
+    outputs, states, cache = _rollout(spec, P, x0, inputs, True)
     # row r = t * n_y + i seeds output i at step t; all rows share the rollout
     seeds = np.eye(R).reshape(T, spec.n_y, R).transpose(0, 2, 1)
     return outputs[:, 0], _backward(spec, P, inputs, states, cache, seeds, rows=True)
 
 
-def _check_io(spec, x0, inputs, window=False):
-    """x0 and inputs as float arrays; a window is x0 (state,), inputs (T, n_u)."""
+def _as_batch(spec, x0, inputs, window=False):
+    """(x0 (B or 1, S), inputs (T, B, n_u), batched) as float arrays, from
+    inputs (T, n_u) or a batch (T, B, n_u) and x0 (S,), shared by every
+    sequence, or (B or 1, S); a ``window`` takes (T, n_u) and (S,) only.
+    Any other shape, a 0-d x0 among them, raises DimensionError."""
     x0 = np.asarray(x0, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim not in (2, 3) or window and (x0.ndim != 1 or inputs.ndim != 2):
+    if (inputs.ndim not in (2, 3) or x0.ndim not in (1, 2)
+            or window and (x0.ndim, inputs.ndim) != (1, 2)):
         raise DimensionError(f"x0 {x0.shape}, inputs {inputs.shape}: need inputs (T, n_u) "
-                             + ("and x0 (state,)" if window else "or (T, B, n_u)"))
+                             + ("and x0 (S,)" if window else "or (T, B, n_u), x0 (S,) or (B, S)"))
     if x0.shape[-1] != state_size(spec):
         raise DimensionError(f"state length {x0.shape[-1]} != {state_size(spec)}")
     if inputs.shape[-1] != spec.n_u:
         raise DimensionError(f"input width {inputs.shape[-1]} != {spec.n_u}")
-    return x0, inputs
-
-
-def _as_batch(spec, x0, inputs):
-    """(x0 (B or 1, S), inputs (T, B, n_u), batched) from one sequence or a batch."""
-    x0, inputs = _check_io(spec, x0, inputs)
     batched = inputs.ndim == 3
     x0, inputs = np.atleast_2d(x0), inputs if batched else inputs[:, None, :]
-    if x0.ndim != 2 or len(x0) not in (1, inputs.shape[1]):
+    if len(x0) not in (1, inputs.shape[1]):
         raise DimensionError(f"x0 {x0.shape} fits no batch of {inputs.shape[1]} sequences")
     return x0, inputs, batched
 
 
 def forward_step(spec: ModelSpec, params: ParamVector, state, u):
     """One step of (f, g): returns (next_state, y)."""
-    outputs, states = simulate(spec, params, np.atleast_1d(np.asarray(state, dtype=float)),
-                               np.asarray(u, dtype=float)[None, :])
+    outputs, states = simulate(spec, params, state, np.asarray(u, dtype=float)[None, :])
     return states[1], outputs[0]
 
 

@@ -50,19 +50,24 @@ STATE_COLUMNS = ("H2", "xA2", "xB2", "T2")
 INPUT_COLUMNS = ("H1", "xA1", "xB1", "T1", "F20", "Q2")
 
 
-def check_fields(config, ints=(), positive=(), error=ValueError):
-    """Refuse a field of a config dataclass that is out of range: ``ints``
-    pairs a field with its least integer value, ``positive`` names fields
-    that must be positive finite numbers."""
+def check_fields(config, ints=(), positive=(), nonneg=(), choices=(), error=ValueError):
+    """Refuse an out-of-range field of a config dataclass with
+    ``error("<field>: ...")``.  ``choices`` pairs a field with the tuple of
+    its legal values, ``ints`` with its least value as an int; ``positive``
+    and ``nonneg`` name fields that must be finite ints or floats, > 0 and
+    >= 0.  A bool passes none of the last three."""
+    for name, legal in choices:
+        if (value := getattr(config, name)) not in legal:
+            raise error(f"{name}: expected one of {legal}, got {value!r}")
     for name, low in ints:
         value = getattr(config, name)
         if not isinstance(value, int) or isinstance(value, bool) or value < low:
             raise error(f"{name}: must be an integer >= {low}")
-    for name in positive:
-        value = getattr(config, name)
+    for name in (*positive, *nonneg):
+        value, strict = getattr(config, name), name in positive
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not (np.isfinite(value) and value > 0)):
-            raise error(f"{name}: must be positive and finite")
+                or not (np.isfinite(value) and (value > 0 if strict else value >= 0))):
+            raise error(f"{name}: must be {'positive' if strict else 'nonnegative'} and finite")
 
 
 @dataclass(frozen=True)
@@ -105,12 +110,10 @@ class DriftSchedule:
     shape: str = "ramp"
 
     def __post_init__(self):
-        check_fields(self, positive=("start_value", "end_value"))
+        check_fields(self, positive=("start_value", "end_value"),
+                     choices=(("param_name", ("kA",)), ("shape", ("ramp",))))
         if not (np.isfinite([self.t_start, self.t_end]).all() and self.t_start < self.t_end):
             raise ValueError("the ramp needs finite times with t_start before t_end")
-        if (self.param_name, self.shape) != ("kA", "ramp"):
-            raise ValueError(f"only a ramp of kA is supported, "
-                             f"got {self.shape!r} of {self.param_name!r}")
 
 
 def drift_value(schedule: DriftSchedule, t) -> float | np.ndarray:

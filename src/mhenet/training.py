@@ -54,6 +54,8 @@ def fit_scaler(sequences) -> Scaler:
     """Mean/std normalization over all samples of the given sequences."""
     U = np.concatenate([s.u for s in sequences], axis=0)
     Y = np.concatenate([s.y for s in sequences], axis=0)
+    if not (np.isfinite(U).all() and np.isfinite(Y).all()):
+        raise ValueError("non-finite sample; cannot normalize")
     u_scale, y_scale = U.std(axis=0), Y.std(axis=0)
     if np.any(u_scale <= 0) or np.any(y_scale <= 0):
         raise ValueError("zero-variance channel; cannot normalize")
@@ -73,12 +75,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self, ints=(("epochs", 1), ("patience", 1), ("washout", 0), ("seed", 0)),
-                     positive=("learning_rate", "lr_decay"))
+                     positive=("learning_rate", "lr_decay"),
+                     choices=(("init_scheme", models.INIT_SCHEMES),))
         if self.batch_size is not None:
             check_fields(self, ints=(("batch_size", 1),))
-        if self.init_scheme not in models.INIT_SCHEMES:
-            raise ValueError(f"init_scheme: expected one of {models.INIT_SCHEMES}, "
-                             f"got {self.init_scheme!r}")
 
 
 @dataclass

@@ -181,9 +181,13 @@ class TestEstimateDelta:
 
     @pytest.mark.parametrize("bad", [dict(radius=0.0), dict(radius=-1.0),
                                      dict(radius=np.nan), dict(radius=np.inf),
-                                     dict(n_samples=-1), dict(probe_smallest=-1)],
+                                     dict(n_samples=-1), dict(probe_smallest=-1),
+                                     dict(n_samples=2.5), dict(n_samples=True),
+                                     dict(probe_smallest=0.5), dict(radius=True)],
                              ids=["zero-radius", "negative-radius", "nan-radius",
-                                  "inf-radius", "negative-samples", "negative-probe"])
+                                  "inf-radius", "negative-samples", "negative-probe",
+                                  "fractional-samples", "boolean-samples",
+                                  "fractional-probe", "boolean-radius"])
     def test_bad_sampler_config_rejected(self, bad):
         with pytest.raises(ValueError):
             cv.DeltaSamplerConfig(**bad)

@@ -63,10 +63,11 @@ BAD_SECTION_VALUES = [
     ("converge", {"delta_samples": -1}), ("converge", {"probe_smallest": -1}),
     ("converge", {"max_iter": 0}), ("converge", {"horizon": 2.5}),
     ("converge", {"delta_samples": 0, "probe_smallest": 0}),
-    ("converge", {"eps0": float("inf")}),
+    ("converge", {"eps0": float("inf")}), ("converge", {"eps0": True}),
     ("mhe", {"N": 2.5}), ("mhe", {"N": True}), ("mhe", {"washout": 1.5}),
     ("mhe", {"max_iter": 2.5}), ("mhe", {"max_iter": 0}), ("mhe", {"washout": -1}),
-    ("mhe", {"mu": float("nan")}), ("mhe", {"mu": float("inf")}),
+    ("mhe", {"mu": float("nan")}), ("mhe", {"mu": float("inf")}), ("mhe", {"mu": True}),
+    ("mhe", {"solver": "newton"}), ("mhe", {"observer": "kalman"}),
     ("dataset", {"n_sequences": 0, "n_train": 0, "n_test": 0}),
     ("dataset", {"seq_len": 0}), ("dataset", {"substeps": 0}),
     ("dataset", {"substeps": 1.5}), ("dataset", {"tau": 0.0}),
@@ -77,6 +78,8 @@ BAD_SECTION_VALUES = [
     ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": float("nan")}),
     ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": 0.0}),
     ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": 3.0}),
+    ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": True}),
+    ("drift", {"shape": "sine"}),
     ("drift", {"start_value": 0.3}),  # differs from plant.kA
     ("dataset", {"kA": 0.3}),  # differs from plant.kA
 ]
@@ -150,10 +153,11 @@ class TestConfig:
         assert loaded.config_hash() == cfg.config_hash()
 
     @pytest.mark.parametrize("grid", [[[0.1]], [["a", 3]], 5, [], [[0.1, 0]],
-                                      [[0.1, 10.7]], [[0.1, True]]],
+                                      [[0.1, 10.7]], [[0.1, True]],
+                                      [[float("nan"), 10]], [[float("inf"), 10]]],
                              ids=["short-row", "non-numeric", "not-a-list",
                                   "empty", "zero-horizon", "fractional-horizon",
-                                  "boolean-horizon"])
+                                  "boolean-horizon", "nan-mu", "inf-mu"])
     def test_bad_sweep_grid_is_config_error(self, tmp_path, capsys, grid):
         d = {"tag": "sweep", "sweep_grid": grid}
         with pytest.raises(ConfigError, match="sweep_grid"):
@@ -168,7 +172,7 @@ class TestConfig:
         d["converge"]["eps0"] = 0.0
         with pytest.raises(ConfigError) as info:
             ExperimentConfig.from_dict(d)
-        assert str(info.value) == "converge: eps0 must be positive"
+        assert str(info.value) == "converge: eps0: must be positive and finite"
 
     @pytest.mark.parametrize("section,bad", BAD_SECTION_VALUES, ids=[
         f"{section}-" + "-".join(f"{k}={v}" for k, v in bad.items())

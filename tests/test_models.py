@@ -231,6 +231,28 @@ class TestSimulate:
                 models.simulate(spec, p, np.zeros(models.state_size(spec)), u)
 
 
+ENTRY_POINTS = {
+    "simulate": lambda spec, p, x0, u, y: models.simulate(spec, p, x0, u),
+    "forward_step": lambda spec, p, x0, u, y: models.forward_step(spec, p, x0, u[0]),
+    "window_loss_and_gradient":
+        lambda spec, p, x0, u, y: models.window_loss_and_gradient(spec, p, x0, u, y),
+    "output_jacobian": lambda spec, p, x0, u, y: models.output_jacobian(spec, p, x0, u),
+    "batch_param_outputs":
+        lambda spec, p, x0, u, y: models.batch_param_outputs(spec, p.values[None, :], x0, u),
+}
+
+
+@pytest.mark.parametrize("ndim", [0, 3], ids=["0-d", "3-d"])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_x0_must_be_one_or_two_dimensional(entry, ndim, rng):
+    # every entry point checks its shapes in one place, before any indexing
+    spec = ALL_SPECS["gru"]
+    x0 = np.zeros((1, 1, models.state_size(spec))[3 - ndim:])
+    u, y = rng.normal(size=(4, spec.n_u)), rng.normal(size=(4, spec.n_y))
+    with pytest.raises(models.DimensionError, match="x0"):
+        ENTRY_POINTS[entry](spec, random_params(spec, rng), x0, u, y)
+
+
 class TestBatchParamOutputs:
     @settings(max_examples=60, deadline=None)
     @given(spec=specs(), B=st.integers(1, 6), T=st.integers(1, 8),

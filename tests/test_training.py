@@ -53,6 +53,14 @@ class TestScaler:
         with pytest.raises(ValueError, match="zero-variance"):
             training.fit_scaler(seqs)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_rejected(self, bad, rng):
+        # refused before the moments, not as a blow-up of the model it trains
+        u = rng.normal(size=(10, 2))
+        u[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            training.fit_scaler([Sequence(u=u, y=rng.normal(size=(10, 1)))])
+
     def test_json_roundtrip(self):
         s = training.Scaler(np.array([1.0]), np.array([2.0]),
                             np.array([3.0]), np.array([4.0]))
