@@ -12,8 +12,8 @@ where delta lower-bounds the identifiability ratio
 
 of windowed output-error energy to weight-error energy.  delta is not
 computable globally; this module delivers a sampled surrogate (minimum
-of the ratio over drawn perturbations and windows) and scopes all
-verdicts to that sample.
+of the ratio over drawn perturbations and windows, which bounds delta
+from above) and scopes all verdicts to that sample.
 
 ``twin_study`` runs the whole check on a matched twin: the ``converge``
 experiment and demo 05 both call it, and only write or print its result.
@@ -28,6 +28,9 @@ import numpy as np
 
 from . import mhe, models, plant
 from .models import ModelSpec, ParamVector
+
+# an update violates the contraction when eps_k > rho_c * eps_{k-N} * (1 + VIOLATION_TOL)
+VIOLATION_TOL = 0.01
 
 
 def epsilon(theta_true: ParamVector, theta: ParamVector) -> float:
@@ -47,7 +50,7 @@ class DeltaSamplerConfig:
     probe_smallest: int = 0      # least-identifiable directions per window to probe
 
     def __post_init__(self):
-        plant.check_fields(self, ints=(("n_samples", 0), ("probe_smallest", 0)),
+        plant.check_fields(self, ints=(("n_samples", 0), ("probe_smallest", 0), ("seed", 0)),
                            positive=("radius",))
 
 
@@ -63,7 +66,7 @@ class DeltaEstimate:
 def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
                    config: DeltaSamplerConfig,
                    extra_perturbations=None) -> DeltaEstimate:
-    """Sampled lower-bound surrogate for the identifiability constant.
+    """Sampled upper-bound surrogate for the identifiability constant.
 
     Draws random weight perturbations within the radius, evaluates the
     output-error/weight-error ratio of every perturbation on every window
@@ -133,19 +136,16 @@ class ConvergenceReport:
     epsilons: list
     ratios: list                 # eps_k / eps_{k-N}, nan where undefined
     rho_c: float
-    violations: list             # checkpoint indices exceeding rho_c * (1 + tol)
-    tol: float
+    violations: list             # checkpoint indices of contraction violations
 
     def to_rows(self):
-        rows = []
-        for i, (k, e, r) in enumerate(zip(self.ks, self.epsilons, self.ratios)):
-            rows.append({"k": k, "epsilon": e, "ratio": r, "rho_c": self.rho_c,
-                         "violated": i in self.violations})
-        return rows
+        return [{"k": k, "epsilon": e, "ratio": r, "rho_c": self.rho_c,
+                 "violated": i in self.violations}
+                for i, (k, e, r) in enumerate(zip(self.ks, self.epsilons, self.ratios))]
 
 
 def track_error(checkpoints, initial: ParamVector, theta_true: ParamVector,
-                delta_hat: float, mu: float, tol: float = 0.01) -> ConvergenceReport:
+                delta_hat: float, mu: float) -> ConvergenceReport:
     """Per-update weight-error trajectory vs the theoretical contraction.
 
     ``initial`` is the run's starting weights, the prior of the first
@@ -161,13 +161,13 @@ def track_error(checkpoints, initial: ParamVector, theta_true: ParamVector,
         if prev > 0:
             r = e / prev
             ratios.append(r)
-            if e > rho_c * prev * (1.0 + tol):
+            if e > rho_c * prev * (1.0 + VIOLATION_TOL):
                 violations.append(i)
         else:
             ratios.append(float("nan"))
         prev = e
     return ConvergenceReport(ks=ks, epsilons=eps, ratios=ratios, rho_c=rho_c,
-                             violations=violations, tol=tol)
+                             violations=violations)
 
 
 @dataclass(frozen=True)

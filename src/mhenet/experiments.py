@@ -104,18 +104,20 @@ class ExperimentConfig:
         if self.dataset.kA is not None and self.dataset.kA != self.plant.kA:
             raise ConfigError(f"dataset: kA {self.dataset.kA} differs from plant.kA "
                               f"{self.plant.kA}; set the nominal kA in plant")
-        # (mu, N) rows in one canonical form, so that a config built with an
-        # integer mu hashes the same as its JSON round trip
+        # every row must make an MheConfig, and is kept as (float mu, N) so
+        # that a config built with an integer mu hashes as its JSON round trip
         try:
-            grid = tuple((float(mu), int(N)) for mu, N in self.sweep_grid)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"sweep_grid: expected [mu, N] rows: {exc}") from exc
-        if any(isinstance(N, bool) or N != n
-               for (_, N), (_, n) in zip(self.sweep_grid, grid)):
-            raise ConfigError("sweep_grid: horizon N must be an integer")
-        if not grid or any(not 0 <= mu < np.inf or N < 1 for mu, N in grid):
-            raise ConfigError("sweep_grid: needs rows [mu, N] with finite mu >= 0, N >= 1")
-        object.__setattr__(self, "sweep_grid", grid)
+            rows = self.sweep_rows
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep_grid: {exc}") from exc
+        if not rows:
+            raise ConfigError("sweep_grid: needs at least one [mu, N] row")
+        object.__setattr__(self, "sweep_grid", tuple((float(r.mu), r.N) for r in rows))
+
+    @property
+    def sweep_rows(self):
+        """The MheConfig of each sweep row: ``mhe`` with the row's mu and N."""
+        return tuple(replace(self.mhe, mu=mu, N=N) for mu, N in self.sweep_grid)
 
     # derived stage seeds
     @property
@@ -417,23 +419,22 @@ def _drift_data(config, scaler, walls):
     return run, scaled
 
 
-def _adapt(config, params, scaled, mu, N, on_checkpoint=None):
-    """(checkpoints, run_stats, wall time) of one (mu, N) adaptation; top-level for a pool."""
-    cfg = replace(config.mhe, mu=mu, N=N)
+def _adapt(config, params, scaled, cfg, on_checkpoint=None):
+    """(checkpoints, run_stats, wall time) of one adaptation by MheConfig ``cfg``."""
     t0 = time.perf_counter()
     checkpoints, stats = mhe.run_adaptation(config.model, params,
                                             mhe.sequence_stream(scaled), cfg,
                                             on_checkpoint)
     wall = time.perf_counter() - t0
     if not checkpoints:
-        raise RuntimeError(f"adaptation (mu={mu}, N={N}) produced no checkpoints")
+        raise RuntimeError(f"adaptation (mu={cfg.mu}, N={cfg.N}) produced no checkpoints")
     return checkpoints, stats, wall
 
 
-def _sweep_row(adapt, mu, N, on_checkpoint=None):
-    """(last solution, wall time) of the (mu, N) row that ``adapt``, an
+def _sweep_row(adapt, cfg, on_checkpoint=None):
+    """(last solution, wall time) of the sweep row ``cfg`` that ``adapt``, an
     ``_adapt`` partial, runs: all a sweep keeps, and all a pooled row sends back."""
-    checkpoints, _, wall = adapt(mu, N, on_checkpoint)
+    checkpoints, _, wall = adapt(cfg, on_checkpoint)
     return checkpoints[-1].solution, wall
 
 
@@ -442,8 +443,8 @@ def _run_adapt(config, out, artifacts, metrics, walls):
     with _process_pool() as pool:
         unadapted = pool.submit(_eval_scores, config, scaler, [params])   # the first task
         run, scaled = _drift_data(config, scaler, walls)
-        checkpoints, stats, walls["adapt"] = _adapt(
-            config, params, scaled, config.mhe.mu, config.mhe.N, _fail_early(unadapted))
+        checkpoints, stats, walls["adapt"] = _adapt(config, params, scaled, config.mhe,
+                                                    _fail_early(unadapted))
         adapted = checkpoints[-1].solution
         requests = [unadapted, pool.submit(_eval_scores, config, scaler, [adapted])]
         # the artifacts that need no score are written while the worker scores
@@ -470,19 +471,19 @@ def _run_adapt(config, out, artifacts, metrics, walls):
     emit_plotdata(out, config, artifacts, params, scaler, first_test, adapted, run.t)
 
 
-def _pooled_rows(pool, row, grid, jobs, build):
-    """(index, result) of each (mu, N) row of ``grid`` as it lands from
+def _pooled_rows(pool, row, rows, jobs, build):
+    """(index, result) of each MheConfig of ``rows`` as it lands from
     ``pool``.  At most ``jobs`` rows are in flight, and the next one is
     handed out as soon as any row lands, after ``_fail_early``'s check of
     the evaluation-set request ``build``; the wait also watches ``build``,
     so that a failed build stops the hand-outs when it fails."""
     from concurrent.futures import FIRST_COMPLETED, wait
-    check, running, todo = _fail_early(build), {}, list(enumerate(grid))[::-1]
+    check, running, todo = _fail_early(build), {}, list(enumerate(rows))[::-1]
     while todo or running:
         check()
         if todo and len(running) < jobs:
-            i, (mu, N) = todo.pop()
-            running[pool.submit(row, mu, N)] = i
+            i, cfg = todo.pop()
+            running[pool.submit(row, cfg)] = i
             continue
         watched = running.keys() if build.done() else running.keys() | {build}
         done, _ = wait(watched, return_when=FIRST_COMPLETED)
@@ -492,7 +493,7 @@ def _pooled_rows(pool, row, grid, jobs, build):
 
 def _run_sweep(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
-    grid = config.sweep_grid
+    grid = config.sweep_rows
     with contextlib.ExitStack() as pools:
         scorer = pools.enter_context(_process_pool())
         build = scorer.submit(_eval_scores, config, scaler, [])   # the first task
@@ -500,7 +501,7 @@ def _run_sweep(config, out, artifacts, metrics, walls):
         row = partial(_sweep_row, partial(_adapt, config, params, scaled))
         if config.jobs == 1:   # the rows run here, beside the set's build
             check = _fail_early(build)
-            landed = ((i, row(mu, N, check)) for i, (mu, N) in enumerate(grid))
+            landed = ((i, row(cfg, check)) for i, cfg in enumerate(grid))
         else:
             landed = _pooled_rows(pools.enter_context(_process_pool(config.jobs)),
                                   row, grid, config.jobs, build)
@@ -511,13 +512,11 @@ def _run_sweep(config, out, artifacts, metrics, walls):
         walls["sweep"] = time.perf_counter() - t0
         reports, _ = _reports([build] + [request for request, _ in scored], walls)
     walls["sweep_rows"] = [wall for _, wall in scored]
-    rows, table = [], []
-    for (mu, N), rep in zip(grid, reports):
-        channel = [float(v) for v in rep.channel_mse]
-        rows.append({"mu": mu, "N": N, "channel_mse": channel, "average": rep.average})
-        table.append([mu, N] + channel + [rep.average])
+    table = [[cfg.mu] + _mse_row(cfg.N, rep) for cfg, rep in zip(grid, reports)]
     header = ("mu", "N") + plant.STATE_COLUMNS + ("average",)
     _write_csv(artifacts, out, "sweep.csv", header, table)
+    rows = [{"mu": mu, "N": N, "channel_mse": channel, "average": average}
+            for mu, N, *channel, average in table]
     best = min(rows, key=lambda r: r["average"])
     metrics.update({"rows": rows, "best_mu": best["mu"], "best_N": best["N"],
                     "best_average": best["average"]})

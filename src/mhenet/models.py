@@ -637,7 +637,7 @@ def _as_batch(spec, x0, inputs, window=False):
 
 def forward_step(spec: ModelSpec, params: ParamVector, state, u):
     """One step of (f, g): returns (next_state, y)."""
-    outputs, states = simulate(spec, params, state, np.asarray(u, dtype=float)[None, :])
+    outputs, states = simulate(spec, params, state, np.asarray(u, dtype=float)[None])
     return states[1], outputs[0]
 
 

@@ -487,13 +487,13 @@ def save_dataset(directory, dataset: Dataset):
     return manifest
 
 
-def load_dataset(directory, verify: bool = True) -> Dataset:
+def load_dataset(directory) -> Dataset:
     directory = pathlib.Path(directory)
     with open(directory / "dataset.json") as fh:
         manifest = json.load(fh)
     sequences = []
     for name in manifest["files"]:
-        if verify and file_sha256(directory / name) != manifest["checksums"][name]:
+        if file_sha256(directory / name) != manifest["checksums"][name]:
             raise ValueError(f"checksum mismatch for {name}")
         sequences.append(load_sequence_csv(directory / name))
     return Dataset(sequences, manifest["train_idx"], manifest["test_idx"],

@@ -183,13 +183,15 @@ class TestEstimateDelta:
                                      dict(radius=np.nan), dict(radius=np.inf),
                                      dict(n_samples=-1), dict(probe_smallest=-1),
                                      dict(n_samples=2.5), dict(n_samples=True),
-                                     dict(probe_smallest=0.5), dict(radius=True)],
+                                     dict(probe_smallest=0.5), dict(radius=True),
+                                     dict(seed=-1)],
                              ids=["zero-radius", "negative-radius", "nan-radius",
                                   "inf-radius", "negative-samples", "negative-probe",
                                   "fractional-samples", "boolean-samples",
-                                  "fractional-probe", "boolean-radius"])
+                                  "fractional-probe", "boolean-radius", "negative-seed"])
     def test_bad_sampler_config_rejected(self, bad):
-        with pytest.raises(ValueError):
+        # refused where it is set, naming the field
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))}: "):
             cv.DeltaSamplerConfig(**bad)
 
     @pytest.mark.parametrize("kind", sorted(ALL_SPECS))

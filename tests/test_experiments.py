@@ -154,16 +154,22 @@ class TestConfig:
 
     @pytest.mark.parametrize("grid", [[[0.1]], [["a", 3]], 5, [], [[0.1, 0]],
                                       [[0.1, 10.7]], [[0.1, True]],
-                                      [[float("nan"), 10]], [[float("inf"), 10]]],
+                                      [[float("nan"), 10]], [[float("inf"), 10]],
+                                      [[True, 10]], [["0.1", 10]], [[0.1, 10.0]],
+                                      [[0.1, np.int64(10)]]],
                              ids=["short-row", "non-numeric", "not-a-list",
                                   "empty", "zero-horizon", "fractional-horizon",
-                                  "boolean-horizon", "nan-mu", "inf-mu"])
-    def test_bad_sweep_grid_is_config_error(self, tmp_path, capsys, grid):
+                                  "boolean-horizon", "nan-mu", "inf-mu", "boolean-mu",
+                                  "string-mu", "float-horizon", "numpy-horizon"])
+    def test_bad_sweep_grid_is_config_error(self, tmp_path, capsys, monkeypatch, grid):
         d = {"tag": "sweep", "sweep_grid": grid}
-        with pytest.raises(ConfigError, match="sweep_grid"):
+        with pytest.raises(ConfigError, match="^sweep_grid: "):
             ExperimentConfig.from_dict(d)
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(d))
+        try:
+            p.write_text(json.dumps(d))
+        except TypeError:   # JSON cannot hold a numpy scalar: the CLI gets the dict itself
+            monkeypatch.setattr(cli, "load_config", lambda _: ExperimentConfig.from_dict(d))
         assert cli.main(["sweep", "--config", str(p)]) == 1
         assert "config error: sweep_grid" in capsys.readouterr().err
 
@@ -491,9 +497,8 @@ class TestEvalSetWorker:
         # the sweep saves no weights: its rows are run again in this process
         sweep_config, sweep, _ = sweep_run
         _, scaled = experiments._drift_data(sweep_config, scaler, {})
-        for row in sweep.metrics["rows"]:
-            checkpoints, _, _ = experiments._adapt(sweep_config, params, scaled,
-                                                   row["mu"], row["N"])
+        for cfg, row in zip(sweep_config.sweep_rows, sweep.metrics["rows"], strict=True):
+            checkpoints, _, _ = experiments._adapt(sweep_config, params, scaled, cfg)
             rep = mse_in_process(sweep_config, checkpoints[-1].solution)
             assert rep.average == row["average"]
             assert [float(v) for v in rep.channel_mse] == row["channel_mse"]
@@ -593,27 +598,27 @@ class TestEvalSetWorker:
 _real_adapt = experiments._adapt
 
 
-def _marked_row(config, params, scaled, mu, N, on_checkpoint=None):
+def _marked_row(config, params, scaled, cfg, on_checkpoint=None):
     """A sweep row that first leaves a file named after its mu in the run's
     directory, then runs the real ``_adapt``; module-level, so that a
     worker process can run it."""
-    (pathlib.Path(config.out_dir) / f"row_{mu}").touch()
-    return _real_adapt(config, params, scaled, mu, N, on_checkpoint)
+    (pathlib.Path(config.out_dir) / f"row_{cfg.mu}").touch()
+    return _real_adapt(config, params, scaled, cfg, on_checkpoint)
 
 
-def _slow_first_row(config, params, scaled, mu, N, on_checkpoint=None):
+def _slow_first_row(config, params, scaled, cfg, on_checkpoint=None):
     """A sweep row that leaves a file named after its mu when it starts;
     the first row of the grid then waits, up to 30 s, for the third row's
     file before it runs the real ``_adapt``."""
     out = pathlib.Path(config.out_dir)
-    (out / f"start_{mu}").touch()
-    if mu == config.sweep_grid[0][0]:
+    (out / f"start_{cfg.mu}").touch()
+    if cfg.mu == config.sweep_grid[0][0]:
         third = out / f"start_{config.sweep_grid[2][0]}"
         deadline = time.monotonic() + 30.0
         while not third.exists() and time.monotonic() < deadline:
             time.sleep(0.02)
         (out / f"first_saw_third_{third.exists()}").touch()
-    return _real_adapt(config, params, scaled, mu, N, on_checkpoint)
+    return _real_adapt(config, params, scaled, cfg, on_checkpoint)
 
 
 class TestPooledSweep:

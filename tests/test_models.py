@@ -253,6 +253,13 @@ def test_x0_must_be_one_or_two_dimensional(entry, ndim, rng):
         ENTRY_POINTS[entry](spec, random_params(spec, rng), x0, u, y)
 
 
+def test_forward_step_refuses_a_0d_input(rng):
+    # a 0-d u reaches the shape check as 1-D inputs, even with one input channel
+    spec = ModelSpec("linear", 1, 0, 1)
+    with pytest.raises(models.DimensionError, match="inputs"):
+        models.forward_step(spec, random_params(spec, rng), np.zeros(0), 1.0)
+
+
 class TestBatchParamOutputs:
     @settings(max_examples=60, deadline=None)
     @given(spec=specs(), B=st.integers(1, 6), T=st.integers(1, 8),
