@@ -29,6 +29,8 @@ adapts the surrogate online, and compares the final adapted weights
 against the frozen nominal ones on the same post-drift data.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from mhenet import mhe, plant, training
@@ -48,9 +50,8 @@ print(f"  {len(history)} epochs, best train MSE {history[-1][1]:.3e}")
 
 schedule = plant.DriftSchedule()   # kA: 0.336 -> 0.326
 drifted = plant.collect_dataset(
-    plant.DatasetConfig(n_sequences=6, seq_len=500, n_train=0, n_test=6,
-                        kA=schedule.end_value),
-    seed=99)
+    plant.DatasetConfig(n_sequences=6, seq_len=500, n_train=0, n_test=6),
+    seed=99, params=replace(plant.PlantParams(), kA=schedule.end_value))
 nominal = training.evaluate_mse(spec, params, ds.test, train_cfg.washout, scaler)
 frozen = training.evaluate_mse(spec, params, drifted.test, train_cfg.washout, scaler)
 

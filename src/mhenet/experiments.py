@@ -67,7 +67,8 @@ class ExperimentConfig:
     the single base seed; the drifted evaluation set uses its own
     derived seed, disjoint from the train/test data.  Every stage
     integrates ``plant``; ``drift`` ramps its kA from ``plant.kA`` to
-    ``drift.end_value``, the kA of the drifted evaluation set.
+    ``drift.end_value``, the kA of the drifted evaluation set.  A field
+    that no stage reads, or that one overrides, has one legal value.
     """
 
     tag: str
@@ -97,13 +98,15 @@ class ExperimentConfig:
                            positive=("adapt_time",), choices=(("tag", TAGS),), error=ConfigError)
         if self.adapt_time <= self.drift.t_start:
             raise ConfigError("adapt_time must extend past the drift onset")
-        # one nominal kA: the drift ramp and a dataset override start from the plant's
-        if self.drift.start_value != self.plant.kA:
-            raise ConfigError(f"drift: start_value {self.drift.start_value} differs "
-                              f"from plant.kA {self.plant.kA}; both are absolute kA values")
-        if self.dataset.kA is not None and self.dataset.kA != self.plant.kA:
-            raise ConfigError(f"dataset: kA {self.dataset.kA} differs from plant.kA "
-                              f"{self.plant.kA}; set the nominal kA in plant")
+        for name, legal in (("out_dir", str), ("model_dir", (str, type(None)))):
+            if not isinstance(value := getattr(self, name), legal):
+                raise ConfigError(f"{name}: expected a path string, got {value!r}")
+        for section, name, legal, why in (
+                ("drift", "start_value", self.plant.kA, "plant.kA, where the ramp starts"),
+                ("mhe", "observer", "washout", "no stage streams model states"),
+                ("train", "seed", 0, "the train stage seeds from seed_train")):
+            if (value := getattr(getattr(self, section), name)) != legal:
+                raise ConfigError(f"{section}: {name}: must be {legal!r} ({why}), got {value!r}")
         # every row must make an MheConfig, and is kept as (float mu, N) so
         # that a config built with an integer mu hashes as its JSON round trip
         try:
@@ -172,8 +175,6 @@ def load_config(path) -> ExperimentConfig:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
     return ExperimentConfig.from_dict(data)
 
 
@@ -242,25 +243,28 @@ def _write_csv(artifacts, out, name, header, rows):
 def _load_model(config: ExperimentConfig, metrics):
     """(params, scaler) from the train-run directory named by the config;
     the sha256 of each file read goes to ``metrics["model_sha256"]``, the
-    model's identity wherever the directory is."""
+    model's identity wherever the directory is.  A file that is missing,
+    does not parse or holds a refused value is a ConfigError."""
     if config.model_dir is None:
         raise ConfigError("model_dir: required for this experiment tag")
     d = pathlib.Path(config.model_dir)
     try:
         raw = {name: (d / name).read_bytes() for name in ("params.json", "scaler.json")}
-    except OSError as exc:
-        raise ConfigError(f"model_dir: cannot load trained model: {exc}") from exc
-    params = ParamVector.from_json(raw["params.json"].decode())
+        params = ParamVector.from_json(raw["params.json"].decode())
+        scaler = training.Scaler.from_json(raw["scaler.json"].decode())
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"model_dir: cannot load trained model: "
+                          f"{type(exc).__name__}: {exc}") from exc
     if params.spec != config.model:
         raise ConfigError("model_dir: trained spec does not match config.model")
     metrics["model_sha256"] = {name: hashlib.sha256(b).hexdigest() for name, b in raw.items()}
-    return params, training.Scaler.from_json(raw["scaler.json"].decode())
+    return params, scaler
 
 
 def _eval_dataset(config: ExperimentConfig) -> plant.Dataset:
     """Dedicated post-drift evaluation set (drifted kA, its own seed)."""
     eval_cfg = replace(config.dataset, n_sequences=config.n_eval_sequences,
-                       n_train=0, n_test=config.n_eval_sequences, kA=None)
+                       n_train=0, n_test=config.n_eval_sequences)
     return plant.collect_dataset(eval_cfg, seed=config.seed_eval,
                                  params=replace(config.plant, kA=config.drift.end_value))
 
@@ -541,13 +545,14 @@ _RUNNERS = {"simulate": _run_simulate, "train": _run_train,
             "sweep": _run_sweep, "converge": _run_converge}
 
 
-def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
-    """Execute the tagged experiment end-to-end and write its manifest.
+def run(config: ExperimentConfig) -> RunManifest:
+    """Execute the tagged experiment end-to-end in ``config.out_dir`` and
+    write its manifest there.
 
     A failure mid-run still leaves a manifest on disk, marked failed, so
     partial artifacts are identifiable.
     """
-    out = pathlib.Path(out_dir if out_dir is not None else config.out_dir)
+    out = pathlib.Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w") as fh:
         json.dump(config.to_dict(), fh, indent=1)

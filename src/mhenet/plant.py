@@ -39,6 +39,7 @@ import csv
 import hashlib
 import json
 import pathlib
+import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -55,7 +56,8 @@ def check_fields(config, ints=(), positive=(), nonneg=(), choices=(), error=Valu
     ``error("<field>: ...")``.  ``choices`` pairs a field with the tuple of
     its legal values, ``ints`` with its least value as an int; ``positive``
     and ``nonneg`` name fields that must be finite ints or floats, > 0 and
-    >= 0.  A bool passes none of the last three."""
+    >= 0; an int beyond the float range is not finite.  A bool passes none
+    of the last three."""
     for name, legal in choices:
         if (value := getattr(config, name)) not in legal:
             raise error(f"{name}: expected one of {legal}, got {value!r}")
@@ -66,7 +68,7 @@ def check_fields(config, ints=(), positive=(), nonneg=(), choices=(), error=Valu
     for name in (*positive, *nonneg):
         value, strict = getattr(config, name), name in positive
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not (np.isfinite(value) and (value > 0 if strict else value >= 0))):
+                or not (value > 0 if strict else value >= 0) or value > sys.float_info.max):
             raise error(f"{name}: must be {'positive' if strict else 'nonnegative'} and finite")
 
 
@@ -334,11 +336,12 @@ class DatasetConfig:
     tau: float = TAU
     substeps: int = 10
     excitation: ExcitationConfig = field(default_factory=default_excitation)
-    kA: float | None = None   # override rate constant (drifted-plant datasets)
+    kA: None = None           # always None: the plant params give kA
 
     def __post_init__(self):
         check_fields(self, ints=(("n_sequences", 1), ("seq_len", 2), ("n_train", 0),
-                                 ("n_test", 0), ("substeps", 1)), positive=("tau",))
+                                 ("n_test", 0), ("substeps", 1)), positive=("tau",),
+                     choices=(("kA", (None,)),))
         if self.excitation.tau != self.tau:
             raise ValueError(f"tau: the excitation samples at {self.excitation.tau}, "
                              f"the dataset at {self.tau}; they must be equal")
@@ -388,13 +391,12 @@ def simulate_plant(x0, inputs, params: PlantParams, tau: float = TAU,
 def collect_dataset(config: DatasetConfig, seed: int,
                     params: PlantParams = PlantParams()) -> Dataset:
     """Excite the plant ``params`` from its steady state and record I/O
-    sequences; ``config.kA``, when set, overrides the plant's kA.
+    sequences.
 
     Sequences are integrated in one batched pass; each sequence draws
     its excitation from a child seed of (seed, index) so the dataset is
     a pure function of (config, seed, params).
     """
-    params = params if config.kA is None else replace(params, kA=config.kA)
     x_ss = steady_state(params)
     children = np.random.SeedSequence(seed).spawn(config.n_sequences)
     us = np.stack([generate_excitation(config.excitation, config.seq_len, s)

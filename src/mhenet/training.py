@@ -9,7 +9,7 @@ are in normalized units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import json
 
 import numpy as np
@@ -21,12 +21,21 @@ from .plant import check_fields
 
 @dataclass
 class Scaler:
-    """Per-channel affine normalization fit on the training split."""
+    """Per-channel affine normalization fit on the training split; the
+    shifts and scales are finite, the scales positive."""
 
     u_shift: np.ndarray
     u_scale: np.ndarray
     y_shift: np.ndarray
     y_scale: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, value := np.asarray(getattr(self, f.name), dtype=float))
+            if not np.isfinite(value).all():
+                raise ValueError(f"{f.name}: non-finite entry; cannot normalize")
+        if not ((self.u_scale > 0).all() and (self.y_scale > 0).all()):
+            raise ValueError("zero-variance channel: a scale <= 0 cannot normalize")
 
     def scale_u(self, u):
         return (np.asarray(u, dtype=float) - self.u_shift) / self.u_scale
@@ -46,8 +55,7 @@ class Scaler:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
-        return cls(**{k: np.array(v) for k, v in d.items()})
+        return cls(**json.loads(text))
 
 
 def fit_scaler(sequences) -> Scaler:
@@ -56,16 +64,13 @@ def fit_scaler(sequences) -> Scaler:
     Y = np.concatenate([s.y for s in sequences], axis=0)
     if not (np.isfinite(U).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite sample; cannot normalize")
-    u_scale, y_scale = U.std(axis=0), Y.std(axis=0)
-    if np.any(u_scale <= 0) or np.any(y_scale <= 0):
-        raise ValueError("zero-variance channel; cannot normalize")
-    return Scaler(U.mean(axis=0), u_scale, Y.mean(axis=0), y_scale)
+    return Scaler(U.mean(axis=0), U.std(axis=0), Y.mean(axis=0), Y.std(axis=0))
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 1500
-    batch_size: int | None = None      # sequences per step; None = full batch
+    batch_size: None = None            # always None: an epoch is one full-batch step
     learning_rate: float = 1e-2
     lr_decay: float = 1.0              # multiplicative, per epoch
     washout: int = 100                 # steps excluded from the loss
@@ -76,9 +81,7 @@ class TrainConfig:
     def __post_init__(self):
         check_fields(self, ints=(("epochs", 1), ("patience", 1), ("washout", 0), ("seed", 0)),
                      positive=("learning_rate", "lr_decay"),
-                     choices=(("init_scheme", models.INIT_SCHEMES),))
-        if self.batch_size is not None:
-            check_fields(self, ints=(("batch_size", 1),))
+                     choices=(("init_scheme", models.INIT_SCHEMES), ("batch_size", (None,))))
 
 
 @dataclass
@@ -106,14 +109,15 @@ def _stack(spec, sequences, scaler):
 
 def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
                   scaler: Scaler | None = None):
-    """Adam minimization of the washout-excluded open-loop MSE.
+    """Full-batch Adam minimization of the washout-excluded open-loop MSE:
+    one step per epoch on every training sequence.
 
     Rollouts start from the zero model state; the washout absorbs the
     transient.  Returns (best params, history) where history rows are
     (epoch, best-so-far train MSE), a non-increasing column.  An epoch's
-    MSE is taken at the weights its Adam steps start from, but the best
-    params are copied after those steps, so they are one epoch of steps
-    past the weights whose MSE the history records.
+    MSE is taken at the weights its Adam step starts from, but the best
+    params are copied after that step, so they are one step past the
+    weights whose MSE the history records.
     """
     if scaler is None:
         scaler = fit_scaler(dataset.train)
@@ -123,7 +127,8 @@ def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
         raise ValueError("washout must be shorter than the sequences")
     w = np.zeros(T)
     w[config.washout:] = 1.0
-    n_eff = (T - config.washout) * spec.n_y
+    x0 = models.zero_state(spec, batch=B)
+    scale = 1.0 / ((T - config.washout) * spec.n_y * B)   # loss -> MSE
 
     params = models.init_params(spec, config.seed, config.init_scheme)
     theta = params.values.copy()
@@ -134,34 +139,21 @@ def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
     v = np.zeros(n)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = config.learning_rate
-    rng = np.random.default_rng(config.seed + 1)
 
     best = theta.copy()
     best_mse = np.inf
     history = []
     stale = 0
-    batch = config.batch_size or B
-    t_adam = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(B) if batch < B else None
-        epoch_mse = 0.0
-        for s in range(0, B, batch):
-            idx = slice(None) if order is None else order[s:s + batch]  # no copy
-            nb = min(batch, B - s)
-            x0 = models.zero_state(spec, batch=nb)
-            loss, grad = models.window_loss_and_gradient(
-                spec, params.replace_values(theta), x0, U[:, idx], Y[:, idx], step_weights=w)
-            scale = 1.0 / (n_eff * nb)
-            epoch_mse += loss * scale * (nb / B)
-            g = grad * scale
-            t_adam += 1
-            m = beta1 * m + (1 - beta1) * g
-            v = beta2 * v + (1 - beta2) * g * g
-            mhat = m / (1 - beta1 ** t_adam)
-            vhat = v / (1 - beta2 ** t_adam)
-            theta[:n] -= lr * mhat / (np.sqrt(vhat) + eps)
-        if not np.isfinite(epoch_mse):
-            raise FloatingPointError(f"training diverged at epoch {epoch}")
+        # a non-finite loss or gradient raises NumericalBlowupError here
+        loss, grad = models.window_loss_and_gradient(
+            spec, params.replace_values(theta), x0, U, Y, step_weights=w)
+        epoch_mse, g = loss * scale, grad * scale
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        mhat = m / (1 - beta1 ** (epoch + 1))
+        vhat = v / (1 - beta2 ** (epoch + 1))
+        theta[:n] -= lr * mhat / (np.sqrt(vhat) + eps)
         lr *= config.lr_decay
         if epoch_mse < best_mse * (1 - 1e-6):
             best_mse, best, stale = epoch_mse, theta.copy(), 0

@@ -7,6 +7,7 @@ on disk keyed by the config fields that training reads
 to the assertions.
 """
 
+import dataclasses
 import json
 import pathlib
 import shutil
@@ -54,7 +55,7 @@ def trained_model(tmp_path_factory):
         work = cached.with_suffix(".tmp")
         if work.exists():
             shutil.rmtree(work)
-        experiments.run(config, out_dir=work)
+        experiments.run(dataclasses.replace(config, out_dir=str(work)))
         work.rename(cached)
     manifest = experiments.RunManifest.load(cached / "manifest.json")
     return config, manifest, cached

@@ -47,9 +47,9 @@ CONFIG_EXAMPLES = [
     plant.PlantParams(kA=0.326),
     plant.DriftSchedule(t_start=4.0, t_end=8.0),
     plant.default_excitation(q2_span=0.4),
-    plant.DatasetConfig(n_sequences=5, seq_len=120, n_train=3, n_test=2, kA=0.3),
+    plant.DatasetConfig(n_sequences=5, seq_len=120, n_train=3, n_test=2),
     ModelSpec("esn", 3, 5, 2, spectral_radius=0.8, leak_rate=0.5),
-    training.TrainConfig(batch_size=8, init_scheme="zeros"),
+    training.TrainConfig(lr_decay=0.999, init_scheme="zeros"),
     mhe.MheConfig(N=5, mu=0.2, solver="lbfgs", observer="oracle"),
     experiments.ConvergeConfig(horizon=40, eps0=0.5),
     tiny_config("sweep", "runs/x", model_dir="m"),
@@ -67,7 +67,10 @@ BAD_SECTION_VALUES = [
     ("mhe", {"N": 2.5}), ("mhe", {"N": True}), ("mhe", {"washout": 1.5}),
     ("mhe", {"max_iter": 2.5}), ("mhe", {"max_iter": 0}), ("mhe", {"washout": -1}),
     ("mhe", {"mu": float("nan")}), ("mhe", {"mu": float("inf")}), ("mhe", {"mu": True}),
+    ("mhe", {"mu": 10**400}),
     ("mhe", {"solver": "newton"}), ("mhe", {"observer": "kalman"}),
+    ("mhe", {"observer": "oracle"}),  # no stage streams model states
+    ("train", {"seed": 1}),  # the train stage seeds from seed_train
     ("dataset", {"n_sequences": 0, "n_train": 0, "n_test": 0}),
     ("dataset", {"seq_len": 0}), ("dataset", {"substeps": 0}),
     ("dataset", {"substeps": 1.5}), ("dataset", {"tau": 0.0}),
@@ -81,7 +84,7 @@ BAD_SECTION_VALUES = [
     ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": True}),
     ("drift", {"shape": "sine"}),
     ("drift", {"start_value": 0.3}),  # differs from plant.kA
-    ("dataset", {"kA": 0.3}),  # differs from plant.kA
+    ("dataset", {"kA": 0.3}),  # a dataset's kA comes from plant
 ]
 
 # a changed value of every ExperimentConfig field outside the train key,
@@ -214,6 +217,9 @@ class TestConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError):
             experiments.load_config(p)
+        p.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="^expected a JSON object, got list$"):
+            experiments.load_config(p)
 
 
 class TestSimulate:
@@ -334,15 +340,11 @@ class TestConfiguredPlant:
 
     def test_eval_set_is_the_config_plant_at_the_drift_end(self, tmp_path):
         config = tiny_config("drift-eval", tmp_path,
-                             plant=plant.PlantParams(kB=0.095),
-                             dataset=plant.DatasetConfig(n_sequences=5, seq_len=120,
-                                                         n_train=3, n_test=2,
-                                                         substeps=4, kA=0.336))
+                             plant=plant.PlantParams(kB=0.095))
         eval_ds = experiments._eval_dataset(config)
         n = config.n_eval_sequences
         ref = plant.collect_dataset(
-            dataclasses.replace(config.dataset, n_sequences=n, n_train=0,
-                                n_test=n, kA=None),
+            dataclasses.replace(config.dataset, n_sequences=n, n_train=0, n_test=n),
             seed=config.seed_eval,
             params=dataclasses.replace(config.plant, kA=config.drift.end_value))
         assert len(eval_ds.test) == n
@@ -678,7 +680,8 @@ class TestModelIdentity:
         assert changed.summary() != a.summary()
         assert changed.metrics["model_sha256"] != a.metrics["model_sha256"]
 
-    @pytest.mark.parametrize("broken", ["no-params", "other-spec"])
+    @pytest.mark.parametrize("broken", ["no-params", "corrupt-params", "zero-scale",
+                                        "other-spec"])
     def test_unusable_model_dir_is_config_error(self, train_run, tmp_path, capsys, broken):
         _, _, model_out = train_run
         model_dir = tmp_path / "model"
@@ -686,6 +689,12 @@ class TestModelIdentity:
         overrides = {}
         if broken == "no-params":
             (model_dir / "params.json").unlink()
+        elif broken == "corrupt-params":
+            (model_dir / "params.json").write_text("{")
+        elif broken == "zero-scale":
+            scaler = json.loads((model_dir / "scaler.json").read_text())
+            scaler["u_scale"][0] = 0.0
+            (model_dir / "scaler.json").write_text(json.dumps(scaler))
         else:
             overrides["model"] = ModelSpec("lstm", 6, 4, 4)
         config = tiny_config("adapt", tmp_path / "out", model_dir=str(model_dir), **overrides)
@@ -890,11 +899,15 @@ class TestCli:
     @pytest.mark.parametrize("section,key,value,error", [
         ("drift", "end_value", -0.1, "drift: end_value: "),
         ("drift", "t_end", float("nan"), "drift: the ramp needs finite times"),
-        (None, "adapt_time", float("nan"), "adapt_time: ")],
-        ids=["negative-end-value", "nan-t-end", "nan-adapt-time"])
+        (None, "adapt_time", float("nan"), "adapt_time: "),
+        ("mhe", "mu", 10**400, "mhe: mu: must be nonnegative and finite"),
+        (None, "out_dir", 5, "out_dir: "), (None, "model_dir", 5, "model_dir: ")],
+        ids=["negative-end-value", "nan-t-end", "nan-adapt-time", "huge-mu",
+             "numeric-out-dir", "numeric-model-dir"])
     def test_bad_drift_run_is_config_error(self, train_run, tmp_path, capsys,
                                            section, key, value, error):
-        # each of these used to fail only inside the drift run, with exit 2
+        # each of these used to fail only inside the run, with exit 2, or
+        # (a huge mu) to name no field
         _, _, model_out = train_run
         d = tiny_config("adapt", tmp_path / "run", model_dir=str(model_out)).to_dict()
         (d[section] if section else d)[key] = value

@@ -381,6 +381,17 @@ class TestReconstructInitialState:
         p = random_params(spec, rng)
         with pytest.raises(ValueError, match="history"):
             mhe.reconstruct_initial_state(spec, p, np.zeros((3, 2)), np.zeros((3, 1)), washout=10)
+        nnarx = ModelSpec("nnarx", 2, 0, 1, order=4, mlp_width=3)
+        with pytest.raises(ValueError, match="history"):
+            mhe.reconstruct_initial_state(nnarx, random_params(nnarx, rng), np.zeros((3, 2)),
+                                          np.zeros((3, 1)), washout=0)
+
+    def test_zero_washout_is_the_zero_state(self, rng):
+        spec = ModelSpec("gru", 2, 3, 1)
+        x = mhe.reconstruct_initial_state(spec, random_params(spec, rng),
+                                          rng.normal(size=(5, 2)), rng.normal(size=(5, 1)),
+                                          washout=0)
+        assert np.array_equal(x, models.zero_state(spec))
 
 
 class TestSequenceStream:

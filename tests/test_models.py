@@ -26,9 +26,12 @@ class TestModelSpec:
         (("esn", 2, 5, 1), {"leak_rate": float("nan")}, "leak_rate"),
         (("esn", 2, 5, 1), {"leak_rate": 0.0}, "leak_rate"),
         (("esn", 2, 5, 1), {"leak_rate": 3.0}, "leak_rate"),
+        (("lstm", 2, 0, 1), {}, "n_h"),
+        (("nnarx", 2, 0, 1), {"order": 0, "mlp_width": 3}, "order, mlp_width"),
+        (("esn", 2, 5, 1), {"spectral_radius": 1.0}, "spectral_radius"),
     ], ids=["n_u-fractional", "n_u-boolean", "n_h-float", "n_y-fractional",
             "order-fractional", "mlp_width-boolean", "leak_rate-nan", "leak_rate-zero",
-            "leak_rate-three"])
+            "leak_rate-three", "n_h-zero-recurrent", "order-zero", "spectral_radius-one"])
     def test_nonsense_refused(self, args, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name}: "):
             ModelSpec(*args, **kwargs)
@@ -37,6 +40,15 @@ class TestModelSpec:
         assert ModelSpec("esn", 1, 1, 1, leak_rate=1.0).leak_rate == 1.0
         assert ModelSpec("esn", 1, 1, 1, leak_rate=1e-9).leak_rate == 1e-9
         assert models.param_count(ModelSpec("nnarx", 1, 0, 1, order=1, mlp_width=1)) == 5
+
+
+@pytest.mark.parametrize("values", [np.zeros(4), np.zeros(6), [0, 0, np.nan, 0, 0],
+                                    [0, np.inf, 0, 0, 0]],
+                         ids=["short", "long", "nan", "inf"])
+def test_param_vector_refuses_bad_values(values):
+    spec = ModelSpec("nnarx", 1, 0, 1, order=1, mlp_width=1)   # 5 values
+    with pytest.raises(ValueError, match="expected 5 values|non-finite"):
+        models.ParamVector(spec, values)
 
 
 class TestParamCount:
@@ -229,6 +241,8 @@ class TestSimulate:
         for u in (np.zeros(spec.n_u), np.zeros((2, 3, 4, spec.n_u))):
             with pytest.raises(models.DimensionError, match="inputs"):
                 models.simulate(spec, p, np.zeros(models.state_size(spec)), u)
+        with pytest.raises(ValueError, match="nonempty"):
+            models.simulate(spec, p, np.zeros(models.state_size(spec)), np.zeros((0, spec.n_u)))
 
 
 ENTRY_POINTS = {
@@ -285,6 +299,9 @@ class TestBatchParamOutputs:
             models.batch_param_outputs(spec, vb, np.zeros(len(x0) + 1), u)
         with pytest.raises(models.DimensionError):
             models.batch_param_outputs(spec, vb, x0, u[:, :-1])
+        for bad in (vb[0], vb[:, :-1]):
+            with pytest.raises(models.DimensionError, match="values_batch"):
+                models.batch_param_outputs(spec, bad, x0, u)
 
 
 class TestOutputJacobian:
@@ -583,6 +600,14 @@ class TestNnarxStateTransparency:
         rebuilt = models.nnarx_state(
             spec, np.vstack([us[1:], us[:1]]), np.vstack([ys[1:], y[None, :]]))
         assert np.array_equal(nxt, rebuilt)
+
+    @pytest.mark.parametrize("spec,rows,error", [
+        (ModelSpec("gru", 2, 3, 1), 3, "only applies to nnarx"),
+        (ModelSpec("nnarx", 2, 0, 1, order=3, mlp_width=2), 2, "exactly `order`")],
+        ids=["wrong-kind", "wrong-shape"])
+    def test_refuses_other_kinds_and_shapes(self, spec, rows, error, rng):
+        with pytest.raises(ValueError, match=error):
+            models.nnarx_state(spec, rng.normal(size=(rows, 2)), rng.normal(size=(rows, 1)))
 
 
 class TestCheckpointJson:

@@ -20,6 +20,8 @@ class TestPlantParams:
             PlantParams(kA=-0.1)
         with pytest.raises(ValueError, match="kB"):
             PlantParams(kB=float("nan"))
+        with pytest.raises(ValueError, match="^kA: must be positive and finite$"):
+            PlantParams(kA=10**400)   # an int beyond the float range
 
 
 class TestRateCoefficients:
@@ -336,11 +338,9 @@ class TestCollectDataset:
             assert np.array_equal(sa.y, sb.y)
 
     def test_kA_override_changes_outputs_not_inputs(self):
-        base = DatasetConfig(n_sequences=2, seq_len=30, n_train=1, n_test=1)
-        drifted = DatasetConfig(n_sequences=2, seq_len=30, n_train=1, n_test=1,
-                                kA=0.326)
-        a = plant.collect_dataset(base, seed=5)
-        b = plant.collect_dataset(drifted, seed=5)
+        cfg = DatasetConfig(n_sequences=2, seq_len=30, n_train=1, n_test=1)
+        a = plant.collect_dataset(cfg, seed=5)
+        b = plant.collect_dataset(cfg, seed=5, params=PlantParams(kA=0.326))
         assert np.array_equal(a.sequences[0].u, b.sequences[0].u)
         assert not np.allclose(a.sequences[0].y, b.sequences[0].y)
 
@@ -358,13 +358,20 @@ class TestCollectDataset:
         {"n_sequences": 0, "n_train": 0, "n_test": 0}, {"seq_len": 0},
         {"seq_len": 1}, {"substeps": 0}, {"substeps": 2.5}, {"substeps": True},
         {"tau": 0.0}, {"tau": np.nan}, {"tau": np.inf}, {"n_train": -1},
-        {"n_test": -2}], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+        {"n_test": -2}, {"kA": 0.326}],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_bad_sizes_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             DatasetConfig(**bad)
 
 
 class TestSequenceCsv:
+    def test_bad_header_raises(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("t,H1\n0.0,1.0\n")
+        with pytest.raises(ValueError, match="header"):
+            plant.load_sequence_csv(path)
+
     def test_header_only_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(",".join(plant.SEQUENCE_CSV_COLUMNS) + "\n")

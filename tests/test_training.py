@@ -73,7 +73,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         {"epochs": -1}, {"epochs": 0}, {"epochs": 2.5}, {"epochs": True},
         {"patience": 0}, {"patience": 1.5}, {"washout": -5}, {"washout": 1.5},
-        {"seed": -1}, {"seed": 0.5}, {"batch_size": 0}, {"batch_size": 2.5},
+        {"seed": -1}, {"seed": 0.5}, {"batch_size": 0}, {"batch_size": 2.5}, {"batch_size": 8},
         {"batch_size": True}, {"learning_rate": np.nan}, {"learning_rate": 0.0},
         {"learning_rate": -1e-2}, {"learning_rate": np.inf}, {"lr_decay": 0.0},
         {"lr_decay": np.nan}, {"init_scheme": "he_normal"}],
@@ -83,7 +83,7 @@ class TestTrainConfig:
             training.TrainConfig(**bad)
 
     def test_edge_values_accepted(self):
-        training.TrainConfig(epochs=1, patience=1, washout=0, seed=0, batch_size=1,
+        training.TrainConfig(epochs=1, patience=1, washout=0, seed=0,
                              learning_rate=1, lr_decay=1, init_scheme="zeros")
 
 
@@ -134,6 +134,9 @@ class TestTrainOffline:
         spec, teacher, ds = toy_dataset(rng, T=20)
         with pytest.raises(ValueError, match="washout"):
             training.train_offline(spec, ds, training.TrainConfig(epochs=1, washout=20))
+        scaler = training.fit_scaler(ds.train)   # the same rule in evaluate_mse
+        with pytest.raises(ValueError, match="washout"):
+            training.evaluate_mse(spec, teacher, ds.test, 20, scaler)
 
     def test_esn_trains_readout_only(self, rng):
         spec = ModelSpec("esn", 2, 10, 1, spectral_radius=0.9, leak_rate=0.8)
