@@ -55,8 +55,9 @@ drifted = plant.collect_dataset(
 nominal = training.evaluate_mse(spec, params, ds.test, train_cfg.washout, scaler)
 frozen = training.evaluate_mse(spec, params, drifted.test, train_cfg.washout, scaler)
 
-print(f"\nkA drift: {schedule.start_value} -> {schedule.end_value} "
-      f"({100 * (1 - schedule.end_value / schedule.start_value):.1f}% loss "
+kA0 = plant.PlantParams().kA   # the ramp starts at the plant's own kA
+print(f"\nkA drift: {kA0} -> {schedule.end_value} "
+      f"({100 * (1 - schedule.end_value / kA0):.1f}% loss "
       "of catalyst activity)")
 print(f"\n{'channel':>8} {'nominal MSE':>12} {'drifted MSE':>12} {'ratio':>8}")
 for name, a, b in zip(plant.STATE_COLUMNS, nominal.channel_mse, frozen.channel_mse):

@@ -30,8 +30,8 @@ print(f"matched twin: GRU with {models.param_count(spec)} weights")
 # The study draws the twin's weights (seed 42), excites it with random
 # inputs held for 5 samples, perturbs the weights by eps0 = 0.04 (squared
 # distance) to get the initial model, estimates delta on the 6 windows
-# the run will solve on, and adapts with the oracle observer (the twin's
-# state is known exactly).
+# the run will solve on, and adapts with each window starting from the
+# twin's true state, which the stream carries (the state is known exactly).
 cc = convergence.ConvergeConfig(horizon=60, washout=20, n_updates=6, eps0=0.04,
                                 delta_samples=30, probe_smallest=2, max_iter=400)
 result, report = convergence.twin_study(spec, cc, seed=42, walls={})

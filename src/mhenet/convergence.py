@@ -31,6 +31,7 @@ from .models import ModelSpec, ParamVector
 
 # an update violates the contraction when eps_k > rho_c * eps_{k-N} * (1 + VIOLATION_TOL)
 VIOLATION_TOL = 0.01
+HOLD_STEPS = 5  # samples that each random input level of the twin is held
 
 
 def epsilon(theta_true: ParamVector, theta: ParamVector) -> float:
@@ -178,15 +179,14 @@ class ConvergeConfig:
     washout: int = 50
     n_updates: int = 10
     eps0: float = 0.1         # squared weight error of the perturbed prior
-    hold_steps: int = 5       # input levels held this many samples
     delta_samples: int = 30   # random perturbations for delta estimation
     probe_smallest: int = 2   # least-identifiable directions probed per window
     max_iter: int = 400
 
     def __post_init__(self):
         plant.check_fields(self, ints=(("horizon", 1), ("washout", 0), ("n_updates", 1),
-                                       ("hold_steps", 1), ("delta_samples", 0),
-                                       ("probe_smallest", 0), ("max_iter", 1)),
+                                       ("delta_samples", 0), ("probe_smallest", 0),
+                                       ("max_iter", 1)),
                            positive=("eps0",))
         if self.delta_samples == self.probe_smallest == 0:
             raise ValueError("delta_samples and probe_smallest cannot both be 0")
@@ -199,8 +199,9 @@ def twin_study(spec: ModelSpec, cc: ConvergeConfig, seed: int, walls: dict):
     prior's perturbation (squared norm ``cc.eps0``) and the delta sampler
     from ``seed + 1``, ``+ 2`` and ``+ 3``.  delta is estimated on the
     ``cc.n_updates`` windows the run solves on, mu = delta_hat / 3 (so
-    rho_c = 4/7), and the run adapts with the oracle observer and a tightly
-    converged LM.  ``walls`` gets the estimate's and the run's wall times.
+    rho_c = 4/7), and the run adapts with a tightly converged LM, each
+    window starting from the twin's true state, which the stream carries.
+    ``walls`` gets the estimate's and the run's wall times.
     """
     theta_o = models.init_params(spec, seed, "uniform")
     N = cc.horizon
@@ -208,7 +209,7 @@ def twin_study(spec: ModelSpec, cc: ConvergeConfig, seed: int, walls: dict):
     # first update at k = history + N, then every N steps: exactly n_updates
     T = history + cc.n_updates * N + 1
     rng = np.random.default_rng(seed + 1)
-    u = rng.normal(size=(-(-T // cc.hold_steps), spec.n_u)).repeat(cc.hold_steps, axis=0)[:T]
+    u = rng.normal(size=(-(-T // HOLD_STEPS), spec.n_u)).repeat(HOLD_STEPS, axis=0)[:T]
     y, xs = models.simulate(spec, theta_o, models.zero_state(spec), u)
 
     n = models.param_count(spec)
@@ -231,7 +232,7 @@ def twin_study(spec: ModelSpec, cc: ConvergeConfig, seed: int, walls: dict):
     rho_c, satisfied = contraction_coefficient(mu, estimate.delta_hat)
 
     cfg = mhe.MheConfig(N=N, mu=mu, max_iter=cc.max_iter, gtol=1e-14, ftol=3e-16,
-                        washout=cc.washout, observer="oracle", solver="lm")
+                        washout=cc.washout, solver="lm")
     t1 = time.perf_counter()
     checkpoints, _ = mhe.run_adaptation(spec, prior,
                                         mhe.sequence_stream(plant.Sequence(u=u, y=y), xs), cfg)

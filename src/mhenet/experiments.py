@@ -101,12 +101,9 @@ class ExperimentConfig:
         for name, legal in (("out_dir", str), ("model_dir", (str, type(None)))):
             if not isinstance(value := getattr(self, name), legal):
                 raise ConfigError(f"{name}: expected a path string, got {value!r}")
-        for section, name, legal, why in (
-                ("drift", "start_value", self.plant.kA, "plant.kA, where the ramp starts"),
-                ("mhe", "observer", "washout", "no stage streams model states"),
-                ("train", "seed", 0, "the train stage seeds from seed_train")):
-            if (value := getattr(getattr(self, section), name)) != legal:
-                raise ConfigError(f"{section}: {name}: must be {legal!r} ({why}), got {value!r}")
+        if self.train.seed != 0:
+            raise ConfigError(f"train: seed: must be 0 (the train stage seeds from "
+                              f"seed_train), got {self.train.seed!r}")
         # every row must make an MheConfig, and is kept as (float mu, N) so
         # that a config built with an integer mu hashes as its JSON round trip
         try:
@@ -244,7 +241,7 @@ def _load_model(config: ExperimentConfig, metrics):
     """(params, scaler) from the train-run directory named by the config;
     the sha256 of each file read goes to ``metrics["model_sha256"]``, the
     model's identity wherever the directory is.  A file that is missing,
-    does not parse or holds a refused value is a ConfigError."""
+    unparsable, refused or unfit for ``config.model`` is a ConfigError."""
     if config.model_dir is None:
         raise ConfigError("model_dir: required for this experiment tag")
     d = pathlib.Path(config.model_dir)
@@ -257,6 +254,10 @@ def _load_model(config: ExperimentConfig, metrics):
                           f"{type(exc).__name__}: {exc}") from exc
     if params.spec != config.model:
         raise ConfigError("model_dir: trained spec does not match config.model")
+    for name in ("u_shift", "u_scale", "y_shift", "y_scale"):
+        n = config.model.n_u if name[0] == "u" else config.model.n_y
+        if (shape := np.shape(getattr(scaler, name))) != (n,):
+            raise ConfigError(f"model_dir: scaler.json: {name} has shape {shape}, not ({n},)")
     metrics["model_sha256"] = {name: hashlib.sha256(b).hexdigest() for name, b in raw.items()}
     return params, scaler
 
@@ -595,7 +596,7 @@ def emit_plotdata(out_dir, config, artifacts, params, scaler, seq, adapted=None,
         names, header = ("fig3.csv", "fig4.csv"), ("t", "truth", "prediction")
     else:
         _write_csv(artifacts, out, "fig5.csv", ("t", "kA"),
-                   zip(drift_t, plant.drift_value(config.drift, drift_t)))
+                   zip(drift_t, plant.drift_value(config.drift, config.plant.kA, drift_t)))
         names, header = ("fig6.csv", "fig7.csv"), ("t", "truth", "unadapted", "adapted")
     for name, channel in zip(names, (1, 2)):   # xA2 / xB2
         _write_csv(artifacts, out, name, header,

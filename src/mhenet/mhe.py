@@ -47,13 +47,12 @@ class MheConfig:
     gtol: float = 1e-10          # stop at max|gradient| <= gtol
     ftol: float = 1e-15          # stop at a relative decrease of the objective <= ftol
     washout: int = 100           # history rollout length for state reconstruction
-    observer: str = "washout"    # "washout" | "oracle" (stream supplies states)
     solver: str = "lm"           # "lm" (Levenberg-Marquardt) | "lbfgs"
 
     def __post_init__(self):
         check_fields(self, ints=(("N", 1), ("washout", 0), ("max_iter", 1)),
                      positive=("gtol", "ftol"), nonneg=("mu",),
-                     choices=(("observer", ("washout", "oracle")), ("solver", ("lm", "lbfgs"))))
+                     choices=(("solver", ("lm", "lbfgs")),))
 
 
 @dataclass
@@ -303,8 +302,8 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
     held at once, h + N + 1 from the first update on.  ``on_checkpoint``
     is called with each checkpoint; what it raises ends the run there.
 
-    With ``config.observer == "oracle"`` the sample at the window start
-    must carry the true model state in its ``x`` field.
+    A window starts from the state that its first sample carries in its
+    ``x`` field, else from ``reconstruct_initial_state`` on the history.
     """
     N = config.N
     history_need = history_length(spec, config.washout)
@@ -323,11 +322,8 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
             continue
         buffered = list(buffer)
         history, window_samples = buffered[:-(N + 1)], buffered[-(N + 1):]
-        if config.observer == "oracle":
-            x_init = window_samples[0].x
-            if x_init is None:
-                raise ValueError("oracle observer requires samples carrying states")
-        else:
+        x_init = window_samples[0].x
+        if x_init is None:
             x_init = reconstruct_initial_state(
                 spec, prior,
                 [s.u for s in history], [s.y for s in history], history_need)
@@ -350,8 +346,8 @@ def sequence_stream(sequence, states=None):
     """IOSample stream over a recorded sequence.
 
     ``states`` (at least T rows), when given, attaches ``states[t]``, the
-    model state before sample t, to sample t: the true twin state the
-    oracle observer needs in matched-twin studies, e.g. the states a
+    model state before sample t, to sample t: the true twin state that a
+    matched-twin study starts its windows from, e.g. the states a
     ``models.simulate`` of the twin already returned.
     """
     for t in range(len(sequence.u)):

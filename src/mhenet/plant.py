@@ -54,17 +54,18 @@ INPUT_COLUMNS = ("H1", "xA1", "xB1", "T1", "F20", "Q2")
 def check_fields(config, ints=(), positive=(), nonneg=(), choices=(), error=ValueError):
     """Refuse an out-of-range field of a config dataclass with
     ``error("<field>: ...")``.  ``choices`` pairs a field with the tuple of
-    its legal values, ``ints`` with its least value as an int; ``positive``
-    and ``nonneg`` name fields that must be finite ints or floats, > 0 and
-    >= 0; an int beyond the float range is not finite.  A bool passes none
-    of the last three."""
+    its legal values, ``ints`` with its least value (the most is
+    ``sys.maxsize``); ``positive`` and ``nonneg`` name fields that must be
+    finite ints or floats, > 0 and >= 0; an int beyond the float range is
+    not finite.  A bool passes none of the last three."""
     for name, legal in choices:
         if (value := getattr(config, name)) not in legal:
             raise error(f"{name}: expected one of {legal}, got {value!r}")
     for name, low in ints:
         value = getattr(config, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < low:
-            raise error(f"{name}: must be an integer >= {low}")
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or not low <= value <= sys.maxsize):
+            raise error(f"{name}: must be an integer from {low} to {sys.maxsize}")
     for name in (*positive, *nonneg):
         value, strict = getattr(config, name), name in positive
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
@@ -101,28 +102,24 @@ NOMINAL_INPUT = np.array([1.0, 0.8, 0.1, 313.0, 0.1, 0.0])
 
 @dataclass(frozen=True)
 class DriftSchedule:
-    """Ramp of one plant parameter; only kA can drift.  ``start_value`` and
-    ``end_value`` are absolute kA values, not offsets from the plant's."""
+    """Ramp of the plant's kA from its own value to ``end_value``, an
+    absolute kA value, not an offset from the plant's."""
 
-    param_name: str = "kA"
-    start_value: float = 0.336
     end_value: float = 0.326
     t_start: float = 100.0
     t_end: float = 200.0
-    shape: str = "ramp"
 
     def __post_init__(self):
-        check_fields(self, positive=("start_value", "end_value"),
-                     choices=(("param_name", ("kA",)), ("shape", ("ramp",))))
+        check_fields(self, positive=("end_value",))
         if not (np.isfinite([self.t_start, self.t_end]).all() and self.t_start < self.t_end):
             raise ValueError("the ramp needs finite times with t_start before t_end")
 
 
-def drift_value(schedule: DriftSchedule, t) -> float | np.ndarray:
-    """Parameter value at time t: flat / linear ramp / flat."""
+def drift_value(schedule: DriftSchedule, kA: float, t) -> float | np.ndarray:
+    """kA at time t of a plant whose kA is ``kA``: flat / linear ramp / flat."""
     frac = np.clip((np.asarray(t, dtype=float) - schedule.t_start)
                    / (schedule.t_end - schedule.t_start), 0.0, 1.0)
-    out = schedule.start_value + frac * (schedule.end_value - schedule.start_value)
+    out = kA + frac * (schedule.end_value - kA)
     return out if out.ndim else float(out)
 
 
@@ -505,10 +502,10 @@ def load_dataset(directory) -> Dataset:
 
 def drift_run(total_time: float, schedule: DriftSchedule, excitation: ExcitationConfig,
               seed: int, params: PlantParams = PlantParams(), substeps: int = 10) -> Sequence:
-    """One long trajectory with kA following the drift schedule."""
+    """One long trajectory whose kA ramps from ``params.kA`` by the schedule."""
     n = int(round(total_time / excitation.tau))
     u = generate_excitation(excitation, n, seed)
     x0 = steady_state(params)
     y = simulate_plant(x0, u, params, excitation.tau, substeps,
-                       kA_of_t=lambda t: drift_value(schedule, t))
+                       kA_of_t=lambda t: drift_value(schedule, params.kA, t))
     return Sequence(u=u, y=y, tau=excitation.tau)

@@ -50,7 +50,7 @@ CONFIG_EXAMPLES = [
     plant.DatasetConfig(n_sequences=5, seq_len=120, n_train=3, n_test=2),
     ModelSpec("esn", 3, 5, 2, spectral_radius=0.8, leak_rate=0.5),
     training.TrainConfig(lr_decay=0.999, init_scheme="zeros"),
-    mhe.MheConfig(N=5, mu=0.2, solver="lbfgs", observer="oracle"),
+    mhe.MheConfig(N=5, mu=0.2, solver="lbfgs"),
     experiments.ConvergeConfig(horizon=40, eps0=0.5),
     tiny_config("sweep", "runs/x", model_dir="m"),
 ]
@@ -59,7 +59,8 @@ CONFIG_EXAMPLES = [
 # out-of-range section values that must be refused when the config loads,
 # not at run time
 BAD_SECTION_VALUES = [
-    ("converge", {"hold_steps": 0}), ("converge", {"washout": -1}),
+    ("converge", {"hold_steps": 0}),  # a removed field: the twin holds inputs HOLD_STEPS
+    ("converge", {"washout": -1}),
     ("converge", {"delta_samples": -1}), ("converge", {"probe_smallest": -1}),
     ("converge", {"max_iter": 0}), ("converge", {"horizon": 2.5}),
     ("converge", {"delta_samples": 0, "probe_smallest": 0}),
@@ -67,9 +68,10 @@ BAD_SECTION_VALUES = [
     ("mhe", {"N": 2.5}), ("mhe", {"N": True}), ("mhe", {"washout": 1.5}),
     ("mhe", {"max_iter": 2.5}), ("mhe", {"max_iter": 0}), ("mhe", {"washout": -1}),
     ("mhe", {"mu": float("nan")}), ("mhe", {"mu": float("inf")}), ("mhe", {"mu": True}),
-    ("mhe", {"mu": 10**400}),
-    ("mhe", {"solver": "newton"}), ("mhe", {"observer": "kalman"}),
-    ("mhe", {"observer": "oracle"}),  # no stage streams model states
+    ("mhe", {"mu": 10**400}), ("mhe", {"N": 10**400}),
+    ("mhe", {"solver": "newton"}),
+    # a removed field: a window starts from the state its stream carries, if any
+    ("mhe", {"observer": "kalman"}), ("mhe", {"observer": "oracle"}),
     ("train", {"seed": 1}),  # the train stage seeds from seed_train
     ("dataset", {"n_sequences": 0, "n_train": 0, "n_test": 0}),
     ("dataset", {"seq_len": 0}), ("dataset", {"substeps": 0}),
@@ -82,8 +84,9 @@ BAD_SECTION_VALUES = [
     ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": 0.0}),
     ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": 3.0}),
     ("model", {"kind": "esn", "n_u": 2, "n_h": 5, "n_y": 1, "leak_rate": True}),
-    ("drift", {"shape": "sine"}),
-    ("drift", {"start_value": 0.3}),  # differs from plant.kA
+    ("drift", {"shape": "sine"}),  # a removed field: the drift is one ramp
+    ("drift", {"param_name": "kB"}),  # a removed field: only kA drifts
+    ("drift", {"start_value": 0.3}),  # a removed field: the ramp starts at plant.kA
     ("dataset", {"kA": 0.3}),  # a dataset's kA comes from plant
 ]
 
@@ -370,7 +373,9 @@ class TestDriftEval:
 class TestAdapt:
     def test_end_to_end(self, train_run, tmp_path):
         _, _, model_out = train_run
-        config = tiny_config("adapt", tmp_path, model_dir=str(model_out))
+        # a plant kA off the default: the drift ramps from the plant's own kA
+        config = tiny_config("adapt", tmp_path, model_dir=str(model_out),
+                             plant=plant.PlantParams(kA=0.33))
         manifest = experiments.run(config)
         assert manifest.status == "ok"
         # the set-up time is reported per build, outside what summary() hashes;
@@ -387,7 +392,7 @@ class TestAdapt:
         # fig5 trace is flat before the ramp and flat after it
         rows = (tmp_path / "fig5.csv").read_text().strip().split("\n")[1:]
         kas = np.array([float(r.split(",")[1]) for r in rows])
-        assert kas[0] == config.drift.start_value
+        assert kas[0] == config.plant.kA
         assert kas[-1] == config.drift.end_value
 
     def test_failed_run_leaves_failed_manifest(self, train_run, tmp_path):
@@ -681,7 +686,7 @@ class TestModelIdentity:
         assert changed.metrics["model_sha256"] != a.metrics["model_sha256"]
 
     @pytest.mark.parametrize("broken", ["no-params", "corrupt-params", "zero-scale",
-                                        "other-spec"])
+                                        "short-scaler", "other-spec"])
     def test_unusable_model_dir_is_config_error(self, train_run, tmp_path, capsys, broken):
         _, _, model_out = train_run
         model_dir = tmp_path / "model"
@@ -694,6 +699,10 @@ class TestModelIdentity:
         elif broken == "zero-scale":
             scaler = json.loads((model_dir / "scaler.json").read_text())
             scaler["u_scale"][0] = 0.0
+            (model_dir / "scaler.json").write_text(json.dumps(scaler))
+        elif broken == "short-scaler":   # five inputs' scaling for a six-input model
+            scaler = json.loads((model_dir / "scaler.json").read_text())
+            scaler["u_scale"], scaler["u_shift"] = scaler["u_scale"][:5], scaler["u_shift"][:5]
             (model_dir / "scaler.json").write_text(json.dumps(scaler))
         else:
             overrides["model"] = ModelSpec("lstm", 6, 4, 4)
@@ -901,13 +910,14 @@ class TestCli:
         ("drift", "t_end", float("nan"), "drift: the ramp needs finite times"),
         (None, "adapt_time", float("nan"), "adapt_time: "),
         ("mhe", "mu", 10**400, "mhe: mu: must be nonnegative and finite"),
+        ("mhe", "N", 10**400, "mhe: N: must be an integer"),
         (None, "out_dir", 5, "out_dir: "), (None, "model_dir", 5, "model_dir: ")],
-        ids=["negative-end-value", "nan-t-end", "nan-adapt-time", "huge-mu",
+        ids=["negative-end-value", "nan-t-end", "nan-adapt-time", "huge-mu", "huge-N",
              "numeric-out-dir", "numeric-model-dir"])
     def test_bad_drift_run_is_config_error(self, train_run, tmp_path, capsys,
                                            section, key, value, error):
-        # each of these used to fail only inside the run, with exit 2, or
-        # (a huge mu) to name no field
+        # each of these used to fail only inside the run, with exit 2 (a
+        # huge N overflowed the sample buffer), or (a huge mu) to name no field
         _, _, model_out = train_run
         d = tiny_config("adapt", tmp_path / "run", model_dir=str(model_out)).to_dict()
         (d[section] if section else d)[key] = value

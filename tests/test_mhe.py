@@ -430,7 +430,7 @@ class TestRunAdaptation:
 
     def _matched_run(self, rng, mu=0.5, N=5, washout=20, n_samples=200, perturb=0.0):
         spec, theta_o, start, seq, xs = self._matched_data(rng, n_samples, perturb)
-        cfg = mhe.MheConfig(N=N, mu=mu, washout=washout, observer="oracle")
+        cfg = mhe.MheConfig(N=N, mu=mu, washout=washout)
         stream = mhe.sequence_stream(seq, xs)
         ckpts, stats = mhe.run_adaptation(spec, start, stream, cfg)
         return spec, theta_o, ckpts, stats, cfg
@@ -448,7 +448,7 @@ class TestRunAdaptation:
 
     def test_descent_recorded_in_checkpoints(self, rng):
         spec, _, start, seq, xs = self._matched_data(rng, perturb=0.3)
-        cfg = mhe.MheConfig(N=5, mu=0.5, washout=20, observer="oracle")
+        cfg = mhe.MheConfig(N=5, mu=0.5, washout=20)
         ckpts, _ = mhe.run_adaptation(spec, start, mhe.sequence_stream(seq, xs), cfg)
         # each prior is the previous solution, the first the run's start
         priors = [start] + [c.solution for c in ckpts[:-1]]
@@ -468,11 +468,20 @@ class TestRunAdaptation:
         with pytest.raises(ValueError, match="gap"):
             mhe.run_adaptation(spec, p, iter(samples), mhe.MheConfig(N=1, washout=0))
 
-    def test_oracle_observer_requires_states(self, rng):
-        spec, _, start, seq, _ = self._matched_data(rng, n_samples=40)
-        cfg = mhe.MheConfig(N=5, washout=20, observer="oracle")
-        with pytest.raises(ValueError, match="oracle observer requires samples carrying states"):
-            mhe.run_adaptation(spec, start, mhe.sequence_stream(seq), cfg)
+    def test_window_starts_from_the_carried_state(self, rng):
+        # wrong states on the stream: the first window starts from the one
+        # its first sample carries, not from a reconstruction of the true one
+        spec, theta_o, _, seq, xs = self._matched_data(rng, n_samples=40)
+        wrong = xs + 0.5
+        cfg = mhe.MheConfig(N=5, mu=0.5, washout=20)
+        ckpts, _ = mhe.run_adaptation(spec, theta_o, mhe.sequence_stream(seq, wrong), cfg)
+        c = ckpts[0]
+        lo = c.k - cfg.N
+        w = mhe.HorizonWindow(inputs=seq.u[lo:c.k + 1], outputs=seq.y[lo:c.k + 1],
+                              x_init=wrong[lo], k=c.k)
+        assert (c.total_cost, c.fit_cost, c.prior_cost) == \
+            mhe.mhe_cost(spec, c.solution, w, theta_o, cfg.mu)
+        assert c.fit_cost > 1e-6   # from the true state theta_o fits exactly
 
     def test_checkpoint_jsonl_roundtrip(self, rng, tmp_path):
         spec, theta_o, ckpts, stats, cfg = self._matched_run(rng, perturb=0.2)

@@ -219,47 +219,53 @@ class TestSteadyState:
 
 class TestDrift:
     def test_ramp_values(self):
-        s = DriftSchedule()
-        assert plant.drift_value(s, 0.0) == 0.336
-        assert plant.drift_value(s, 100.0) == 0.336
-        assert plant.drift_value(s, 150.0) == pytest.approx(0.331)
-        assert plant.drift_value(s, 200.0) == 0.326
-        assert plant.drift_value(s, 500.0) == 0.326
+        s, kA = DriftSchedule(), PlantParams().kA
+        assert plant.drift_value(s, kA, 0.0) == 0.336
+        assert plant.drift_value(s, kA, 100.0) == 0.336
+        assert plant.drift_value(s, kA, 150.0) == pytest.approx(0.331)
+        assert plant.drift_value(s, kA, 200.0) == 0.326
+        assert plant.drift_value(s, kA, 500.0) == 0.326
 
     def test_vectorized(self):
         s = DriftSchedule()
         t = np.array([0.0, 150.0, 300.0])
-        assert np.allclose(plant.drift_value(s, t), [0.336, 0.331, 0.326])
+        assert np.allclose(plant.drift_value(s, PlantParams().kA, t), [0.336, 0.331, 0.326])
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             DriftSchedule(t_start=200.0, t_end=100.0)
 
     @pytest.mark.parametrize("bad", [
-        {"end_value": -0.1}, {"end_value": 0.0}, {"start_value": -0.336},
-        {"end_value": np.nan}, {"start_value": np.inf}, {"t_start": np.nan},
-        {"t_end": np.inf}], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+        {"end_value": -0.1}, {"end_value": 0.0}, {"end_value": np.nan},
+        {"t_start": np.nan}, {"t_end": np.inf}],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_nonsense_refused(self, bad):
         # a non-positive kA would only fail at the first drifted plant step
         with pytest.raises(ValueError, match="finite|positive"):
             DriftSchedule(**bad)
-
-    def test_only_ka_can_drift(self):
-        # drift_run always ramps kA, so another name would be ignored
-        with pytest.raises(ValueError, match="kA"):
-            DriftSchedule(param_name="kB")
 
     def test_drift_run_departs_from_nominal(self):
         exc = plant.default_excitation()
         sched = DriftSchedule(t_start=5.0, t_end=10.0)
         drifted = plant.drift_run(20.0, sched, exc, seed=4)
         frozen = plant.drift_run(
-            20.0, DriftSchedule(start_value=0.336, end_value=0.336,
-                                t_start=5.0, t_end=10.0), exc, seed=4)
+            20.0, DriftSchedule(end_value=0.336, t_start=5.0, t_end=10.0), exc, seed=4)
         # identical until the ramp starts, different afterwards
         k_on = int(5.0 / TAU) + 1
         assert np.allclose(drifted.y[:k_on], frozen.y[:k_on])
         assert np.max(np.abs(drifted.y[-1] - frozen.y[-1])) > 1e-4
+
+    def test_drift_run_ramps_from_the_plant_ka(self):
+        # the run starts at the steady state of its plant and keeps that
+        # plant's kA until the ramp starts, so it matches an undrifted run
+        p, sched = PlantParams(kA=0.3), DriftSchedule(t_start=5.0, t_end=10.0)
+        run = plant.drift_run(12.0, sched, plant.default_excitation(), seed=4, params=p)
+        flat = plant.simulate_plant(plant.steady_state(p), run.u, p)
+        k_on = int(5.0 / TAU) + 1
+        np.testing.assert_array_equal(run.y[:k_on], flat[:k_on])
+        assert np.max(np.abs(run.y[-1] - flat[-1])) > 1e-4
+        assert plant.drift_value(sched, 0.3, 0.0) == 0.3
+        assert plant.drift_value(sched, 0.3, 10.0) == sched.end_value
 
 
 class TestExcitation:
