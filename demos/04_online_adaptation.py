@@ -72,7 +72,7 @@ run = plant.drift_run(300.0, schedule, plant.default_excitation(), seed=7)
 stream_seq = Sequence(u=scaler.scale_u(run.u), y=scaler.scale_y(run.y),
                       tau=run.tau)
 
-cfg = mhe.MheConfig(N=10, mu=0.1, washout=100, solver="lbfgs", max_iter=2)
+cfg = mhe.MheConfig()   # N=10, mu=0.1, washout=100, two L-BFGS iterations an update
 checkpoints, stats = mhe.run_adaptation(
     spec, params, mhe.sequence_stream(stream_seq), cfg)
 moved = np.linalg.norm(checkpoints[-1].solution.values - params.values)

@@ -43,7 +43,7 @@ def main():
                                         n_test=2, substeps=4),
             model=ModelSpec("lstm", 6, 3, 4),
             train=training.TrainConfig(epochs=25, washout=20),
-            mhe=mhe.MheConfig(N=5, mu=0.1, washout=20, solver="lbfgs", max_iter=2),
+            mhe=mhe.MheConfig(N=5, washout=20),
             n_eval_sequences=2,
             adapt_time=20.0,
         )

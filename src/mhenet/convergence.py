@@ -231,8 +231,7 @@ def twin_study(spec: ModelSpec, cc: ConvergeConfig, seed: int, walls: dict):
     mu = 0.5 * (2.0 / 3.0) * estimate.delta_hat
     rho_c, satisfied = contraction_coefficient(mu, estimate.delta_hat)
 
-    cfg = mhe.MheConfig(N=N, mu=mu, max_iter=cc.max_iter, gtol=1e-14, ftol=3e-16,
-                        washout=cc.washout, solver="lm")
+    cfg = mhe.MheConfig(N=N, mu=mu, max_iter=cc.max_iter, washout=cc.washout, solver="lm")
     t1 = time.perf_counter()
     checkpoints, _ = mhe.run_adaptation(spec, prior,
                                         mhe.sequence_stream(plant.Sequence(u=u, y=y), xs), cfg)

@@ -79,13 +79,7 @@ class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelSpec = field(default_factory=lambda: ModelSpec("lstm", 6, 10, 4))
     train: TrainConfig = field(default_factory=TrainConfig)
-    # A small per-update iteration budget is deliberate: each window has far
-    # fewer residuals than the network has weights, so a fully converged
-    # solve chases noise along weakly identified weight directions and the
-    # drift in those directions accumulates across updates.  A few truncated
-    # L-BFGS steps capture the well-identified correction and stop there.
-    mhe: MheConfig = field(
-        default_factory=lambda: MheConfig(solver="lbfgs", max_iter=2))
+    mhe: MheConfig = field(default_factory=MheConfig)
     converge: ConvergeConfig = field(default_factory=ConvergeConfig)
     sweep_grid: tuple = DEFAULT_SWEEP_GRID
     n_eval_sequences: int = 35

@@ -140,8 +140,7 @@ class TestCriterion2SolverOracle:
             window = mhe.HorizonWindow(inputs=u.reshape(-1, 1),
                                        outputs=y.reshape(-1, 1),
                                        x_init=np.zeros(0), k=n - 1)
-            cfg = mhe.MheConfig(N=n - 1, mu=mu, solver="lm",
-                                gtol=1e-14, ftol=1e-15)
+            cfg = mhe.MheConfig(N=n - 1, mu=mu, solver="lm", max_iter=500)
             sol, _ = mhe.solve_update(spec, window,
                                       models.ParamVector(spec, [prior_v]), cfg)
             worst = max(worst, abs(sol.values[0] - expected))

@@ -297,7 +297,8 @@ class TestTrackError:
         prior = models.ParamVector(SCALAR, [0.0])
         w = mhe.HorizonWindow(inputs=np.ones((2, 1)), outputs=2.0 * np.ones((2, 1)),
                               x_init=np.zeros(0), k=1)
-        sol, _ = mhe.solve_update(SCALAR, w, prior, mhe.MheConfig(N=1, mu=2.0))
+        cfg = mhe.MheConfig(N=1, mu=2.0, solver="lm", max_iter=500)
+        sol, _ = mhe.solve_update(SCALAR, w, prior, cfg)
         assert sol.values[0] == pytest.approx(1.0, abs=1e-8)
         rep = cv.track_error(self._chain(prior, [sol], [1]), prior, theta_o,
                              delta_hat=5.0, mu=2.0)

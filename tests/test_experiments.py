@@ -70,6 +70,8 @@ BAD_SECTION_VALUES = [
     ("mhe", {"mu": float("nan")}), ("mhe", {"mu": float("inf")}), ("mhe", {"mu": True}),
     ("mhe", {"mu": 10**400}), ("mhe", {"N": 10**400}),
     ("mhe", {"solver": "newton"}),
+    # removed fields: both solvers stop at the tolerances mhe.GTOL and mhe.FTOL
+    ("mhe", {"gtol": 1e-10}), ("mhe", {"ftol": 1e-15}),
     # a removed field: a window starts from the state its stream carries, if any
     ("mhe", {"observer": "kalman"}), ("mhe", {"observer": "oracle"}),
     ("train", {"seed": 1}),  # the train stage seeds from seed_train
@@ -178,6 +180,13 @@ class TestConfig:
             monkeypatch.setattr(cli, "load_config", lambda _: ExperimentConfig.from_dict(d))
         assert cli.main(["sweep", "--config", str(p)]) == 1
         assert "config error: sweep_grid" in capsys.readouterr().err
+
+    def test_default_mhe_is_the_adapt_setting(self):
+        assert ExperimentConfig(tag="adapt").mhe == mhe.MheConfig()
+
+    def test_partial_mhe_section_keeps_the_defaults(self):
+        loaded = ExperimentConfig.from_dict({"tag": "adapt", "mhe": {"mu": 0.2}})
+        assert loaded.mhe == dataclasses.replace(ExperimentConfig(tag="adapt").mhe, mu=0.2)
 
     def test_converge_error_named_once(self, tmp_path):
         d = tiny_config("converge", tmp_path).to_dict()
@@ -373,9 +382,11 @@ class TestDriftEval:
 class TestAdapt:
     def test_end_to_end(self, train_run, tmp_path):
         _, _, model_out = train_run
-        # a plant kA off the default: the drift ramps from the plant's own kA
+        # a plant kA off the default: the drift ramps from the plant's own kA;
+        # the solver budget is the default one
         config = tiny_config("adapt", tmp_path, model_dir=str(model_out),
-                             plant=plant.PlantParams(kA=0.33))
+                             plant=plant.PlantParams(kA=0.33),
+                             mhe=mhe.MheConfig(N=5, washout=20))
         manifest = experiments.run(config)
         assert manifest.status == "ok"
         # the set-up time is reported per build, outside what summary() hashes;
@@ -389,6 +400,8 @@ class TestAdapt:
             assert name in manifest.artifacts
         ckpts = mhe.load_checkpoints(tmp_path / "checkpoints.jsonl", config.model)
         assert len(ckpts) == m["n_updates"]
+        # every update spends its whole budget: the stop tolerances never end one
+        assert {c.message for c in ckpts} == {"STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"}
         # fig5 trace is flat before the ramp and flat after it
         rows = (tmp_path / "fig5.csv").read_text().strip().split("\n")[1:]
         kas = np.array([float(r.split(",")[1]) for r in rows])

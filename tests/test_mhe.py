@@ -64,7 +64,7 @@ class TestSolveUpdate:
     def test_scalar_closed_form(self, solver):
         prior = models.ParamVector(SCALAR, [0.0])
         w = scalar_window([1.0, 1.0], [2.0, 2.0])
-        cfg = mhe.MheConfig(N=1, mu=2.0, solver=solver, gtol=1e-14, ftol=1e-15)
+        cfg = mhe.MheConfig(N=1, mu=2.0, solver=solver, max_iter=500)
         sol, stats = mhe.solve_update(SCALAR, w, prior, cfg)
         assert sol.values[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -78,7 +78,7 @@ class TestSolveUpdate:
             mu = float(rng.uniform(0.01, 5.0))
             prior_v = float(rng.normal())
             expected = regularized_ls(u, y, mu, prior_v)
-            cfg = mhe.MheConfig(N=n - 1, mu=mu, solver=solver, gtol=1e-14, ftol=1e-15)
+            cfg = mhe.MheConfig(N=n - 1, mu=mu, solver=solver, max_iter=500)
             sol, _ = mhe.solve_update(
                 SCALAR, scalar_window(u, y), models.ParamVector(SCALAR, [prior_v]), cfg)
             assert sol.values[0] == pytest.approx(expected, abs=1e-8)
@@ -90,7 +90,8 @@ class TestSolveUpdate:
         u = rng.normal(size=(8, 2))
         y, _ = models.simulate(spec, p, x0, u)
         w = mhe.HorizonWindow(inputs=u, outputs=y, x_init=x0, k=7)
-        sol, stats = mhe.solve_update(spec, w, p, mhe.MheConfig(N=7, mu=0.5))
+        cfg = mhe.MheConfig(N=7, mu=0.5, solver="lm", max_iter=500)
+        sol, stats = mhe.solve_update(spec, w, p, cfg)
         assert np.allclose(sol.values, p.values, atol=1e-9)
         assert stats.total_cost <= 1e-18
 
@@ -98,7 +99,7 @@ class TestSolveUpdate:
         prior = models.ParamVector(SCALAR, [0.5])
         u = rng.normal(size=6) + 0.2
         y = 3.0 * u
-        cfg = mhe.MheConfig(N=5, mu=1e6)
+        cfg = mhe.MheConfig(N=5, mu=1e6, solver="lm", max_iter=500)
         sol, _ = mhe.solve_update(SCALAR, scalar_window(u, y), prior, cfg)
         assert abs(sol.values[0] - 0.5) < 1e-3
 
@@ -108,7 +109,7 @@ class TestSolveUpdate:
         u = rng.normal(size=(6, 2))
         y = rng.normal(size=(6, 2))
         w = mhe.HorizonWindow(inputs=u, outputs=y, x_init=rng.normal(size=3), k=5)
-        cfg = mhe.MheConfig(N=5, mu=0.1)
+        cfg = mhe.MheConfig(N=5, mu=0.1, solver="lm", max_iter=500)
         sol, stats = mhe.solve_update(spec, w, prior, cfg)
         total_prior, _, _ = mhe.mhe_cost(spec, prior, w, prior, 0.1)
         assert stats.total_cost <= total_prior
@@ -202,7 +203,7 @@ class TestSolveUpdate:
         mus = [0.01, 0.1, 1.0, 10.0, 100.0]
         sols = []
         for mu in mus:
-            cfg = mhe.MheConfig(N=4, mu=mu)
+            cfg = mhe.MheConfig(N=4, mu=mu, solver="lm", max_iter=500)
             s, _ = mhe.solve_update(SCALAR, scalar_window(u, y),
                                     models.ParamVector(SCALAR, [prior]), cfg)
             sols.append(abs(s.values[0] - prior))
@@ -230,7 +231,7 @@ class TestLevenbergMarquardt:
         u = rng.normal(size=(T, spec.n_u))
         y, _ = models.simulate(spec, prior.replace_values(near), x0, u)
         w = mhe.HorizonWindow(inputs=u, outputs=y, x_init=x0, k=T - 1)
-        cfg = mhe.MheConfig(N=max(T - 1, 1), mu=mu, gtol=1e-12, ftol=1e-15)
+        cfg = mhe.MheConfig(N=max(T - 1, 1), mu=mu, solver="lm", max_iter=500)
         _, stats = mhe.solve_update(spec, w, prior, cfg)
 
         def embed(theta):
@@ -251,7 +252,7 @@ class TestLevenbergMarquardt:
 
         with np.errstate(all="ignore"):   # trf's subproblem may divide 0 by 0 here
             trf = least_squares(residuals, theta_p, jac=jacobian, method="trf", xtol=None,
-                                ftol=cfg.ftol, gtol=cfg.gtol, max_nfev=cfg.max_iter)
+                                ftol=mhe.FTOL, gtol=mhe.GTOL, max_nfev=cfg.max_iter)
         trf_total = mhe.mhe_cost(spec, embed(trf.x), w, prior, mu)[0]
         assert stats.n_evals <= cfg.max_iter
         assert stats.total_cost <= trf_total * (1 + 1e-9)
@@ -268,7 +269,7 @@ class TestLevenbergMarquardt:
         y, _ = models.simulate(spec, random_params(spec, rng), x0, u)
         w = mhe.HorizonWindow(inputs=u, outputs=y, x_init=x0, k=4)
         _, stats = mhe.solve_update(spec, w, prior,
-                                    mhe.MheConfig(N=4, mu=0.05, gtol=1e-12, ftol=1e-15))
+                                    mhe.MheConfig(N=4, mu=0.05, solver="lm", max_iter=500))
         assert stats.converged and stats.n_evals < 100
         # scipy trf stops here at 0.12298195930949656, after 44 evaluations
         assert stats.total_cost <= 0.12298195930949656 * (1 + 1e-9)
@@ -286,7 +287,7 @@ class TestLevenbergMarquardt:
             return simulate(spec, params, *args)
 
         monkeypatch.setattr(models, "simulate", far_blows_up)
-        cfg = mhe.MheConfig(N=7, mu=0.3, max_iter=60)
+        cfg = mhe.MheConfig(N=7, mu=0.3, solver="lm", max_iter=60)
         sol, stats = mhe.solve_update(spec, w, prior, cfg)
         assert blowups and stats.n_evals <= cfg.max_iter
         assert 0.0 < np.linalg.norm(sol.values - prior.values) <= 0.05
@@ -300,7 +301,7 @@ class TestLevenbergMarquardt:
         spec = ModelSpec("linear", 2, 0, 1)
         w = mhe.HorizonWindow(inputs=np.array([[1.0, 0.0]]), outputs=np.array([[2.0]]),
                               x_init=np.zeros(0), k=0)
-        cfg = mhe.MheConfig(N=1, mu=0.0, gtol=1e-14)
+        cfg = mhe.MheConfig(N=1, mu=0.0, solver="lm", max_iter=500)
         sol, stats = mhe.solve_update(spec, w, models.ParamVector(spec, [0.5, -0.7]), cfg)
         assert sol.values[0] == pytest.approx(2.0, abs=1e-8) and sol.values[1] == -0.7
         assert stats.converged and stats.n_evals <= cfg.max_iter
@@ -309,7 +310,7 @@ class TestLevenbergMarquardt:
         prior = random_params(spec, rng)
         w = mhe.HorizonWindow(inputs=rng.normal(size=(3, 2)), outputs=rng.normal(size=(3, 2)),
                               x_init=rng.normal(size=3), k=2)
-        cfg = mhe.MheConfig(N=2, mu=0.0, max_iter=40)
+        cfg = mhe.MheConfig(N=2, mu=0.0, solver="lm", max_iter=40)
         _, stats = mhe.solve_update(spec, w, prior, cfg)
         assert stats.n_evals <= cfg.max_iter and stats.prior_cost > 0.0
         assert stats.total_cost == stats.fit_cost < mhe.mhe_cost(spec, prior, w, prior, 0.0)[0]
@@ -318,7 +319,7 @@ class TestLevenbergMarquardt:
     def test_weights_whose_squares_overflow(self, solver):
         # |1e200|^2 overflows float64: the weight norms of the trust radius
         # and the step test must not, and both solvers return the prior,
-        # where the gradient 8e-200 is below gtol
+        # where the gradient 8e-200 is below GTOL
         prior = models.ParamVector(SCALAR, [1e200])
         w = scalar_window(np.full(8, 1e-200), np.full(8, 2.0), k=7)
         sol, stats = mhe.solve_update(SCALAR, w, prior, mhe.MheConfig(N=7, solver=solver))
@@ -333,7 +334,8 @@ class TestLevenbergMarquardt:
         w = mhe.HorizonWindow(inputs=np.tile([1e-200, 1.0], (8, 1)),
                               outputs=np.full((8, 1), 3.0), x_init=np.zeros(0), k=7)
         prior = models.ParamVector(spec, [1e200, 0.0])
-        sol, stats = mhe.solve_update(spec, w, prior, mhe.MheConfig(N=7, mu=0.1, solver="lm"))
+        cfg = mhe.MheConfig(N=7, mu=0.1, solver="lm", max_iter=500)
+        sol, stats = mhe.solve_update(spec, w, prior, cfg)
         w2 = 32.0 / 16.2
         assert sol.values[0] == 1e200 and sol.values[1] == pytest.approx(w2, rel=1e-12)
         assert stats.converged
@@ -351,7 +353,7 @@ class TestLevenbergMarquardt:
             return simulate(*args)
 
         monkeypatch.setattr(models, "simulate", counted)
-        cfg = mhe.MheConfig(N=7, mu=0.3, max_iter=max_iter, gtol=1e-14, ftol=1e-15)
+        cfg = mhe.MheConfig(N=7, mu=0.3, solver="lm", max_iter=max_iter)
         _, stats = mhe.solve_update(spec, w, prior, cfg)
         assert len(calls) == stats.n_evals == max_iter and not stats.converged
 
