@@ -198,8 +198,7 @@ class TestConfig:
     @pytest.mark.parametrize("section,bad", BAD_SECTION_VALUES, ids=[
         f"{section}-" + "-".join(f"{k}={v}" for k, v in bad.items())
         for section, bad in BAD_SECTION_VALUES])
-    def test_bad_converge_or_mhe_value_is_config_error(self, tmp_path, capsys,
-                                                       section, bad):
+    def test_bad_section_value_is_config_error(self, tmp_path, capsys, section, bad):
         d = {"tag": "converge", section: bad}
         with pytest.raises(ConfigError, match=f"^{section}: "):
             ExperimentConfig.from_dict(d)
