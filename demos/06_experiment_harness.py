@@ -3,7 +3,7 @@
 Every study in this package is a tagged, seeded, JSON-configured run
 that leaves a manifest behind:
 
-    mhenet <tag> --config cfg.json [--out DIR] [--seed S] [--jobs J]
+    mhenet <tag> --config cfg.json [--out DIR] [--seed S]
 
 tags:
     simulate    generate and store an excitation dataset
@@ -13,7 +13,8 @@ tags:
     sweep       (mu, N) grid of adaptation runs
     converge    matched-twin contraction diagnostic
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error (a bad command line too),
+2 runtime failure.
 The manifest records the config, a placement-independent config hash,
 sha256-checksummed artifacts, and the headline metrics; re-running the
 same config and seed reproduces the manifest summary bit for bit.

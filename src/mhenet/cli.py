@@ -1,10 +1,10 @@
 """Command-line entry point for the experiment harness.
 
-    mhenet <tag> [--config FILE] [--out DIR] [--seed INT] [--jobs INT]
+    mhenet <tag> [--config FILE] [--out DIR] [--seed INT]
 
 where <tag> is one of simulate, train, drift-eval, adapt, sweep or
-converge.  Exit codes: 0 success, 1 configuration error, 2 runtime
-failure.
+converge.  Exit codes: 0 success, 1 configuration error (a bad command
+line too), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides the config)")
         p.add_argument("--seed", type=int, metavar="INT",
                        help="base seed (overrides the config)")
-        p.add_argument("--jobs", type=int, metavar="INT",
-                       help="parallel workers for independent runs")
     return parser
 
 
@@ -54,16 +52,16 @@ def resolve_config(args) -> ExperimentConfig:
         overrides["out_dir"] = args.out
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:   # argparse has printed its message; --help exits 0
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         config = resolve_config(args)
     except ConfigError as exc:

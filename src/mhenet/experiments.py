@@ -3,8 +3,8 @@
 Each experiment is fully determined by an ExperimentConfig, the code
 version and, for the stages that read a trained model, that model: the
 dataclass is serialized next to every artifact set and hashed without
-its placement (output and model directories, worker count) into the run
-manifest, which records the sha256 of a model read from ``model_dir``.
+its placement (output and model directories) into the run manifest,
+which records the sha256 of a model read from ``model_dir``.
 Re-running the same config, seed and model reproduces the same summary
 (wall times excluded).  Every file a stage writes, apart from
 config.json and manifest.json, is recorded as an artifact by the call
@@ -15,7 +15,7 @@ Experiment tags
   train       offline identification of the nominal network
   drift-eval  before/after-drift open-loop MSE of the unadapted model
   adapt       moving-horizon weight adaptation along one drift run
-  sweep       the (mu, N) grid of adaptation runs, one table row each
+  sweep       the (mu, N) grid of adaptation runs, one by one, a row each
   converge    matched-twin contraction study with delta estimation
 
 All tabular outputs are CSV with a header row; figure data is emitted
@@ -31,7 +31,6 @@ import json
 import pathlib
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -85,10 +84,9 @@ class ExperimentConfig:
     n_eval_sequences: int = 35
     adapt_time: float = 300.0     # drift-run length [s]
     model_dir: str | None = None  # train-run directory with params/scaler
-    jobs: int = 1
 
     def __post_init__(self):
-        plant.check_fields(self, ints=(("seed", 0), ("jobs", 1), ("n_eval_sequences", 1)),
+        plant.check_fields(self, ints=(("seed", 0), ("n_eval_sequences", 1)),
                            positive=("adapt_time",), choices=(("tag", TAGS),), error=ConfigError)
         if self.adapt_time <= self.drift.t_start:
             raise ConfigError("adapt_time must extend past the drift onset")
@@ -146,11 +144,10 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         """Hash of everything that determines results, not of placement:
-        ``out_dir`` and ``jobs`` are left out, and ``model_dir`` hashes as
-        unset; a run that reads a model records its sha256 in the metrics."""
+        ``out_dir`` is left out, and ``model_dir`` hashes as unset; a run
+        that reads a model records its sha256 in the metrics."""
         d = dict(self.to_dict(), model_dir=None)
         d.pop("out_dir")
-        d.pop("jobs")
         return _digest(d)
 
     def train_key(self) -> str:
@@ -287,20 +284,18 @@ def _eval_scores(config: ExperimentConfig, scaler, params_list):
 
 
 @contextlib.contextmanager
-def _process_pool(max_workers=1):
-    """A process pool whose workers start from a fresh interpreter, so
-    they inherit no thread or lock of this one.  Each worker imports the
-    caller's main module, so a script that runs these stages guards its
-    entry point with ``if __name__ == "__main__":``.  The pool is
-    imported here, so that only the stages that read a trained model load
-    it: each scores on the drifted evaluation set in a one-worker pool,
-    and a sweep at ``jobs > 1`` runs its rows in a second pool of ``jobs``
-    workers.  Leaving the block cancels the tasks still queued, which
-    only an error leaves, and waits for those that have started: a failed
-    sweep stops within the rows already handed out."""
+def _process_pool():
+    """A one-worker process pool whose worker starts from a fresh
+    interpreter, so it inherits no thread or lock of this one.  The worker
+    imports the caller's main module, so a script that runs these stages
+    guards its entry point with ``if __name__ == "__main__":``.  The pool
+    is imported here, so that only the stages that read a trained model
+    load it: each scores on the drifted evaluation set in this worker.
+    Leaving the block cancels the score requests still queued, which only
+    an error leaves, and waits for the one that has started."""
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
-    pool = ProcessPoolExecutor(max_workers, mp_context=get_context("spawn"))
+    pool = ProcessPoolExecutor(1, mp_context=get_context("spawn"))
     try:
         yield pool
     finally:
@@ -310,9 +305,8 @@ def _process_pool(max_workers=1):
 def _fail_early(future):
     """A check that raises the exception of ``future``, a stage's first
     ``_eval_scores`` request, once it has failed: called between updates,
-    or before a sweep hands out its next row, it stops a stage whose
-    evaluation-set build failed there, not when the reports are collected
-    after the last update."""
+    it stops a stage whose evaluation-set build failed there, not when
+    the reports are collected after the last update."""
     def check(*_):
         if future.done():
             future.result()
@@ -430,13 +424,6 @@ def _adapt(config, params, scaled, cfg, on_checkpoint=None):
     return checkpoints, stats, wall
 
 
-def _sweep_row(adapt, cfg, on_checkpoint=None):
-    """(last solution, wall time) of the sweep row ``cfg`` that ``adapt``, an
-    ``_adapt`` partial, runs: all a sweep keeps, and all a pooled row sends back."""
-    checkpoints, _, wall = adapt(cfg, on_checkpoint)
-    return checkpoints[-1].solution, wall
-
-
 def _run_adapt(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
     with _process_pool() as pool:
@@ -470,47 +457,23 @@ def _run_adapt(config, out, artifacts, metrics, walls):
     emit_plotdata(out, config, artifacts, params, scaler, first_test, adapted, run.t)
 
 
-def _pooled_rows(pool, row, rows, jobs, build):
-    """(index, result) of each MheConfig of ``rows`` as it lands from
-    ``pool``.  At most ``jobs`` rows are in flight, and the next one is
-    handed out as soon as any row lands, after ``_fail_early``'s check of
-    the evaluation-set request ``build``; the wait also watches ``build``,
-    so that a failed build stops the hand-outs when it fails."""
-    from concurrent.futures import FIRST_COMPLETED, wait
-    check, running, todo = _fail_early(build), {}, list(enumerate(rows))[::-1]
-    while todo or running:
-        check()
-        if todo and len(running) < jobs:
-            i, cfg = todo.pop()
-            running[pool.submit(row, cfg)] = i
-            continue
-        watched = running.keys() if build.done() else running.keys() | {build}
-        done, _ = wait(watched, return_when=FIRST_COMPLETED)
-        for future in done & running.keys():
-            yield running.pop(future), future.result()
-
-
 def _run_sweep(config, out, artifacts, metrics, walls):
     params, scaler = _load_model(config, metrics)
     grid = config.sweep_rows
-    with contextlib.ExitStack() as pools:
-        scorer = pools.enter_context(_process_pool())
-        build = scorer.submit(_eval_scores, config, scaler, [])   # the first task
+    with _process_pool() as pool:
+        build = pool.submit(_eval_scores, config, scaler, [])   # the first task
         _, scaled = _drift_data(config, scaler, walls)
-        row = partial(_sweep_row, partial(_adapt, config, params, scaled))
-        if config.jobs == 1:   # the rows run here, beside the set's build
-            check = _fail_early(build)
-            landed = ((i, row(cfg, check)) for i, cfg in enumerate(grid))
-        else:
-            landed = _pooled_rows(pools.enter_context(_process_pool(config.jobs)),
-                                  row, grid, config.jobs, build)
+        check, requests, row_walls = _fail_early(build), [build], []
         t0 = time.perf_counter()
-        scored = [None] * len(grid)   # per row: its score request and wall time
-        for i, (solution, wall) in landed:
-            scored[i] = scorer.submit(_eval_scores, config, scaler, [solution]), wall
+        for cfg in grid:   # the rows run here, beside the set's build
+            checkpoints, _, wall = _adapt(config, params, scaled, cfg, check)
+            requests.append(pool.submit(_eval_scores, config, scaler,
+                                        [checkpoints[-1].solution]))
+            row_walls.append(wall)
+            del checkpoints   # not held through the next row's run
         walls["sweep"] = time.perf_counter() - t0
-        reports, _ = _reports([build] + [request for request, _ in scored], walls)
-    walls["sweep_rows"] = [wall for _, wall in scored]
+        reports, _ = _reports(requests, walls)
+    walls["sweep_rows"] = row_walls
     table = [[cfg.mu] + _mse_row(cfg.N, rep) for cfg, rep in zip(grid, reports)]
     header = ("mu", "N") + plant.STATE_COLUMNS + ("average",)
     _write_csv(artifacts, out, "sweep.csv", header, table)

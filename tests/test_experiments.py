@@ -104,7 +104,6 @@ OUTSIDE_TRAIN_KEY = dict(
     n_eval_sequences=3,
     adapt_time=25.0,
     model_dir="somewhere",
-    jobs=2,
 )
 
 
@@ -133,6 +132,15 @@ class TestConfig:
     def test_unknown_tag_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="tag"):
             tiny_config("optimize", tmp_path)
+
+    def test_removed_jobs_field_is_config_error(self, tmp_path, capsys):
+        # a removed field: a sweep runs its rows one by one in one process
+        with pytest.raises(ConfigError, match="'jobs'"):
+            ExperimentConfig.from_dict({"tag": "sweep", "jobs": 2})
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({"tag": "sweep", "jobs": 2}))
+        assert cli.main(["sweep", "--config", str(p)]) == 1
+        assert "'jobs'" in capsys.readouterr().err
 
     def test_bad_nested_field_named(self, tmp_path):
         d = tiny_config("train", tmp_path).to_dict()
@@ -300,9 +308,8 @@ class TestTrainKey:
         lambda c: {"drift": dataclasses.replace(c.drift, end_value=0.31)},
         lambda c: {"adapt_time": 30.0},
         lambda c: {"n_eval_sequences": 4},
-        lambda c: {"jobs": 3},
     ], ids=["mhe.mu", "converge.horizon", "sweep_grid", "drift.end_value",
-            "adapt_time", "n_eval_sequences", "jobs"])
+            "adapt_time", "n_eval_sequences"])
     def test_other_stages_keep_the_key(self, tmp_path, change):
         base = tiny_config("train", tmp_path)
         assert tiny_config("train", tmp_path, **change(base)).train_key() == base.train_key()
@@ -466,15 +473,7 @@ class TestSweep:
         averages = [r["average"] for r in manifest.metrics["rows"]]
         assert manifest.metrics["best_average"] == min(averages)
         assert {"drift_run", "eval_set", "eval_set_wait"} <= manifest.wall_times.keys()
-
-    def test_process_pool_matches_serial(self, sweep_run, tmp_path):
-        config, serial, _ = sweep_run
-        assert config.jobs == 1
-        pooled = experiments.run(
-            dataclasses.replace(config, out_dir=str(tmp_path), jobs=2))
-        assert pooled.status == "ok"
-        assert pooled.summary() == serial.summary()
-        assert len(pooled.wall_times["sweep_rows"]) == len(config.sweep_grid)
+        assert len(manifest.wall_times["sweep_rows"]) == len(config.sweep_grid)
 
     def test_failed_run_leaves_failed_manifest(self, train_run, tmp_path):
         _, _, model_out = train_run
@@ -612,67 +611,6 @@ class TestEvalSetWorker:
         rows = config.sweep_grid if tag == "sweep" else [(config.mhe.mu, config.mhe.N)]
         n_updates = sum(len(range(config.mhe.washout + N, T, N)) for _, N in rows)
         assert n_updates >= 24 and len(calls) < n_updates / 2
-
-
-_real_adapt = experiments._adapt
-
-
-def _marked_row(config, params, scaled, cfg, on_checkpoint=None):
-    """A sweep row that first leaves a file named after its mu in the run's
-    directory, then runs the real ``_adapt``; module-level, so that a
-    worker process can run it."""
-    (pathlib.Path(config.out_dir) / f"row_{cfg.mu}").touch()
-    return _real_adapt(config, params, scaled, cfg, on_checkpoint)
-
-
-def _slow_first_row(config, params, scaled, cfg, on_checkpoint=None):
-    """A sweep row that leaves a file named after its mu when it starts;
-    the first row of the grid then waits, up to 30 s, for the third row's
-    file before it runs the real ``_adapt``."""
-    out = pathlib.Path(config.out_dir)
-    (out / f"start_{cfg.mu}").touch()
-    if cfg.mu == config.sweep_grid[0][0]:
-        third = out / f"start_{config.sweep_grid[2][0]}"
-        deadline = time.monotonic() + 30.0
-        while not third.exists() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        (out / f"first_saw_third_{third.exists()}").touch()
-    return _real_adapt(config, params, scaled, cfg, on_checkpoint)
-
-
-class TestPooledSweep:
-    def test_a_later_row_starts_while_the_first_runs(self, train_run, tmp_path,
-                                                     monkeypatch):
-        _, _, model_out = train_run
-        config = tiny_config("sweep", tmp_path, model_dir=str(model_out), jobs=2,
-                             sweep_grid=((0.1, 5), (0.2, 5), (0.3, 5)))
-        monkeypatch.setattr(experiments, "_adapt", _slow_first_row)
-        manifest = experiments.run(config)
-        # the second row lands while the first waits, and the third is
-        # handed out then, not once the first has landed
-        assert (tmp_path / "first_saw_third_True").exists()
-        assert [(r["mu"], r["N"]) for r in manifest.metrics["rows"]] == list(config.sweep_grid)
-        assert multiprocessing.active_children() == []
-
-
-class TestFailedSweepCancels:
-    def test_queued_rows_do_not_start(self, train_run, tmp_path, monkeypatch):
-        _, _, model_out = train_run
-        jobs, mus = 2, [0.01 * k for k in range(1, 25)]
-        # as above, only the evaluation set fails, in the pool's first task
-        config = tiny_config("sweep", tmp_path, model_dir=str(model_out), jobs=jobs,
-                             drift=plant.DriftSchedule(end_value=1e3, t_start=4.0,
-                                                       t_end=1e12),
-                             sweep_grid=[(mu, 5) for mu in mus])
-        monkeypatch.setattr(experiments, "_adapt", _marked_row)
-        with pytest.raises(ValueError, match="non-finite or non-positive"):
-            experiments.run(config)
-        assert multiprocessing.active_children() == []
-        # the pool holds at most jobs rows and hands out the next only once
-        # a row has landed and the build has not failed: the first jobs rows
-        # start, and one more if a row lands before the build fails
-        started = len(list(tmp_path.glob("row_*")))
-        assert 1 <= started <= jobs + 1 < len(mus)
 
 
 class TestModelIdentity:
@@ -943,9 +881,19 @@ class TestCli:
         assert cli.main(["simulate", "--seed", "-5"]) == 1
         assert "config error: seed: " in capsys.readouterr().err
 
-    def test_jobs_below_one_is_config_error(self, capsys):
-        assert cli.main(["sweep", "--jobs", "0"]) == 1
-        assert "config error: jobs" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,error", [
+        (["sweep", "--jobs", "2"], "unrecognized arguments: --jobs"),
+        (["adapt", "--seed", "abc"], "argument --seed: invalid int value"),
+        ([], "the following arguments are required: tag")],
+        ids=["removed-jobs-flag", "non-int-seed", "no-tag"])
+    def test_bad_command_line_is_config_error(self, capsys, argv, error):
+        # argparse exits 2, the code of a runtime failure, on its own
+        assert cli.main(argv) == 1
+        assert error in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["sweep", "--help"]) == 0
+        assert "--seed" in capsys.readouterr().out
 
     def test_tag_mismatch_is_config_error(self, tmp_path):
         p = tmp_path / "c.json"
