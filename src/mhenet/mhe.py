@@ -53,7 +53,7 @@ class MheConfig:
     N: int = 10                  # horizon length (window has N+1 samples)
     mu: float = 0.1              # prior anchoring weight
     max_iter: int = 2            # LM: evaluations of the objective; L-BFGS: iterations
-    washout: int = 100           # history rollout length for state reconstruction
+    washout: int = 100           # history rollout of the first update's start state
     solver: str = "lbfgs"        # "lm" (Levenberg-Marquardt) | "lbfgs"
 
     def __post_init__(self):
@@ -110,8 +110,8 @@ class AdaptCheckpoint:
 
 
 def history_length(spec: ModelSpec, washout: int) -> int:
-    """Samples before a window that its initial state is rebuilt from:
-    the NNARX regressor's ``order``, else ``washout``."""
+    """Samples before the first window that its initial state is rebuilt
+    from: the NNARX regressor's ``order``, else ``washout``."""
     return spec.order if spec.kind == "nnarx" else washout
 
 
@@ -301,22 +301,26 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
     """Periodic MHE updates over a sample stream.
 
     The first update fires at k = t0 + h + N, where t0 is the first
-    sample's time and h = ``history_length(spec, config.washout)`` (enough
-    history for state reconstruction), and then every N steps, each solve
-    anchored to the previous solution; a gap raises ``ValueError``.
-    Returns (checkpoints, ``{"peak_buffered": n}``), n the most samples
-    held at once, h + N + 1 from the first update on.  ``on_checkpoint``
-    is called with each checkpoint; what it raises ends the run there.
+    sample's time and h = ``history_length(spec, config.washout)``, and
+    then every N steps, each solve anchored to the previous solution; a
+    gap raises ``ValueError``.  The first update needs h + N + 1 samples,
+    each later one only its own N + 1.  Returns (checkpoints,
+    ``{"peak_buffered": n}``), n the most samples held at once, h + N + 1
+    from the first update on.  ``on_checkpoint`` is called with each
+    checkpoint; what it raises ends the run there.
 
     A window starts from the state that its first sample carries in its
-    ``x`` field, else from ``reconstruct_initial_state`` on the history.
+    ``x`` field.  Else the first starts from ``reconstruct_initial_state``
+    on its h history samples, and each later one from its arrival state:
+    the last solution's rollout from the last window's start, after N
+    inputs.  An NNARX model's is its fed-back regressor, not measured pairs.
     """
     N = config.N
     history_need = history_length(spec, config.washout)
     buffer = deque(maxlen=history_need + N + 1)
     prior = initial_params
     checkpoints = []
-    last_t = next_k = None
+    last_t = next_k = window = None
     for sample in stream:
         if last_t is not None and sample.t != last_t + 1:
             raise ValueError(f"stream gap at t={sample.t} (expected {last_t + 1})")
@@ -329,10 +333,11 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
         buffered = list(buffer)
         history, window_samples = buffered[:-(N + 1)], buffered[-(N + 1):]
         x_init = window_samples[0].x
-        if x_init is None:
-            x_init = reconstruct_initial_state(
-                spec, prior,
-                [s.u for s in history], [s.y for s in history], history_need)
+        if x_init is None and window is None:
+            x_init = reconstruct_initial_state(spec, prior, [s.u for s in history],
+                                               [s.y for s in history], history_need)
+        elif x_init is None:  # window and prior are still the last update's
+            x_init = models.simulate(spec, prior, window.x_init, window.inputs[:N])[1][-1]
         window = HorizonWindow(
             inputs=np.array([s.u for s in window_samples], dtype=float),
             outputs=np.array([s.y for s in window_samples], dtype=float),

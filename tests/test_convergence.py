@@ -336,6 +336,35 @@ class TestTrackError:
         assert set(rows[0]) == {"k", "epsilon", "ratio", "rho_c", "violated"}
 
 
+def test_twin_windows_start_from_the_stream_states(monkeypatch):
+    # the twin's stream carries its true states: every window the run
+    # solves is one of those estimate_delta saw, from the same state, not
+    # reconstructed nor carried forward by a solution, so no result moves
+    estimate, solve, seen, solved = cv.estimate_delta, mhe.solve_update, [], []
+
+    def recorded_estimate(spec, theta, windows, sampler):
+        seen.extend(windows)
+        return estimate(spec, theta, windows, sampler)
+
+    def recorded_solve(spec, window, prior, config):
+        solved.append(window)
+        return solve(spec, window, prior, config)
+
+    def refused(*args):
+        raise AssertionError("the twin reconstructed a start state")
+
+    monkeypatch.setattr(cv, "estimate_delta", recorded_estimate)
+    monkeypatch.setattr(mhe, "solve_update", recorded_solve)
+    monkeypatch.setattr(mhe, "reconstruct_initial_state", refused)
+    cc = cv.ConvergeConfig(horizon=10, washout=5, n_updates=3, delta_samples=3,
+                           probe_smallest=1, max_iter=20)
+    result, _ = cv.twin_study(ModelSpec("gru", 2, 3, 2), cc, 0, {})
+    assert result["n_updates"] == len(solved) == len(seen) == 3
+    for a, b in zip(solved, seen):
+        assert a.k == b.k and np.array_equal(a.x_init, b.x_init)
+        assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.outputs, b.outputs)
+
+
 def test_demo_05_solves_its_n_updates_windows(tmp_path):
     # the demo sets n_updates = 6: it must estimate delta over 6 windows and
     # print one table row per update, as converge does

@@ -475,6 +475,22 @@ class TestSweep:
         assert {"drift_run", "eval_set", "eval_set_wait"} <= manifest.wall_times.keys()
         assert len(manifest.wall_times["sweep_rows"]) == len(config.sweep_grid)
 
+    def test_each_row_reconstructs_once(self, train_run, tmp_path, monkeypatch):
+        # a row's first window starts from a washout rollout; the later ones
+        # from the state the last solution carried forward
+        _, _, model_out = train_run
+        reconstruct, calls = mhe.reconstruct_initial_state, []
+
+        def counted(*args):
+            calls.append(args)
+            return reconstruct(*args)
+
+        monkeypatch.setattr(mhe, "reconstruct_initial_state", counted)
+        config = tiny_config("sweep", tmp_path, model_dir=str(model_out),
+                             sweep_grid=((0.1, 5), (0.5, 5), (0.1, 7)))
+        experiments.run(config)
+        assert len(calls) == len(config.sweep_grid)
+
     def test_failed_run_leaves_failed_manifest(self, train_run, tmp_path):
         _, _, model_out = train_run
         config = tiny_config("sweep", tmp_path, model_dir=str(model_out),

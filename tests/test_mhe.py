@@ -498,3 +498,93 @@ class TestRunAdaptation:
             for name in names:
                 if name != "solution":
                     assert getattr(a, name) == getattr(b, name), name
+
+
+class TestArrivalState:
+    """On a stream without states only the first window's start is
+    reconstructed; each later window starts where the last solution's
+    rollout from the last window's start is after N inputs."""
+
+    def _run(self, rng, monkeypatch, spec, solver="lbfgs", N=4, washout=6):
+        twin = random_params(spec, rng, scale=0.2)
+        start = random_params(spec, rng, scale=0.2)   # another model: the updates move
+        u = rng.normal(size=(40, spec.n_u))
+        y, _ = models.simulate(spec, twin, models.zero_state(spec), u)
+        solve, windows = mhe.solve_update, []
+
+        def recorded(spec, window, prior, config):
+            windows.append(window)
+            return solve(spec, window, prior, config)
+
+        monkeypatch.setattr(mhe, "solve_update", recorded)
+        cfg = mhe.MheConfig(N=N, washout=washout, solver=solver, max_iter=3)
+        ckpts, _ = mhe.run_adaptation(spec, start, mhe.sequence_stream(Sequence(u=u, y=y)), cfg)
+        assert [w.k for w in windows] == [c.k for c in ckpts] and len(ckpts) >= 3
+        return start, u, y, cfg, windows, ckpts
+
+    def _assert_chain(self, spec, start, u, y, cfg, windows, ckpts):
+        N, h = cfg.N, mhe.history_length(spec, cfg.washout)
+        lo = windows[0].k - N
+        first = mhe.reconstruct_initial_state(spec, start, u[lo - h:lo], y[lo - h:lo],
+                                              cfg.washout)
+        assert np.array_equal(windows[0].x_init, first)
+        for prev, window, c in zip(windows, windows[1:], ckpts):
+            lo = prev.k - N
+            _, states = models.simulate(spec, c.solution, prev.x_init, u[lo:lo + N])
+            assert np.array_equal(window.x_init, states[N])
+
+    @pytest.mark.parametrize("solver", ["lm", "lbfgs"])
+    def test_chain_bit_for_bit(self, solver, rng, monkeypatch):
+        spec = ALL_SPECS["lstm"]
+        run = self._run(rng, monkeypatch, spec, solver)
+        assert all(c.prior_cost > 0 for c in run[-1])
+        self._assert_chain(spec, *run)
+
+    def test_chain_through_fallback(self, rng, monkeypatch):
+        # every other update's optimizer reports a far worse point: that
+        # update keeps its prior, and the next window starts from the prior's
+        # rollout
+        minimize, calls = lbfgs.minimize, []
+
+        def worse_every_other(fun, x0, *args):
+            calls.append(x0)
+            x, *rest = minimize(fun, x0, *args)
+            return (x0 + 10.0 if len(calls) % 2 else x, *rest)
+
+        monkeypatch.setattr(lbfgs, "minimize", worse_every_other)
+        spec = ALL_SPECS["lstm"]
+        start, u, y, cfg, windows, ckpts = self._run(rng, monkeypatch, spec)
+        priors = [start] + [c.solution for c in ckpts[:-1]]
+        kept = [c.solution is prior for c, prior in zip(ckpts, priors)]
+        assert kept == [i % 2 == 0 for i in range(len(ckpts))]
+        self._assert_chain(spec, start, u, y, cfg, windows, ckpts)
+
+    @pytest.mark.parametrize("kind", sorted(ALL_SPECS))
+    def test_chain_on_every_kind(self, kind, rng, monkeypatch):
+        spec = ALL_SPECS[kind]
+        start, u, y, cfg, windows, ckpts = self._run(rng, monkeypatch, spec)
+        assert all(np.isfinite(c.total_cost) for c in ckpts)
+        self._assert_chain(spec, start, u, y, cfg, windows, ckpts)
+        if kind == "nnarx":   # the regressor the model fed back, not the measured one
+            lo, p = windows[1].k - cfg.N, spec.order
+            measured = models.nnarx_state(spec, u[lo - p:lo], y[lo - p:lo])
+            assert not np.array_equal(windows[1].x_init, measured)
+
+    def test_reconstructs_once_per_run(self, rng, monkeypatch):
+        reconstruct, calls = mhe.reconstruct_initial_state, []
+
+        def counted(*args):
+            calls.append(args)
+            return reconstruct(*args)
+
+        monkeypatch.setattr(mhe, "reconstruct_initial_state", counted)
+        spec = ModelSpec("gru", 2, 3, 2)
+        p = random_params(spec, rng, scale=0.2)
+        u = rng.normal(size=(80, 2))
+        y, xs = models.simulate(spec, p, models.zero_state(spec), u)
+        seq, cfg = Sequence(u=u, y=y), mhe.MheConfig(N=5, washout=20)
+        ckpts, _ = mhe.run_adaptation(spec, p, mhe.sequence_stream(seq), cfg)
+        assert len(ckpts) == 11 and len(calls) == 1
+        # a stream that carries the states never reconstructs
+        ckpts, _ = mhe.run_adaptation(spec, p, mhe.sequence_stream(seq, xs), cfg)
+        assert len(ckpts) == 11 and len(calls) == 1
