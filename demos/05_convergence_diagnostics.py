@@ -29,9 +29,9 @@ print(f"matched twin: GRU with {models.param_count(spec)} weights")
 
 # The study draws the twin's weights (seed 42), excites it with random
 # inputs held for 5 samples, perturbs the weights by eps0 = 0.04 (squared
-# distance) to get the initial model, estimates delta on the 6 windows
-# the run will solve on, and adapts with each window starting from the
-# twin's true state, which the stream carries (the state is known exactly).
+# distance) to get the initial model, estimates delta on 6 windows and
+# solves those same windows in turn, each from the twin's true state at
+# its start (the state is known exactly) with the last solution as prior.
 cc = convergence.ConvergeConfig(horizon=60, washout=20, n_updates=6, eps0=0.04,
                                 delta_samples=30, probe_smallest=2, max_iter=400)
 result, report = convergence.twin_study(spec, cc, seed=42, walls={})

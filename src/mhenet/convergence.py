@@ -15,8 +15,8 @@ computable globally; this module delivers a sampled surrogate (minimum
 of the ratio over drawn perturbations and windows, which bounds delta
 from above) and scopes all verdicts to that sample.
 
-``twin_study`` runs the whole check on a matched twin: the ``converge``
-experiment and demo 05 both call it, and only write or print its result.
+``twin_study`` runs the whole check on a matched twin and solves the windows
+it samples delta on; ``converge`` and demo 05 only write or print its result.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class ConvergeConfig:
     """Settings of the matched-twin contraction study."""
 
     horizon: int = 200        # window length N of the twin study
-    washout: int = 50
+    washout: int = 50         # samples before the first window (NNARX: its order)
     n_updates: int = 10
     eps0: float = 0.1         # squared weight error of the perturbed prior
     delta_samples: int = 30   # random perturbations for delta estimation
@@ -198,9 +198,9 @@ def twin_study(spec: ModelSpec, cc: ConvergeConfig, seed: int, walls: dict):
     The twin's weights come from ``seed``; its held random inputs, the
     prior's perturbation (squared norm ``cc.eps0``) and the delta sampler
     from ``seed + 1``, ``+ 2`` and ``+ 3``.  delta is estimated on the
-    ``cc.n_updates`` windows the run solves on, mu = delta_hat / 3 (so
-    rho_c = 4/7), and the run adapts with a tightly converged LM, each
-    window starting from the twin's true state, which the stream carries.
+    ``cc.n_updates`` windows the run solves, mu = delta_hat / 3 (so
+    rho_c = 4/7); a tightly converged LM then solves each window in turn
+    from the twin's true state at its start, the last solution its prior.
     ``walls`` gets the estimate's and the run's wall times.
     """
     theta_o = models.init_params(spec, seed, "uniform")
@@ -231,10 +231,12 @@ def twin_study(spec: ModelSpec, cc: ConvergeConfig, seed: int, walls: dict):
     mu = 0.5 * (2.0 / 3.0) * estimate.delta_hat
     rho_c, satisfied = contraction_coefficient(mu, estimate.delta_hat)
 
-    cfg = mhe.MheConfig(N=N, mu=mu, max_iter=cc.max_iter, washout=cc.washout, solver="lm")
+    cfg = mhe.MheConfig(N=N, mu=mu, max_iter=cc.max_iter, solver="lm")
     t1 = time.perf_counter()
-    checkpoints, _ = mhe.run_adaptation(spec, prior,
-                                        mhe.sequence_stream(plant.Sequence(u=u, y=y), xs), cfg)
+    checkpoints, theta = [], prior
+    for w in windows:
+        theta, ckpt = mhe.solve_update(spec, w, theta, cfg)
+        checkpoints.append(ckpt)
     walls["adapt"] = time.perf_counter() - t1
     report = track_error(checkpoints, prior, theta_o, estimate.delta_hat, mu)
     summary = {"delta_hat": estimate.delta_hat, "mu": mu, "rho_c": rho_c,

@@ -63,12 +63,11 @@ class MheConfig:
 
 @dataclass
 class IOSample:
-    """One measured sample; ``x`` optionally carries the true model state."""
+    """One measured sample: input ``u`` and output ``y`` at time ``t``."""
 
     u: np.ndarray
     y: np.ndarray
     t: int
-    x: np.ndarray | None = None
 
 
 @dataclass
@@ -120,14 +119,12 @@ def reconstruct_initial_state(spec: ModelSpec, params: ParamVector,
     """Model state at the window start, from measured history before it.
 
     NNARX needs only the last ``order`` measured pairs (the state is the
-    regressor itself).  Stateful kinds roll the model open-loop from the
-    zero state over the last ``washout`` history inputs and return the
-    terminal state.
+    regressor itself).  Every other kind rolls the model open-loop from the
+    zero state over the last ``washout`` history inputs and returns the
+    terminal state, which for a linear model is empty.
     """
     history_u = np.asarray(history_u, dtype=float)
     history_y = np.asarray(history_y, dtype=float)
-    if spec.kind == "linear":
-        return models.zero_state(spec)
     if spec.kind == "nnarx":
         if len(history_u) < spec.order:
             raise ValueError(f"need at least {spec.order} history samples")
@@ -309,11 +306,11 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
     from the first update on.  ``on_checkpoint`` is called with each
     checkpoint; what it raises ends the run there.
 
-    A window starts from the state that its first sample carries in its
-    ``x`` field.  Else the first starts from ``reconstruct_initial_state``
-    on its h history samples, and each later one from its arrival state:
-    the last solution's rollout from the last window's start, after N
-    inputs.  An NNARX model's is its fed-back regressor, not measured pairs.
+    One rule starts every window.  The first starts from
+    ``reconstruct_initial_state`` on its h history samples, and each later
+    one from its arrival state: the last solution's rollout from the last
+    window's start, after N inputs.  An NNARX model's is its fed-back
+    regressor, not measured pairs.
     """
     N = config.N
     history_need = history_length(spec, config.washout)
@@ -332,16 +329,15 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
             continue
         buffered = list(buffer)
         history, window_samples = buffered[:-(N + 1)], buffered[-(N + 1):]
-        x_init = window_samples[0].x
-        if x_init is None and window is None:
+        if window is None:
             x_init = reconstruct_initial_state(spec, prior, [s.u for s in history],
                                                [s.y for s in history], history_need)
-        elif x_init is None:  # window and prior are still the last update's
+        else:  # window and prior are still the last update's
             x_init = models.simulate(spec, prior, window.x_init, window.inputs[:N])[1][-1]
         window = HorizonWindow(
             inputs=np.array([s.u for s in window_samples], dtype=float),
             outputs=np.array([s.y for s in window_samples], dtype=float),
-            x_init=np.asarray(x_init, dtype=float),
+            x_init=x_init,
             k=sample.t)
         solution, ckpt = solve_update(spec, window, prior, config)
         checkpoints.append(ckpt)
@@ -353,17 +349,10 @@ def run_adaptation(spec: ModelSpec, initial_params: ParamVector, stream,
     return checkpoints, {"peak_buffered": len(buffer)}
 
 
-def sequence_stream(sequence, states=None):
-    """IOSample stream over a recorded sequence.
-
-    ``states`` (at least T rows), when given, attaches ``states[t]``, the
-    model state before sample t, to sample t: the true twin state that a
-    matched-twin study starts its windows from, e.g. the states a
-    ``models.simulate`` of the twin already returned.
-    """
+def sequence_stream(sequence):
+    """IOSample stream over a recorded sequence, one sample per step."""
     for t in range(len(sequence.u)):
-        yield IOSample(u=sequence.u[t], y=sequence.y[t], t=t,
-                       x=None if states is None else states[t])
+        yield IOSample(u=sequence.u[t], y=sequence.y[t], t=t)
 
 
 def save_checkpoints(path, checkpoints):

@@ -336,10 +336,10 @@ class TestTrackError:
         assert set(rows[0]) == {"k", "epsilon", "ratio", "rho_c", "violated"}
 
 
-def test_twin_windows_start_from_the_stream_states(monkeypatch):
-    # the twin's stream carries its true states: every window the run
-    # solves is one of those estimate_delta saw, from the same state, not
-    # reconstructed nor carried forward by a solution, so no result moves
+@pytest.mark.parametrize("kind", ["gru", "nnarx"])
+def test_twin_solves_the_windows_it_estimates_delta_on(kind, monkeypatch):
+    # the very window objects estimate_delta saw, in order, each solved
+    # from the last solution, with no stream loop and no reconstruction
     estimate, solve, seen, solved = cv.estimate_delta, mhe.solve_update, [], []
 
     def recorded_estimate(spec, theta, windows, sampler):
@@ -347,22 +347,27 @@ def test_twin_windows_start_from_the_stream_states(monkeypatch):
         return estimate(spec, theta, windows, sampler)
 
     def recorded_solve(spec, window, prior, config):
-        solved.append(window)
-        return solve(spec, window, prior, config)
+        solution, ckpt = solve(spec, window, prior, config)
+        solved.append((window, prior, solution))
+        return solution, ckpt
 
     def refused(*args):
-        raise AssertionError("the twin reconstructed a start state")
+        raise AssertionError("the twin left its own windows")
 
     monkeypatch.setattr(cv, "estimate_delta", recorded_estimate)
     monkeypatch.setattr(mhe, "solve_update", recorded_solve)
+    monkeypatch.setattr(mhe, "run_adaptation", refused)
     monkeypatch.setattr(mhe, "reconstruct_initial_state", refused)
+    spec = ALL_SPECS[kind]
     cc = cv.ConvergeConfig(horizon=10, washout=5, n_updates=3, delta_samples=3,
                            probe_smallest=1, max_iter=20)
-    result, _ = cv.twin_study(ModelSpec("gru", 2, 3, 2), cc, 0, {})
+    result, _ = cv.twin_study(spec, cc, 0, {})
     assert result["n_updates"] == len(solved) == len(seen) == 3
-    for a, b in zip(solved, seen):
-        assert a.k == b.k and np.array_equal(a.x_init, b.x_init)
-        assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.outputs, b.outputs)
+    assert all(window is w for (window, _, _), w in zip(solved, seen))
+    # the first prior is the perturbed twin, each later one the last solution
+    twin = models.init_params(spec, 0, "uniform")
+    assert cv.epsilon(twin, solved[0][1]) == result["eps0"]
+    assert all(prior is last for (_, _, last), (_, prior, _) in zip(solved, solved[1:]))
 
 
 def test_demo_05_solves_its_n_updates_windows(tmp_path):

@@ -368,21 +368,27 @@ class TestReconstructInitialState:
         assert np.array_equal(x, models.nnarx_state(spec, hu[-2:], hy[-2:]))
 
     def test_matched_model_washout_reconstruction(self, rng):
-        spec = ModelSpec("lstm", 2, 4, 2)
-        p = random_params(spec, rng, scale=0.2)
-        u = rng.normal(size=(160, 2))
-        y, states = models.simulate(spec, p, models.zero_state(spec), u)
-        # reconstruct the state at t=150 from history alone
-        x_rec = mhe.reconstruct_initial_state(spec, p, u[:150], y[:150], washout=150)
-        y_win, _ = models.simulate(spec, p, x_rec, u[150:])
-        rms = np.sqrt(np.mean((y_win - y[150:]) ** 2))
-        assert rms <= 1e-6
+        # a linear model's state is empty: its rollout returns the zero state
+        for spec in (ModelSpec("lstm", 2, 4, 2), ALL_SPECS["linear"]):
+            p = random_params(spec, rng, scale=0.2)
+            u = rng.normal(size=(160, 2))
+            y, states = models.simulate(spec, p, models.zero_state(spec), u)
+            # reconstruct the state at t=150 from history alone
+            x_rec = mhe.reconstruct_initial_state(spec, p, u[:150], y[:150], washout=150)
+            y_win, _ = models.simulate(spec, p, x_rec, u[150:])
+            rms = np.sqrt(np.mean((y_win - y[150:]) ** 2))
+            assert rms <= 1e-6
+            assert spec.kind != "linear" or np.array_equal(x_rec, models.zero_state(spec))
 
     def test_insufficient_history_raises(self, rng):
         spec = ModelSpec("gru", 2, 3, 1)
         p = random_params(spec, rng)
         with pytest.raises(ValueError, match="history"):
             mhe.reconstruct_initial_state(spec, p, np.zeros((3, 2)), np.zeros((3, 1)), washout=10)
+        linear = ALL_SPECS["linear"]
+        with pytest.raises(ValueError, match="history"):
+            mhe.reconstruct_initial_state(linear, random_params(linear, rng), np.zeros((3, 2)),
+                                          np.zeros((3, 2)), washout=10)
         nnarx = ModelSpec("nnarx", 2, 0, 1, order=4, mlp_width=3)
         with pytest.raises(ValueError, match="history"):
             mhe.reconstruct_initial_state(nnarx, random_params(nnarx, rng), np.zeros((3, 2)),
@@ -398,43 +404,34 @@ class TestReconstructInitialState:
 
 class TestSequenceStream:
     @pytest.mark.parametrize("kind", sorted(ALL_SPECS))
-    def test_states_match_forward_step_roll(self, kind, rng):
-        # the states a simulate call returns are exactly the states a
-        # step-by-step roll of the same model reaches
+    def test_samples_follow_the_sequence(self, kind, rng):
+        # one sample per step, in order, with that step's input and output
         spec = ALL_SPECS[kind]
-        p = random_params(spec, rng, scale=0.2)
-        u = rng.normal(size=(30, spec.n_u))
-        y, xs = models.simulate(spec, p, models.zero_state(spec), u)
-        seq = Sequence(u=u, y=y, tau=0.1)
-        x = models.zero_state(spec)
-        samples = list(mhe.sequence_stream(seq, xs))
+        u, y = rng.normal(size=(30, spec.n_u)), rng.normal(size=(30, spec.n_y))
+        samples = list(mhe.sequence_stream(Sequence(u=u, y=y, tau=0.1)))
         assert [s.t for s in samples] == list(range(len(u)))
         for s in samples:
             assert np.array_equal(s.u, u[s.t]) and np.array_equal(s.y, y[s.t])
-            assert np.array_equal(s.x, x)
-            x, _ = models.forward_step(spec, p, x, u[s.t])
-        assert all(s.x is None for s in mhe.sequence_stream(seq))
 
 
 class TestRunAdaptation:
     def _matched_data(self, rng, n_samples=200, perturb=0.0):
-        """A GRU twin's (spec, theta_o, start, sequence, states); ``start``
-        is theta_o moved by ``perturb`` in a random direction."""
+        """A GRU twin's (spec, theta_o, start, sequence); ``start`` is
+        theta_o moved by ``perturb`` in a random direction."""
         spec = ModelSpec("gru", 2, 3, 2)
         theta_o = random_params(spec, rng, scale=0.2)
         u = rng.normal(size=(n_samples, 2))
-        y, xs = models.simulate(spec, theta_o, models.zero_state(spec), u)
+        y, _ = models.simulate(spec, theta_o, models.zero_state(spec), u)
         start = theta_o
         if perturb:
             d = rng.normal(size=len(theta_o.values))
             start = theta_o.replace_values(theta_o.values + perturb * d / np.linalg.norm(d))
-        return spec, theta_o, start, Sequence(u=u, y=y, tau=0.1), xs
+        return spec, theta_o, start, Sequence(u=u, y=y, tau=0.1)
 
     def _matched_run(self, rng, mu=0.5, N=5, washout=20, n_samples=200, perturb=0.0):
-        spec, theta_o, start, seq, xs = self._matched_data(rng, n_samples, perturb)
+        spec, theta_o, start, seq = self._matched_data(rng, n_samples, perturb)
         cfg = mhe.MheConfig(N=N, mu=mu, washout=washout)
-        stream = mhe.sequence_stream(seq, xs)
-        ckpts, stats = mhe.run_adaptation(spec, start, stream, cfg)
+        ckpts, stats = mhe.run_adaptation(spec, start, mhe.sequence_stream(seq), cfg)
         return spec, theta_o, ckpts, stats, cfg
 
     def test_stationary_matched_plant_keeps_prior(self, rng):
@@ -448,16 +445,21 @@ class TestRunAdaptation:
         spec, theta_o, ckpts, stats, cfg = self._matched_run(rng, n_samples=400)
         assert stats["peak_buffered"] == cfg.washout + cfg.N + 1
 
-    def test_descent_recorded_in_checkpoints(self, rng):
-        spec, _, start, seq, xs = self._matched_data(rng, perturb=0.3)
+    def test_descent_recorded_in_checkpoints(self, rng, monkeypatch):
+        spec, _, start, seq = self._matched_data(rng, perturb=0.3)
+        solve, windows = mhe.solve_update, []
+
+        def recorded(spec, window, prior, config):
+            windows.append(window)
+            return solve(spec, window, prior, config)
+
+        monkeypatch.setattr(mhe, "solve_update", recorded)
         cfg = mhe.MheConfig(N=5, mu=0.5, washout=20)
-        ckpts, _ = mhe.run_adaptation(spec, start, mhe.sequence_stream(seq, xs), cfg)
+        ckpts, _ = mhe.run_adaptation(spec, start, mhe.sequence_stream(seq), cfg)
+        assert [w.k for w in windows] == [c.k for c in ckpts]
         # each prior is the previous solution, the first the run's start
         priors = [start] + [c.solution for c in ckpts[:-1]]
-        for c, prior in zip(ckpts, priors):
-            lo = c.k - cfg.N
-            w = mhe.HorizonWindow(inputs=seq.u[lo:c.k + 1], outputs=seq.y[lo:c.k + 1],
-                                  x_init=xs[lo], k=c.k)
+        for c, prior, w in zip(ckpts, priors, windows):
             assert (c.total_cost, c.fit_cost, c.prior_cost) == \
                 mhe.mhe_cost(spec, c.solution, w, prior, cfg.mu)
             assert c.total_cost <= mhe.mhe_cost(spec, prior, w, prior, cfg.mu)[0]
@@ -469,21 +471,6 @@ class TestRunAdaptation:
                    for t in [0, 1, 2, 4]]
         with pytest.raises(ValueError, match="gap"):
             mhe.run_adaptation(spec, p, iter(samples), mhe.MheConfig(N=1, washout=0))
-
-    def test_window_starts_from_the_carried_state(self, rng):
-        # wrong states on the stream: the first window starts from the one
-        # its first sample carries, not from a reconstruction of the true one
-        spec, theta_o, _, seq, xs = self._matched_data(rng, n_samples=40)
-        wrong = xs + 0.5
-        cfg = mhe.MheConfig(N=5, mu=0.5, washout=20)
-        ckpts, _ = mhe.run_adaptation(spec, theta_o, mhe.sequence_stream(seq, wrong), cfg)
-        c = ckpts[0]
-        lo = c.k - cfg.N
-        w = mhe.HorizonWindow(inputs=seq.u[lo:c.k + 1], outputs=seq.y[lo:c.k + 1],
-                              x_init=wrong[lo], k=c.k)
-        assert (c.total_cost, c.fit_cost, c.prior_cost) == \
-            mhe.mhe_cost(spec, c.solution, w, theta_o, cfg.mu)
-        assert c.fit_cost > 1e-6   # from the true state theta_o fits exactly
 
     def test_checkpoint_jsonl_roundtrip(self, rng, tmp_path):
         spec, theta_o, ckpts, stats, cfg = self._matched_run(rng, perturb=0.2)
@@ -501,9 +488,9 @@ class TestRunAdaptation:
 
 
 class TestArrivalState:
-    """On a stream without states only the first window's start is
-    reconstructed; each later window starts where the last solution's
-    rollout from the last window's start is after N inputs."""
+    """Only the first window's start is reconstructed; each later window
+    starts where the last solution's rollout from the last window's start
+    is after N inputs."""
 
     def _run(self, rng, monkeypatch, spec, solver="lbfgs", N=4, washout=6):
         twin = random_params(spec, rng, scale=0.2)
@@ -581,10 +568,7 @@ class TestArrivalState:
         spec = ModelSpec("gru", 2, 3, 2)
         p = random_params(spec, rng, scale=0.2)
         u = rng.normal(size=(80, 2))
-        y, xs = models.simulate(spec, p, models.zero_state(spec), u)
+        y, _ = models.simulate(spec, p, models.zero_state(spec), u)
         seq, cfg = Sequence(u=u, y=y), mhe.MheConfig(N=5, washout=20)
         ckpts, _ = mhe.run_adaptation(spec, p, mhe.sequence_stream(seq), cfg)
-        assert len(ckpts) == 11 and len(calls) == 1
-        # a stream that carries the states never reconstructs
-        ckpts, _ = mhe.run_adaptation(spec, p, mhe.sequence_stream(seq, xs), cfg)
         assert len(ckpts) == 11 and len(calls) == 1
