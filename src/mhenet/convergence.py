@@ -43,64 +43,49 @@ def epsilon(theta_true: ParamVector, theta: ParamVector) -> float:
     return float(dv @ dv)
 
 
-@dataclass(frozen=True)
-class DeltaSamplerConfig:
-    n_samples: int = 200
-    radius: float = 1.0          # perturbation norm upper bound
-    seed: int = 0
-    probe_smallest: int = 0      # least-identifiable directions per window to probe
-
-    def __post_init__(self):
-        plant.check_fields(self, ints=(("n_samples", 0), ("probe_smallest", 0), ("seed", 0)),
-                           positive=("radius",))
-
-
 @dataclass
 class DeltaEstimate:
     delta_hat: float
     n_samples: int
-    argmin_window: int           # index of the window attaining the minimum
-    argmin_perturbation: np.ndarray
+    perturbations: np.ndarray    # (perturbation, weight): the drawn rows, then the probes
     ratios: np.ndarray           # (perturbation, window) output/weight error ratios
 
 
 def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
-                   config: DeltaSamplerConfig,
-                   extra_perturbations=None) -> DeltaEstimate:
+                   cc: ConvergeConfig, radius: float, seed: int) -> DeltaEstimate:
     """Sampled upper-bound surrogate for the identifiability constant.
 
-    Draws random weight perturbations within the radius, evaluates the
-    output-error/weight-error ratio of every perturbation on every window
-    (one batched rollout per window), and reports the minimum; ties go to
-    the first perturbation, then the first window.  Deterministic per seed.
+    Draws ``cc.delta_samples`` random weight perturbations of norm up to
+    ``radius`` from ``seed``, adds the ``cc.probe_smallest`` least-sensitive
+    directions of each window's output Jacobian, null directions included,
+    and reports the minimum output-error/weight-error ratio over every
+    perturbation and window (one batched rollout per window).
+    ``twin_study`` passes radius 2*sqrt(eps0) and seed + 3.
     """
     if not windows:
         raise ValueError("need at least one window")
     n = models.param_count(spec)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     perturbations = []
-    for _ in range(config.n_samples):
+    for _ in range(cc.delta_samples):
         d = rng.normal(size=n)
-        d *= rng.uniform(0.1, 1.0) * config.radius / np.linalg.norm(d)
+        d *= rng.uniform(0.1, 1.0) * radius / np.linalg.norm(d)
         perturbations.append(d)
-    extra = [np.asarray(d, dtype=float) for d in extra_perturbations or ()]
-    perturbations += [d for d in extra if np.linalg.norm(d) > 0]
-    if config.probe_smallest > 0:
+    if cc.probe_smallest > 0:
         # Random draws concentrate near the bulk of the sensitivity spectrum
         # and can miss sloppy (weakly identifiable) directions by many orders
         # of magnitude.  Propose the least-sensitive right singular vectors of
-        # each window's output Jacobian as additional candidates; they are
-        # evaluated through the exact nonlinear ratio like any other sample.
+        # each window's output Jacobian as additional candidates, from the
+        # full V: with fewer residuals than weights the thin V spans only the
+        # row space and misses the null directions, of first-order ratio 0.
         for w in windows:
             _, J = models.output_jacobian(spec, theta_true, w.x_init, w.inputs)
-            _, _, Vt = np.linalg.svd(J, full_matrices=False)
-            for v in Vt[-config.probe_smallest:]:
+            _, _, Vt = np.linalg.svd(J)
+            for v in Vt[-cc.probe_smallest:]:
                 # the ratio infimum is approached at small norms, so probe
                 # down to a small fraction of the radius as well
                 for frac in (1e-3, 1e-2, 0.1, 0.3, 1.0):
-                    perturbations.append(frac * config.radius * v)
-    if not perturbations:
-        raise ValueError("no perturbations to evaluate")
+                    perturbations.append(frac * radius * v)
 
     # row 0 is theta_true, row 1 + p its p-th perturbation: one batched
     # rollout per window gives every ratio on that window
@@ -112,13 +97,8 @@ def estimate_delta(spec: ModelSpec, theta_true: ParamVector, windows,
         outs = models.batch_param_outputs(spec, batch, w.x_init, w.inputs)
         ratios[:, wi] = np.sum((outs[:, 1:] - outs[:, :1]) ** 2, axis=(0, 2))
     ratios /= np.sum(D ** 2, axis=1)[:, None]
-    # row-major argmin: the first minimal (perturbation, window) pair
-    best_p, best_wi = np.unravel_index(np.argmin(ratios), ratios.shape)
-    return DeltaEstimate(delta_hat=float(ratios[best_p, best_wi]),
-                         n_samples=ratios.size,
-                         argmin_window=int(best_wi),
-                         argmin_perturbation=perturbations[best_p],
-                         ratios=ratios)
+    return DeltaEstimate(delta_hat=float(ratios.min()), n_samples=ratios.size,
+                         perturbations=D, ratios=ratios)
 
 
 def contraction_coefficient(mu: float, delta: float):
@@ -224,9 +204,7 @@ def twin_study(spec: ModelSpec, cc: ConvergeConfig, seed: int, walls: dict):
                                  x_init=xs[k - N], k=k)
                for k in range(history + N, T, N)]
     t0 = time.perf_counter()
-    sampler = DeltaSamplerConfig(n_samples=cc.delta_samples, radius=2.0 * np.sqrt(eps0),
-                                 seed=seed + 3, probe_smallest=cc.probe_smallest)
-    estimate = estimate_delta(spec, theta_o, windows, sampler)
+    estimate = estimate_delta(spec, theta_o, windows, cc, 2.0 * np.sqrt(eps0), seed + 3)
     walls["estimate_delta"] = time.perf_counter() - t0
     mu = 0.5 * (2.0 / 3.0) * estimate.delta_hat
     rho_c, satisfied = contraction_coefficient(mu, estimate.delta_hat)

@@ -103,18 +103,23 @@ class TestEpsilon:
         assert total == pytest.approx(mu * cv.epsilon(theta_o, prior), abs=1e-9)
 
 
+def sampler(delta_samples, probe_smallest=0):
+    """The two counts estimate_delta reads from the study's config."""
+    return cv.ConvergeConfig(delta_samples=delta_samples, probe_smallest=probe_smallest)
+
+
 class TestEstimateDelta:
     def test_scalar_closed_form(self):
         # ratio = sum(u^2) = 5 for every perturbation of y = theta*u
         theta_o = models.ParamVector(SCALAR, [2.0])
-        cfg = cv.DeltaSamplerConfig(n_samples=20, radius=1.0, seed=0)
-        est = cv.estimate_delta(SCALAR, theta_o, [scalar_window([1.0, 2.0])], cfg)
+        est = cv.estimate_delta(SCALAR, theta_o, [scalar_window([1.0, 2.0])],
+                                sampler(20), radius=1.0, seed=0)
         assert est.delta_hat == pytest.approx(5.0, rel=1e-12)
 
     def test_zero_input_window_flags_nonidentifiability(self):
         theta_o = models.ParamVector(SCALAR, [2.0])
-        cfg = cv.DeltaSamplerConfig(n_samples=5, radius=1.0, seed=0)
-        est = cv.estimate_delta(SCALAR, theta_o, [scalar_window([0.0, 0.0])], cfg)
+        est = cv.estimate_delta(SCALAR, theta_o, [scalar_window([0.0, 0.0])],
+                                sampler(5), radius=1.0, seed=0)
         assert est.delta_hat == 0.0
 
     def test_deterministic_per_seed(self, rng):
@@ -123,79 +128,53 @@ class TestEstimateDelta:
         w = mhe.HorizonWindow(inputs=rng.normal(size=(6, 2)),
                               outputs=np.zeros((6, 1)),
                               x_init=rng.normal(size=3), k=5)
-        cfg = cv.DeltaSamplerConfig(n_samples=15, radius=0.5, seed=9)
-        a = cv.estimate_delta(spec, theta_o, [w], cfg)
-        b = cv.estimate_delta(spec, theta_o, [w], cfg)
+        a = cv.estimate_delta(spec, theta_o, [w], sampler(15), radius=0.5, seed=9)
+        b = cv.estimate_delta(spec, theta_o, [w], sampler(15), radius=0.5, seed=9)
         assert a.delta_hat == b.delta_hat
-        assert np.array_equal(a.argmin_perturbation, b.argmin_perturbation)
+        assert np.array_equal(a.perturbations, b.perturbations)
 
     def test_min_over_windows(self):
         # a second, less exciting window must lower the estimate
         theta_o = models.ParamVector(SCALAR, [2.0])
-        cfg = cv.DeltaSamplerConfig(n_samples=10, radius=1.0, seed=0)
         strong = scalar_window([1.0, 2.0])          # ratio 5
         weak = scalar_window([0.1, 0.0])            # ratio 0.01
-        est = cv.estimate_delta(SCALAR, theta_o, [strong, weak], cfg)
+        est = cv.estimate_delta(SCALAR, theta_o, [strong, weak], sampler(10),
+                                radius=1.0, seed=0)
         assert est.delta_hat == pytest.approx(0.01, rel=1e-12)
-        assert est.argmin_window == 1
-
-    def test_extra_perturbations_are_candidates(self, rng):
-        spec = ModelSpec("linear", 2, 0, 1)
-        theta_o = models.ParamVector(spec, [1.0, 1.0])
-        # window exciting only the first input: d along coord 2 gives ratio 0
-        u = np.array([[1.0, 0.0], [2.0, 0.0]])
-        w = mhe.HorizonWindow(inputs=u, outputs=np.zeros((2, 1)),
-                              x_init=np.zeros(0), k=1)
-        cfg = cv.DeltaSamplerConfig(n_samples=3, radius=1.0, seed=1)
-        blind = cv.estimate_delta(spec, theta_o, [w], cfg)
-        seeded = cv.estimate_delta(spec, theta_o, [w], cfg,
-                                   extra_perturbations=[np.array([0.0, 0.5])])
-        assert seeded.delta_hat == pytest.approx(0.0, abs=1e-15)
-        assert seeded.delta_hat <= blind.delta_hat
+        assert np.all(est.ratios[:, 1] < est.ratios[:, 0])
+        assert est.delta_hat == est.ratios[:, 1].min()
 
     def test_probe_finds_sloppy_direction(self, rng):
-        # same blind-spot geometry, found without being handed the direction
+        # a window that barely excites the second input
         spec = ModelSpec("linear", 2, 0, 1)
         theta_o = models.ParamVector(spec, [1.0, 1.0])
         u = np.array([[1.0, 1e-4], [2.0, 2e-4]])
         w = mhe.HorizonWindow(inputs=u, outputs=np.zeros((2, 1)),
                               x_init=np.zeros(0), k=1)
-        cfg = cv.DeltaSamplerConfig(n_samples=20, radius=1.0, seed=1)
-        blind = cv.estimate_delta(spec, theta_o, [w], cfg)
-        probed = cv.estimate_delta(spec, theta_o, [w],
-                                   cv.DeltaSamplerConfig(n_samples=20, radius=1.0,
-                                                         seed=1, probe_smallest=1))
+        blind = cv.estimate_delta(spec, theta_o, [w], sampler(20), radius=1.0, seed=1)
+        probed = cv.estimate_delta(spec, theta_o, [w], sampler(20, 1), radius=1.0, seed=1)
         assert probed.delta_hat < 1e-3 * blind.delta_hat
+
+    def test_probe_reaches_null_space_of_short_window(self):
+        # one residual for two weights: the window never sees the second
+        # input, so the direction along it has ratio 0.  A thin SVD offers
+        # only the row space, [1, 0], whose ratio is 1.
+        spec = ModelSpec("linear", 2, 0, 1)
+        theta_o = models.ParamVector(spec, [1.0, 1.0])
+        w = mhe.HorizonWindow(inputs=np.array([[1.0, 0.0]]), outputs=np.zeros((1, 1)),
+                              x_init=np.zeros(0), k=0)
+        est = cv.estimate_delta(spec, theta_o, [w], sampler(0, 1), radius=1.0, seed=0)
+        assert est.delta_hat == 0.0
+        assert est.perturbations.shape == (5, 2)
 
     def test_no_windows_rejected(self):
         theta_o = models.ParamVector(SCALAR, [2.0])
         with pytest.raises(ValueError):
-            cv.estimate_delta(SCALAR, theta_o, [], cv.DeltaSamplerConfig())
-
-    def test_no_perturbations_rejected(self):
-        theta_o = models.ParamVector(SCALAR, [2.0])
-        with pytest.raises(ValueError, match="no perturbations to evaluate"):
-            cv.estimate_delta(SCALAR, theta_o, [scalar_window([1.0])],
-                              cv.DeltaSamplerConfig(n_samples=0),
-                              extra_perturbations=[np.zeros(1)])
-
-    @pytest.mark.parametrize("bad", [dict(radius=0.0), dict(radius=-1.0),
-                                     dict(radius=np.nan), dict(radius=np.inf),
-                                     dict(n_samples=-1), dict(probe_smallest=-1),
-                                     dict(n_samples=2.5), dict(n_samples=True),
-                                     dict(probe_smallest=0.5), dict(radius=True),
-                                     dict(seed=-1)],
-                             ids=["zero-radius", "negative-radius", "nan-radius",
-                                  "inf-radius", "negative-samples", "negative-probe",
-                                  "fractional-samples", "boolean-samples",
-                                  "fractional-probe", "boolean-radius", "negative-seed"])
-    def test_bad_sampler_config_rejected(self, bad):
-        # refused where it is set, naming the field
-        with pytest.raises(ValueError, match=f"^{next(iter(bad))}: "):
-            cv.DeltaSamplerConfig(**bad)
+            cv.estimate_delta(SCALAR, theta_o, [], sampler(1), radius=1.0, seed=0)
 
     @pytest.mark.parametrize("kind", sorted(ALL_SPECS))
     def test_batched_ratios_match_per_pair_oracle(self, kind, rng):
+        # every row, drawn and probed alike, against two single rollouts
         spec = ALL_SPECS[kind]
         theta_o = random_params(spec, rng, scale=0.2)
         n = models.param_count(spec)
@@ -205,23 +184,18 @@ class TestEstimateDelta:
                                                        size=models.state_size(spec)),
                                      k=7)
                    for _ in range(3)]
-        ds = [s * rng.normal(size=n) for s in (0.01, 0.3, 0.05, 0.1, 0.5)]
-        oracle = np.empty((len(ds), len(windows)))
-        for p, d in enumerate(ds):
+        est = cv.estimate_delta(spec, theta_o, windows, sampler(4, 1), radius=0.5, seed=0)
+        assert est.perturbations.shape == (4 + len(windows) * 5, n)
+        oracle = np.empty((len(est.perturbations), len(windows)))
+        for p, d in enumerate(est.perturbations):
             vals = theta_o.values.copy()
             vals[:n] += d
             cand = theta_o.replace_values(vals)
             for wi, w in enumerate(windows):
                 g = output_error_stack(spec, theta_o, cand, w)
                 oracle[p, wi] = float(g @ g) / float(d @ d)
-        est = cv.estimate_delta(spec, theta_o, windows,
-                                cv.DeltaSamplerConfig(n_samples=0),
-                                extra_perturbations=ds)
         np.testing.assert_allclose(est.ratios, oracle, rtol=1e-12)
-        best_p, best_wi = np.unravel_index(np.argmin(oracle), oracle.shape)
-        assert est.delta_hat == pytest.approx(oracle[best_p, best_wi], rel=1e-12)
-        assert est.argmin_window == best_wi
-        assert np.array_equal(est.argmin_perturbation, ds[best_p])
+        assert est.delta_hat == pytest.approx(oracle.min(), rel=1e-12)
         assert est.n_samples == oracle.size
 
 
@@ -342,9 +316,9 @@ def test_twin_solves_the_windows_it_estimates_delta_on(kind, monkeypatch):
     # from the last solution, with no stream loop and no reconstruction
     estimate, solve, seen, solved = cv.estimate_delta, mhe.solve_update, [], []
 
-    def recorded_estimate(spec, theta, windows, sampler):
+    def recorded_estimate(spec, theta, windows, cc, radius, seed):
         seen.extend(windows)
-        return estimate(spec, theta, windows, sampler)
+        return estimate(spec, theta, windows, cc, radius, seed)
 
     def recorded_solve(spec, window, prior, config):
         solution, ckpt = solve(spec, window, prior, config)
@@ -363,6 +337,9 @@ def test_twin_solves_the_windows_it_estimates_delta_on(kind, monkeypatch):
                            probe_smallest=1, max_iter=20)
     result, _ = cv.twin_study(spec, cc, 0, {})
     assert result["n_updates"] == len(solved) == len(seen) == 3
+    # the sampler took its counts from cc: (3 draws + 3 windows x 1 probe
+    # x 5 norms) perturbations on each of the 3 windows
+    assert result["delta_samples"] == (3 + 3 * 1 * 5) * 3
     assert all(window is w for (window, _, _), w in zip(solved, seen))
     # the first prior is the perturbed twin, each later one the last solution
     twin = models.init_params(spec, 0, "uniform")

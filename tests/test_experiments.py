@@ -62,6 +62,7 @@ BAD_SECTION_VALUES = [
     ("converge", {"hold_steps": 0}),  # a removed field: the twin holds inputs HOLD_STEPS
     ("converge", {"washout": -1}),
     ("converge", {"delta_samples": -1}), ("converge", {"probe_smallest": -1}),
+    ("converge", {"delta_samples": 2.5}), ("converge", {"probe_smallest": True}),
     ("converge", {"max_iter": 0}), ("converge", {"horizon": 2.5}),
     ("converge", {"delta_samples": 0, "probe_smallest": 0}),
     ("converge", {"eps0": float("inf")}), ("converge", {"eps0": True}),
