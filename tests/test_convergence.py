@@ -172,6 +172,26 @@ class TestEstimateDelta:
         with pytest.raises(ValueError):
             cv.estimate_delta(SCALAR, theta_o, [], sampler(1), radius=1.0, seed=0)
 
+    def test_no_perturbations_rejected(self):
+        # refused where the counts are set, before any window is sampled
+        with pytest.raises(ValueError, match="cannot both be 0"):
+            sampler(0, 0)
+
+    @pytest.mark.parametrize("bad", [dict(eps0=0.0), dict(eps0=-1.0),
+                                     dict(eps0=np.nan), dict(eps0=np.inf),
+                                     dict(delta_samples=-1), dict(probe_smallest=-1),
+                                     dict(delta_samples=2.5), dict(delta_samples=True),
+                                     dict(probe_smallest=0.5), dict(eps0=True)],
+                             ids=["zero-eps0", "negative-eps0", "nan-eps0",
+                                  "inf-eps0", "negative-samples", "negative-probe",
+                                  "fractional-samples", "boolean-samples",
+                                  "fractional-probe", "boolean-eps0"])
+    def test_bad_sampler_config_rejected(self, bad):
+        # the sampler's counts and its radius 2*sqrt(eps0) come from the
+        # study's config, which refuses them where they are set, naming the field
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))}: "):
+            cv.ConvergeConfig(**bad)
+
     @pytest.mark.parametrize("kind", sorted(ALL_SPECS))
     def test_batched_ratios_match_per_pair_oracle(self, kind, rng):
         # every row, drawn and probed alike, against two single rollouts
