@@ -12,25 +12,21 @@ channel with piecewise-constant multilevel pseudo-random signals around
 a computed steady state.  A slow ramp of the rate constant kA models
 plant drift.
 
-``step`` and ``derivatives`` take one state (4,) or a batch (B, 4), with
-inputs (6,) or (B, 6).  The RK4 under ``step`` uses the representation
-that is cheapest for the shape of its state, so that a sample costs few
-numpy calls; each costs about a microsecond however small its operand.
-One trajectory runs on Python floats (``_rhs``), which cost tens of
-nanoseconds an operation.  A batch is held as one (4, B) array
-(``_rhs_stacked``): both Arrhenius rates come from one ``exp`` over
-(2, B), the three feed balances are one (3, B) expression, and stage
-states are (4, B) operations, so the call count does not grow with B.
-``derivatives`` uses the stacked form for either shape.  ``step`` computes
-the input terms once per sample, since they are constant over its
-4 * substeps stages.  Both forms keep every product in Python's
-left-to-right order, so both give the bits of the plain (..., 4) array
-form that the tests keep as a reference.  The exponential is ``np.exp``
-on both, as ``float(np.exp(v))`` for a float, rather than ``math.exp``,
-because the two can differ in the last place.  ``step`` refuses a
-non-finite state or input on entry, every stage refuses a non-finite or
-non-positive H2 or T2, and ``step`` refuses a result that is non-finite
-or leaves that domain.
+``step`` and ``derivatives`` take a state (4,) or (..., 4) with an input
+(6,) for every row or (..., 6) of the same leading shape, and refuse any
+other pair before any arithmetic.  A numpy call on so few numbers costs
+about its own overhead, so each form makes few, cheap calls.  One
+trajectory runs on Python floats (``_rhs``).  A batch runs on contiguous
+(B,) rows of the state, the input terms and the plant constants
+(``_rhs_rows``): each of a stage's 32 ufuncs takes same-shape rows and
+writes into a row buffer made once per ``step``, about 0.35 us a call on
+a 2-core x86 host, where a broadcasting call costs 1.2-1.5 us.  Both forms
+keep every product in Python's left-to-right order, so they give the bits
+of the plain (..., 4) array form that the tests keep as a reference; the
+exponential is ``np.exp`` on both, as ``math.exp`` can differ in the last
+place.  ``step`` computes the input terms once per sample and refuses a
+non-finite state or input on entry, every stage a non-finite or
+non-positive H2 or T2, and ``step`` a result that leaves that domain.
 """
 
 from __future__ import annotations
@@ -131,58 +127,76 @@ def rate_coefficients(T2, params: PlantParams):
             params.kB * np.exp(-params.EB_over_R / T2))
 
 
-def _feed_terms(p: PlantParams, inp):
-    """The input terms, constant over a sample, from six Python floats or rows."""
+def _terms(p: PlantParams, inp):
+    """The input terms, constant over a sample, from six Python floats or
+    rows, then the plant constants that the balances read."""
     H1, xA1, xB1, T1, F20, Q2 = inp
     F1 = p.kv1 * H1
-    return (F20 + F1, F20 * p.xA0 + F1 * xA1, F1 * xB1, F20 * p.T0 + F1 * T1,
-            Q2, p.rho * p.A2)
+    return (F20 + F1, F20 * p.xA0 + F1 * xA1, F1 * xB1, F20 * p.T0 + F1 * T1, Q2,
+            -p.EA_over_R, -p.EB_over_R, p.kA, p.kB, p.kv2, p.rho * p.A2, p.dHA, p.dHB, p.Cp)
 
 
-def _rhs(p: PlantParams, c, H2, xA2, xB2, T2):
-    """The balances on Python floats; ``c = _feed_terms(p, u.tolist())``."""
-    inflow, feedA, feedB, feedT, Q2, rhoA = c
-    F2, hold = p.kv2 * H2, rhoA * H2
+def _rhs(c, H2, xA2, xB2, T2):
+    """The balances on Python floats; ``c = _terms(p, u.tolist())``."""
+    inflow, feedA, feedB, feedT, Q2, negEA, negEB, kA, kB, kv2, rhoA, dHA, dHB, Cp = c
+    F2, hold = kv2 * H2, rhoA * H2
     if not (hold > 0 and T2 > 0):  # H2 > 0 unless it underflows hold; NaN fails it too
         raise ValueError("H2 or temperature T2 is non-finite or non-positive")
-    rA = p.kA * float(np.exp(-p.EA_over_R / T2)) * xA2
-    rB = p.kB * float(np.exp(-p.EB_over_R / T2)) * xB2
+    rA = kA * float(np.exp(negEA / T2)) * xA2
+    rB = kB * float(np.exp(negEB / T2)) * xB2
     return ((inflow - F2) / rhoA,
             (feedA - F2 * xA2) / hold - rA,
             (feedB - F2 * xB2) / hold + rA - rB,
-            (feedT - F2 * T2) / hold - (rA * p.dHA + rB * p.dHB) / p.Cp + Q2 / (hold * p.Cp))
+            (feedT - F2 * T2) / hold - (rA * dHA + rB * dHB) / Cp + Q2 / (hold * Cp))
 
 
-def _stacked_terms(p: PlantParams, inp):
-    """``_feed_terms`` of a (..., 6) input, feeds stacked, and the rate constants."""
-    inflow, *feeds, Q2, rhoA = _feed_terms(p, inp.reshape(-1, 6).T)
-    return (inflow, np.array(feeds), Q2, rhoA,
-            np.array([[-p.EA_over_R], [-p.EB_over_R]]), np.array([[p.kA], [p.kB]]))
+def _rows(p: PlantParams, inp, shape):
+    """``_terms`` of an input (6,) or (..., 6) for a state ``shape`` (..., 4),
+    each a contiguous (B,) row."""
+    u = np.broadcast_to(inp, shape[:-1] + (6,)).reshape(-1, 6).T.copy()
+    terms = _terms(p, u)
+    return (*terms[:5], *np.repeat(np.array(terms[5:])[:, None], u.shape[1], axis=1))
 
 
-def _rhs_stacked(p: PlantParams, c, x, out):
-    """The balances on a (4, B) state into ``out``; ``c = _stacked_terms(p, u)``."""
-    if not np.minimum.reduce(x[::3], axis=None) > 0:  # H2 and T2; NaN fails it too
+def _rhs_rows(c, x, out, w):
+    """The balances on a (4, B) state into the four rows ``out``, through the
+    six work rows ``w``; ``x = (state[::3], *state)``, its H2 and T2 rows and
+    then each row, and ``c = _rows(p, u, shape)``.  Each ufunc call writes
+    into its third argument."""
+    ends, H2, xA2, xB2, T2 = x
+    if not np.minimum.reduce(ends, axis=None) > 0:  # NaN fails it too
         raise ValueError("H2 or temperature T2 is non-finite or non-positive")
-    inflow, feeds, Q2, rhoA, neg_E, k0 = c
-    rA, rB = k0 * np.exp(neg_E / x[3]) * x[1:3]  # kA2 * xA2, kB2 * xB2
-    F2, hold = p.kv2 * x[0], rhoA * x[0]
+    inflow, feedA, feedB, feedT, Q2, negEA, negEB, kA, kB, kv2, rhoA, dHA, dHB, Cp = c
     dH2, dxA2, dxB2, dT2 = out
-    np.divide(inflow - F2, rhoA, out=dH2)
-    np.divide(feeds - F2 * x[1:], hold, out=out[1:])
-    dxA2 -= rA
-    dxB2 += rA
-    dxB2 -= rB
-    dT2 -= (rA * p.dHA + rB * p.dHB) / p.Cp
-    dT2 += Q2 / (hold * p.Cp)
-    return out
+    rA, rB, F2, hold, a, b = w
+    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
+    mul(mul(kA, np.exp(div(negEA, T2, rA), rA), rA), xA2, rA)
+    mul(mul(kB, np.exp(div(negEB, T2, rB), rB), rB), xB2, rB)
+    mul(kv2, H2, F2)
+    mul(rhoA, H2, hold)
+    div(sub(inflow, F2, dH2), rhoA, dH2)
+    sub(div(sub(feedA, mul(F2, xA2, dxA2), dxA2), hold, dxA2), rA, dxA2)
+    sub(add(div(sub(feedB, mul(F2, xB2, dxB2), dxB2), hold, dxB2), rA, dxB2), rB, dxB2)
+    div(sub(feedT, mul(F2, T2, dT2), dT2), hold, dT2)
+    sub(dT2, div(add(mul(rA, dHA, a), mul(rB, dHB, b), a), Cp, a), dT2)
+    add(dT2, div(Q2, mul(hold, Cp, a), a), dT2)
+
+
+def _check_shapes(state, inp):
+    """Refuse a state that is not (..., 4) with an input (6,) or (..., 6)."""
+    if state.ndim < 1 or state.shape[-1] != 4 or inp.shape not in ((6,), state.shape[:-1] + (6,)):
+        raise ValueError(f"plant state {state.shape} and input {inp.shape} do not fit: expected "
+                         "a state (..., 4) with an input (6,) or (..., 6) of its leading shape")
 
 
 def derivatives(state, inp, params: PlantParams) -> np.ndarray:
-    """Right-hand side of the balances per second; state (..., 4), inp (..., 6)."""
-    x = np.asarray(state, float).reshape(-1, 4).T
-    c = _stacked_terms(params, np.asarray(inp, float))
-    return _rhs_stacked(params, c, x, np.empty_like(x)).T.reshape(np.shape(state))
+    """Right-hand side of the balances per second; state (..., 4), inp (6,)
+    or (..., 6)."""
+    state, inp = np.asarray(state, float), np.asarray(inp, float)
+    _check_shapes(state, inp)
+    x, out = state.reshape(-1, 4).T.copy(), np.empty((4, state.size // 4))
+    _rhs_rows(_rows(params, inp, state.shape), (x[::3], *x), out, np.empty((6, x.shape[1])))
+    return out.T.reshape(state.shape)
 
 
 def step(state, inp, params: PlantParams, dt: float, substeps: int = 10) -> np.ndarray:
@@ -190,36 +204,37 @@ def step(state, inp, params: PlantParams, dt: float, substeps: int = 10) -> np.n
     if dt <= 0 or substeps < 1:
         raise ValueError("dt must be positive and substeps >= 1")
     state, inp = np.asarray(state, float), np.asarray(inp, float)
+    _check_shapes(state, inp)
     # checked before any arithmetic: an inf would meet -inf in a stage first
     if not (np.isfinite(state).all() and np.isfinite(inp).all()):
         raise ValueError("non-finite or non-positive plant data: non-finite state or input")
     h = dt / substeps
+    hh, h6 = 0.5 * h, h / 6.0
     if state.ndim == 1:  # one trajectory: four Python floats through every stage
-        c = _feed_terms(params, inp.tolist())
+        c = _terms(params, inp.tolist())
         H2, xA2, xB2, T2 = state.tolist()
-        hh, h6 = 0.5 * h, h / 6.0
         for _ in range(substeps):
-            a1, b1, c1, d1 = _rhs(params, c, H2, xA2, xB2, T2)
-            a2, b2, c2, d2 = _rhs(params, c, H2 + hh * a1, xA2 + hh * b1,
-                                  xB2 + hh * c1, T2 + hh * d1)
-            a3, b3, c3, d3 = _rhs(params, c, H2 + hh * a2, xA2 + hh * b2,
-                                  xB2 + hh * c2, T2 + hh * d2)
-            a4, b4, c4, d4 = _rhs(params, c, H2 + h * a3, xA2 + h * b3,
-                                  xB2 + h * c3, T2 + h * d3)
+            a1, b1, c1, d1 = _rhs(c, H2, xA2, xB2, T2)
+            a2, b2, c2, d2 = _rhs(c, H2 + hh * a1, xA2 + hh * b1, xB2 + hh * c1, T2 + hh * d1)
+            a3, b3, c3, d3 = _rhs(c, H2 + hh * a2, xA2 + hh * b2, xB2 + hh * c2, T2 + hh * d2)
+            a4, b4, c4, d4 = _rhs(c, H2 + h * a3, xA2 + h * b3, xB2 + h * c3, T2 + h * d3)
             H2 += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             xA2 += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             xB2 += h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
             T2 += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         x = np.array([H2, xA2, xB2, T2])
-    else:  # a batch: one (4, B) state, the stage states in preallocated buffers
-        c, x = _stacked_terms(params, inp), state.reshape(-1, 4).T.copy()
-        k, s = np.empty((4,) + x.shape), np.empty_like(x)
+    else:  # a batch: (4, B) state, stage state and slopes, their row views made once
+        c, x = _rows(params, inp, state.shape), state.reshape(-1, 4).T.copy()
+        s, w = np.empty_like(x), np.empty((6, x.shape[1]))
+        k, k2 = np.empty((4,) + x.shape), np.empty((2,) + x.shape)
+        X, S, K, W = (x[::3], *x), (s[::3], *s), [tuple(r) for r in k], tuple(w)
         for _ in range(substeps):
-            _rhs_stacked(params, c, x, k[0])
-            _rhs_stacked(params, c, np.add(x, np.multiply(k[0], 0.5 * h, out=s), out=s), k[1])
-            _rhs_stacked(params, c, np.add(x, np.multiply(k[1], 0.5 * h, out=s), out=s), k[2])
-            _rhs_stacked(params, c, np.add(x, np.multiply(k[2], h, out=s), out=s), k[3])
-            x += (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+            _rhs_rows(c, X, K[0], W)
+            for i, f in enumerate((hh, hh, h)):  # the stage state x + f k_i
+                np.add(x, np.multiply(k[i], f, s), s)
+                _rhs_rows(c, S, K[i + 1], W)
+            np.multiply(k[1:3], 2.0, k2)  # k1 + 2 k2 + 2 k3 + k4, summed from the left
+            x += np.multiply(np.add(np.add(np.add(k[0], k2[0], s), k2[1], s), k[3], s), h6, s)
     if not (np.isfinite(x).all() and np.minimum.reduce(x[::3], axis=None) > 0):
         raise ValueError("non-finite or non-positive plant data: the state left its domain")
     return x if state.ndim == 1 else x.T.reshape(state.shape)
@@ -364,12 +379,12 @@ class Dataset:
 
 
 def simulate_plant(x0, inputs, params: PlantParams, tau: float = TAU,
-                   substeps: int = 10, kA_of_t=None) -> np.ndarray:
+                   substeps: int = 10, kA=None) -> np.ndarray:
     """Roll the plant forward under an input sequence.
 
     Returns states y with y[k] the state at sample k (y[0] = x0), same
     length as ``inputs``.  Batched when x0 is (B, 4) and inputs
-    (T, B, 6).  ``kA_of_t`` optionally maps time [s] to a drifting kA.
+    (T, B, 6).  ``kA`` optionally gives the plant's kA at each sample, (T,).
     """
     inputs = np.asarray(inputs, dtype=float)
     x = np.asarray(x0, dtype=float)
@@ -378,8 +393,8 @@ def simulate_plant(x0, inputs, params: PlantParams, tau: float = TAU,
     p = params
     for k in range(T):
         ys[k] = x
-        if kA_of_t is not None and (kA := float(kA_of_t(k * tau))) != p.kA:
-            p = replace(params, kA=kA)  # on the ramp only: replace re-runs the checks
+        if kA is not None and kA[k] != p.kA:
+            p = replace(params, kA=float(kA[k]))  # on the ramp only: replace re-runs the checks
         if k < T - 1:
             x = step(x, inputs[k], p, tau, substeps)
     return ys
@@ -507,5 +522,5 @@ def drift_run(total_time: float, schedule: DriftSchedule, excitation: Excitation
     u = generate_excitation(excitation, n, seed)
     x0 = steady_state(params)
     y = simulate_plant(x0, u, params, excitation.tau, substeps,
-                       kA_of_t=lambda t: drift_value(schedule, params.kA, t))
+                       kA=drift_value(schedule, params.kA, np.arange(n) * excitation.tau))
     return Sequence(u=u, y=y, tau=excitation.tau)

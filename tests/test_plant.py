@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ class TestStep:
         with pytest.raises(ValueError, match="non-finite or non-positive"):
             plant.step(x, u, p, TAU)
 
+    # refused before any arithmetic, with both shapes named
+    @pytest.mark.parametrize("fn", ["step", "derivatives"])
+    @pytest.mark.parametrize("x_shape,u_shape", [((4,), (6, 6)), ((7, 4), (3, 6)),
+                                                 ((2, 3, 4), (3, 6)), ((7, 4), (1, 6)),
+                                                 ((7, 3), (7, 6))],
+                             ids=["4-6x6", "7x4-3x6", "2x3x4-3x6", "7x4-1x6", "7x3-7x6"])
+    def test_bad_shapes_refused(self, fn, x_shape, u_shape):
+        x = np.ones(x_shape) * [1.2, 0.5, 0.2, 313.0][:x_shape[-1]]
+        u = np.ones(u_shape) * NOMINAL_INPUT
+        args = (x, u, PlantParams()) + ((TAU,) if fn == "step" else ())
+        match = re.escape(f"plant state {x_shape} and input {u_shape} do not fit")
+        with pytest.raises(ValueError, match=match):
+            getattr(plant, fn)(*args)
+
     @pytest.mark.parametrize("batch", [None, 3], ids=["single", "batched"])
     def test_step_ending_out_of_domain_raises(self, batch):
         # with a negative feed one long RK4 step ends at T2 < 0, although
@@ -155,8 +170,8 @@ class TestKernelParity:
         for a, b in zip(fast.sequences, ref.sequences):
             assert np.array_equal(a.y, b.y)
 
-    @pytest.mark.parametrize("shape", [(4,), (1, 4), (7, 4), (35, 4), (136, 4)],
-                             ids=["4", "1x4", "7x4", "35x4", "136x4"])
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (7, 4), (35, 4), (136, 4), (2, 3, 4)],
+                             ids=["4", "1x4", "7x4", "35x4", "136x4", "2x3x4"])
     def test_random_steps_and_derivatives(self, rng, shape):
         exc = plant.default_excitation()
         for _ in range(10):
@@ -170,6 +185,17 @@ class TestKernelParity:
             assert np.array_equal(fast, reference_step(x, u, p, dt, substeps))
             assert np.array_equal(plant.derivatives(x, u, p),
                                   reference_derivatives(x, u, p))
+
+    def test_column_bits_do_not_depend_on_the_batch(self):
+        # SeedSequence.spawn children do not depend on the count, so the
+        # first 7 of 35 sequences have a 7-sequence dataset's inputs, and
+        # each row of the batched kernel must then give the same states
+        def collect(n):
+            cfg = DatasetConfig(n_sequences=n, seq_len=150, n_train=0, n_test=n)
+            return plant.collect_dataset(cfg, seed=9).sequences
+        for a, b in zip(collect(7), collect(35)[:7]):
+            assert np.array_equal(a.u, b.u)
+            assert np.array_equal(a.y, b.y)
 
 
 class TestSteadyState:
@@ -323,6 +349,20 @@ class TestSimulatePlant:
         for b in range(3):
             y1 = plant.simulate_plant(x0, us[:, b], p)
             assert np.allclose(ys[:, b], y1, atol=1e-12)
+
+
+    def test_per_sample_kA_is_a_replace_per_sample(self):
+        # the ramp starts and ends inside the run: flat, ramp, flat
+        p = PlantParams()
+        x0, T = plant.steady_state(p), 40
+        u = plant.generate_excitation(plant.default_excitation(), T, seed=5)
+        sched = DriftSchedule(end_value=0.3, t_start=1.0, t_end=3.0)
+        kA = plant.drift_value(sched, p.kA, np.arange(T) * TAU)
+        assert kA[10] == p.kA and kA[30] == 0.3 and len(set(kA.tolist())) > 3
+        ref = [x0]
+        for k in range(T - 1):
+            ref.append(plant.step(ref[-1], u[k], dataclasses.replace(p, kA=float(kA[k])), TAU))
+        assert np.array_equal(plant.simulate_plant(x0, u, p, kA=kA), np.array(ref))
 
 
 class TestCollectDataset:
