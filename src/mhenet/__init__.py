@@ -3,7 +3,6 @@
 from .models import (
     ModelSpec,
     ParamVector,
-    forward_step,
     init_params,
     param_count,
     simulate,
@@ -13,7 +12,6 @@ from .models import (
 __all__ = [
     "ModelSpec",
     "ParamVector",
-    "forward_step",
     "init_params",
     "param_count",
     "simulate",

@@ -64,17 +64,13 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         config = resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         manifest = experiments.run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception:
         traceback.print_exc()
-        print(f"runtime failure in experiment {config.tag!r}", file=sys.stderr)
+        print(f"runtime failure in experiment {args.tag!r}", file=sys.stderr)
         return EXIT_RUNTIME
     print(json.dumps({"tag": manifest.tag, "out_dir": config.out_dir,
                       "config_hash": manifest.config_hash,

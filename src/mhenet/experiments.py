@@ -25,7 +25,6 @@ as plain CSV series so any plotting tool can consume it.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import json
 import pathlib
@@ -218,13 +217,8 @@ def _save(artifacts, out, name, text):
 
 
 def _write_csv(artifacts, out, name, header, rows):
-    """Write a CSV (floats at full precision) and record it as an artifact."""
-    with open(out / name, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
+    """Write a CSV (``plant.write_csv``) and record it as an artifact."""
+    plant.write_csv(out / name, header, rows)
     _record_artifact(artifacts, out, name)
 
 

@@ -635,12 +635,6 @@ def _as_batch(spec, x0, inputs, window=False):
     return x0, inputs, batched
 
 
-def forward_step(spec: ModelSpec, params: ParamVector, state, u):
-    """One step of (f, g): returns (next_state, y)."""
-    outputs, states = simulate(spec, params, state, np.asarray(u, dtype=float)[None])
-    return states[1], outputs[0]
-
-
 def simulate(spec: ModelSpec, params: ParamVector, x0, inputs):
     """Open-loop rollout: outputs[i] = g(x_i), states[i+1] = f(x_i, u_i).
 
@@ -663,12 +657,13 @@ def simulate(spec: ModelSpec, params: ParamVector, x0, inputs):
 
 
 def window_loss_and_gradient(spec: ModelSpec, params: ParamVector, x0,
-                             inputs, targets, step_weights=None):
+                             inputs, targets, washout=0):
     """Squared-error window loss and its exact reverse-mode gradient.
 
-    loss = sum_t w_t * ||targets_t - y_t||^2; the gradient, (param_count,),
-    is w.r.t. the trainable prefix, as each row of ``output_jacobian`` is.
-    Accepts single sequences (T, n) or batches (T, B, n).
+    loss = sum_{t >= washout} ||targets_t - y_t||^2; the gradient,
+    (param_count,), is w.r.t. the trainable prefix, as each row of
+    ``output_jacobian`` is.  Accepts single sequences (T, n) or batches
+    (T, B, n); the washout must leave at least one step.
     """
     x0, inputs, batched = _as_batch(spec, x0, inputs)
     targets = np.asarray(targets, dtype=float)
@@ -676,18 +671,17 @@ def window_loss_and_gradient(spec: ModelSpec, params: ParamVector, x0,
     if targets.shape != want:     # one target per step, sequence and output
         raise DimensionError(f"targets {targets.shape} != {want}, as the inputs fix")
     targets = targets if batched else targets[:, None, :]
-    w = np.ones(len(inputs)) if step_weights is None else np.asarray(step_weights, dtype=float)
-    if w.shape != (len(inputs),):
-        raise DimensionError(f"step_weights must be ({len(inputs)},), not {w.shape}")
+    if not 0 <= washout < len(inputs):
+        raise ValueError(f"washout {washout} must be in [0, {len(inputs)})")
 
     P = _unpack(spec, params.values)
     outputs, states, cache = _rollout(spec, P, x0, inputs, True)
     res = np.subtract(outputs, targets, out=outputs)
-    buf = w[:, None, None] * res         # the weighted square, then the adjoints
-    buf *= res
+    res[:washout] = 0.0
+    buf = res * res                      # the square, then the adjoints
     loss = float(np.sum(buf))
-    grad = _backward(spec, P, inputs, states, cache,
-                     np.multiply(2.0 * w[:, None, None], res, out=buf), rows=False)
+    grad = _backward(spec, P, inputs, states, cache, np.multiply(2.0, res, out=buf),
+                     rows=False)
     if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
         raise NumericalBlowupError("non-finite loss or gradient")
     return loss, grad

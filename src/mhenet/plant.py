@@ -425,16 +425,19 @@ def collect_dataset(config: DatasetConfig, seed: int,
 SEQUENCE_CSV_COLUMNS = ("t",) + INPUT_COLUMNS + STATE_COLUMNS
 
 
-def save_sequence_csv(path, sequence: Sequence):
-    """One sequence as CSV: t, the 6 inputs, the 4 outputs; full precision."""
+def write_csv(path, header, rows):
+    """A CSV of ``header`` and ``rows``, floats at full precision (repr)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SEQUENCE_CSV_COLUMNS)
-        for k in range(len(sequence)):
-            row = [repr(float(k * sequence.tau))]
-            row += [repr(float(v)) for v in sequence.u[k]]
-            row += [repr(float(v)) for v in sequence.y[k]]
-            writer.writerow(row)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def save_sequence_csv(path, sequence: Sequence):
+    """One sequence as CSV: t, the 6 inputs, the 4 outputs; full precision."""
+    write_csv(path, SEQUENCE_CSV_COLUMNS,
+              np.column_stack([sequence.t, sequence.u, sequence.y]))
 
 
 def load_sequence_csv(path) -> Sequence:

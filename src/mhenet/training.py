@@ -97,9 +97,12 @@ class EvalReport:
         return float(np.mean(self.channel_mse))
 
 
-def _stack(spec, sequences, scaler):
+def _stack(spec, sequences, scaler, washout):
     """(T, B, n) normalized input/output tensors from a list of sequences,
-    each scaled straight into its column of a preallocated array."""
+    each scaled straight into its column of a preallocated array; the
+    ``washout`` must leave at least one of the T steps."""
+    if washout >= len(sequences[0].u):
+        raise ValueError("washout must be shorter than the sequences")
     U = np.empty((len(sequences[0].u), len(sequences), spec.n_u))
     Y = np.empty(U.shape[:2] + (spec.n_y,))
     for b, s in enumerate(sequences):
@@ -121,12 +124,8 @@ def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
     """
     if scaler is None:
         scaler = fit_scaler(dataset.train)
-    U, Y = _stack(spec, dataset.train, scaler)
+    U, Y = _stack(spec, dataset.train, scaler, config.washout)
     T, B = U.shape[0], U.shape[1]
-    if config.washout >= T:
-        raise ValueError("washout must be shorter than the sequences")
-    w = np.zeros(T)
-    w[config.washout:] = 1.0
     x0 = models.zero_state(spec, batch=B)
     scale = 1.0 / ((T - config.washout) * spec.n_y * B)   # loss -> MSE
 
@@ -147,7 +146,7 @@ def train_offline(spec: ModelSpec, dataset, config: TrainConfig,
     for epoch in range(config.epochs):
         # a non-finite loss or gradient raises NumericalBlowupError here
         loss, grad = models.window_loss_and_gradient(
-            spec, params.replace_values(theta), x0, U, Y, step_weights=w)
+            spec, params.replace_values(theta), x0, U, Y, washout=config.washout)
         epoch_mse, g = loss * scale, grad * scale
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
@@ -170,9 +169,7 @@ def evaluate_mse(spec: ModelSpec, params: ParamVector, sequences, washout: int,
     """Open-loop prediction MSE per channel, post-washout, normalized units."""
     if not sequences:
         raise ValueError("no sequences to evaluate")
-    U, Y = _stack(spec, sequences, scaler)
-    if washout >= len(U):
-        raise ValueError("washout must be shorter than the sequences")
+    U, Y = _stack(spec, sequences, scaler, washout)
     x = models.zero_state(spec, batch=U.shape[1])
     # blocks of BLOCK steps, each from the last state of the one before, so
     # no state history is kept; each block's errors overwrite its targets

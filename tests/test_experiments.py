@@ -908,6 +908,17 @@ class TestCli:
         assert cli.main(argv) == 1
         assert error in capsys.readouterr().err
 
+    def test_unexpected_error_while_resolving_is_runtime_failure(self, capsys, monkeypatch):
+        # only a ConfigError is a config error, wherever it is raised; any
+        # other exception is a runtime failure, also before the run starts
+        def broken(args):
+            raise OSError("disk gone")
+        monkeypatch.setattr(cli, "resolve_config", broken)
+        assert cli.main(["simulate"]) == 2
+        err = capsys.readouterr().err
+        assert "OSError: disk gone" in err
+        assert "runtime failure in experiment 'simulate'" in err
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["sweep", "--help"]) == 0
         assert "--seed" in capsys.readouterr().out

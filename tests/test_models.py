@@ -126,9 +126,9 @@ class TestForwardStep:
         spec = ALL_SPECS["lstm"]
         p = models.init_params(spec, 0, "zeros")
         state = np.concatenate([np.zeros(spec.n_h), rng.normal(size=spec.n_h)])
-        nxt, y = models.forward_step(spec, p, state, rng.normal(size=spec.n_u))
-        assert np.allclose(y, 0.0)
-        assert np.allclose(nxt[spec.n_h:], 0.0)  # sigmoid(0) gates a zero candidate
+        ys, xs = models.simulate(spec, p, state, rng.normal(size=(1, spec.n_u)))
+        assert np.allclose(ys[0], 0.0)
+        assert np.allclose(xs[1, spec.n_h:], 0.0)  # sigmoid(0) gates a zero candidate
 
     def test_gru_hand_computed_cell(self):
         spec = ModelSpec("gru", 1, 1, 1)
@@ -142,9 +142,9 @@ class TestForwardStep:
         n = np.tanh(-0.1 * u + 0.7 * (r * h) + 0.2)
         h2 = (1 - z) * h + z * n
         y = 1.5 * h + 0.25
-        nxt, out = models.forward_step(spec, p, [h], [u])
-        assert abs(nxt[0] - h2) < 1e-12
-        assert abs(out[0] - y) < 1e-12
+        ys, xs = models.simulate(spec, p, [h], [[u]])
+        assert abs(xs[1, 0] - h2) < 1e-12
+        assert abs(ys[0, 0] - y) < 1e-12
 
     def test_nnarx_hand_computed_readout(self):
         spec = ModelSpec("nnarx", 1, 0, 1, order=2, mlp_width=3)
@@ -158,31 +158,35 @@ class TestForwardStep:
         assert np.array_equal(state, [1.0, 0.5, 2.0, -0.5])
         h = np.tanh(0.1 * state.sum())
         y_hand = (1.0 - 1.0 + 2.0) * h + 0.5
-        nxt, y = models.forward_step(spec, params, state, [3.0])
-        assert abs(y[0] - y_hand) < 1e-12
+        ys, xs = models.simulate(spec, params, state, [[3.0]])
+        assert abs(ys[0, 0] - y_hand) < 1e-12
         # shifted regressor with the new (u, y) appended
-        assert np.allclose(nxt, [2.0, -0.5, 3.0, y[0]])
+        assert np.allclose(xs[1], [2.0, -0.5, 3.0, ys[0, 0]])
 
     def test_dimension_mismatch_raises(self, rng):
         spec = ALL_SPECS["lstm"]
         p = models.init_params(spec, 0, "uniform")
         with pytest.raises(models.DimensionError):
-            models.forward_step(spec, p, np.zeros(3), np.zeros(spec.n_u))
+            models.simulate(spec, p, np.zeros(3), np.zeros((1, spec.n_u)))
         with pytest.raises(models.DimensionError):
-            models.forward_step(spec, p, models.zero_state(spec), np.zeros(1))
+            models.simulate(spec, p, models.zero_state(spec), np.zeros((1, 1)))
 
 
 class TestSimulate:
     @pytest.mark.parametrize("kind", list(ALL_SPECS))
-    def test_length_one_matches_forward_step(self, kind, rng):
+    def test_one_step_at_a_time_continues_the_rollout(self, kind, rng):
+        # one-step rollouts, each from the state the last one reached, give
+        # the bits of one whole rollout
         spec = ALL_SPECS[kind]
         p = random_params(spec, rng)
         x0 = rng.normal(size=models.state_size(spec))
-        u = rng.normal(size=(1, spec.n_u))
+        u = rng.normal(size=(6, spec.n_u))
         ys, xs = models.simulate(spec, p, x0, u)
-        nxt, y = models.forward_step(spec, p, x0, u[0])
-        assert np.array_equal(ys[0], y)
-        assert np.array_equal(xs[1], nxt)
+        x = x0
+        for k in range(len(u)):
+            y, steps = models.simulate(spec, p, x, u[k][None])
+            x = steps[1]
+            assert np.array_equal(ys[k], y[0]) and np.array_equal(xs[k + 1], x)
 
     def test_esn_deterministic(self, rng):
         spec = ALL_SPECS["esn"]
@@ -247,7 +251,6 @@ class TestSimulate:
 
 ENTRY_POINTS = {
     "simulate": lambda spec, p, x0, u, y: models.simulate(spec, p, x0, u),
-    "forward_step": lambda spec, p, x0, u, y: models.forward_step(spec, p, x0, u[0]),
     "window_loss_and_gradient":
         lambda spec, p, x0, u, y: models.window_loss_and_gradient(spec, p, x0, u, y),
     "output_jacobian": lambda spec, p, x0, u, y: models.output_jacobian(spec, p, x0, u),
@@ -265,13 +268,6 @@ def test_x0_must_be_one_or_two_dimensional(entry, ndim, rng):
     u, y = rng.normal(size=(4, spec.n_u)), rng.normal(size=(4, spec.n_y))
     with pytest.raises(models.DimensionError, match="x0"):
         ENTRY_POINTS[entry](spec, random_params(spec, rng), x0, u, y)
-
-
-def test_forward_step_refuses_a_0d_input(rng):
-    # a 0-d u reaches the shape check as 1-D inputs, even with one input channel
-    spec = ModelSpec("linear", 1, 0, 1)
-    with pytest.raises(models.DimensionError, match="inputs"):
-        models.forward_step(spec, random_params(spec, rng), np.zeros(0), 1.0)
 
 
 class TestBatchParamOutputs:
@@ -328,7 +324,7 @@ class TestOutputJacobian:
 
     @settings(max_examples=80, deadline=None)
     @given(spec=specs(), T=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_gradient_is_jacobian_transpose_of_weighted_residuals(self, spec, T, seed):
+    def test_gradient_is_jacobian_transpose_of_residuals_past_washout(self, spec, T, seed):
         # both come from one reverse pass: summed over the residual seed,
         # or kept per one-hot output seed
         rng = np.random.default_rng(seed)
@@ -336,22 +332,25 @@ class TestOutputJacobian:
         x0 = rng.normal(scale=0.3, size=models.state_size(spec))
         u = rng.normal(size=(T, spec.n_u))
         targets = rng.normal(size=(T, spec.n_y))
-        w = rng.uniform(0.0, 2.0, size=T)
-        _, grad = models.window_loss_and_gradient(spec, p, x0, u, targets, step_weights=w)
+        washout = int(rng.integers(T))
+        loss, grad = models.window_loss_and_gradient(spec, p, x0, u, targets, washout=washout)
         y, J = models.output_jacobian(spec, p, x0, u)
-        expected = 2.0 * J.T @ (w[:, None] * (y - targets)).ravel()
+        res = y - targets
+        res[:washout] = 0.0
+        expected = 2.0 * J.T @ res.ravel()
         assert grad.shape == (models.param_count(spec),)
         assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert loss == pytest.approx(np.sum(res * res), rel=1e-12, abs=1e-300)
 
 
 PARITY_SPECS = {**ALL_SPECS, "lstm-6-10-4": ModelSpec("lstm", 6, 10, 4)}
 
 
-def _kernel_results(spec, params, x0, u, targets, w):
+def _kernel_results(spec, params, x0, u, targets, washout):
     """Every single-weight path: simulate, loss and gradient, and for one
     sequence the output Jacobian."""
     out = [*models.simulate(spec, params, x0, u),
-           *models.window_loss_and_gradient(spec, params, x0, u, targets, step_weights=w)]
+           *models.window_loss_and_gradient(spec, params, x0, u, targets, washout=washout)]
     if u.ndim == 2:
         out += models.output_jacobian(spec, params, x0, u)
     return out
@@ -379,10 +378,9 @@ class TestKernelParity:
         x0 = rng.normal(size=lead + (models.state_size(spec),))
         u = input_scale * rng.normal(size=(T,) + lead + (spec.n_u,))
         targets = rng.normal(size=(T,) + lead + (spec.n_y,))
-        w = rng.uniform(0.5, 2.0, size=T)
-        new = _kernel_results(spec, params, x0, u, targets, w)
+        new = _kernel_results(spec, params, x0, u, targets, T // 3)
         with reference_kernel():
-            ref = _kernel_results(spec, params, x0, u, targets, w)
+            ref = _kernel_results(spec, params, x0, u, targets, T // 3)
         for a, b in zip(new, ref, strict=True):
             assert np.array_equal(a, b)
         if weight_scale > 1 and spec.kind in ("lstm", "gru", "nnarx"):
@@ -405,9 +403,9 @@ class TestKernelParity:
         x0 = rng.normal(scale=0.3, size=lead + (models.state_size(spec),))
         u = rng.normal(size=(T,) + lead + (spec.n_u,))
         targets = rng.normal(size=(T,) + lead + (spec.n_y,))
-        new = _kernel_results(spec, params, x0, u, targets, None)
+        new = _kernel_results(spec, params, x0, u, targets, 0)
         with reference_kernel():
-            ref = _kernel_results(spec, params, x0, u, targets, None)
+            ref = _kernel_results(spec, params, x0, u, targets, 0)
         for a, b in zip(new, ref, strict=True):
             assert np.array_equal(a, b)
 
@@ -426,10 +424,9 @@ class TestKernelParity:
         x0 = rng.normal(size=(B, models.state_size(spec)))
         u = rng.normal(size=(13, B, spec.n_u))
         targets = rng.normal(size=(13, B, spec.n_y))
-        w = rng.uniform(0.5, 2.0, size=13)
-        new = _kernel_results(spec, params, x0, u, targets, w)
+        new = _kernel_results(spec, params, x0, u, targets, 4)
         with reference_kernel():
-            ref = _kernel_results(spec, params, x0, u, targets, w)
+            ref = _kernel_results(spec, params, x0, u, targets, 4)
         for a, b in zip(new, ref, strict=True):
             assert np.array_equal(a, b)
 
@@ -515,16 +512,29 @@ class TestWindowLossAndGradient:
         assert models.param_count(spec) < models.values_size(spec)
         assert np.any(grad != 0.0)
 
-    @pytest.mark.parametrize("shape", [(1,), (5,), (11, 1)], ids=["one", "five", "column"])
-    def test_step_weights_must_have_one_entry_per_step(self, shape, rng):
-        # refused before the rollout: one entry would weight every step
-        # alike, and a column would fail only inside the reverse pass
+    @pytest.mark.parametrize("washout", [-1, 11, 12], ids=["negative", "every-step", "longer"])
+    def test_washout_must_leave_a_step(self, washout, rng):
+        # refused before the rollout: a negative washout would slice from
+        # the end, and one of T steps or more would leave no loss at all
         spec = ALL_SPECS["lstm"]
         p = random_params(spec, rng)
         u, targets = rng.normal(size=(11, spec.n_u)), rng.normal(size=(11, spec.n_y))
-        with pytest.raises(models.DimensionError, match="step_weights"):
+        with pytest.raises(ValueError, match="washout"):
             models.window_loss_and_gradient(spec, p, np.zeros(models.state_size(spec)), u,
-                                            targets, step_weights=np.full(shape, 2.0))
+                                            targets, washout=washout)
+
+    @pytest.mark.parametrize("kind", list(ALL_SPECS))
+    def test_washout_targets_take_no_part(self, kind, rng):
+        # the loss and its gradient read no target inside the washout
+        spec = ALL_SPECS[kind]
+        p = random_params(spec, rng)
+        x0 = rng.normal(scale=0.3, size=(3, models.state_size(spec)))
+        u, targets = rng.normal(size=(9, 3, spec.n_u)), rng.normal(size=(9, 3, spec.n_y))
+        loss, grad = models.window_loss_and_gradient(spec, p, x0, u, targets, washout=4)
+        targets[:4] = rng.normal(scale=1e6, size=(4, 3, spec.n_y))
+        again = models.window_loss_and_gradient(spec, p, x0, u, targets, washout=4)
+        assert loss == again[0] and np.array_equal(grad, again[1])
+        assert loss < models.window_loss_and_gradient(spec, p, x0, u, targets)[0]
 
     @pytest.mark.parametrize("rows", [2, 5])
     def test_batched_x0_must_fit_the_batch(self, rows, rng):
@@ -552,7 +562,7 @@ class TestWindowLossAndGradient:
         # what a gradient holds for every step of the window: the states
         # (S doubles a row), the activations only a matmul gives ([f | i |
         # o | g], or [z | r] and n: kept * n_h), and two output-sized
-        # arrays (the residuals and their weighted square, then adjoints).
+        # arrays (the residuals and their square, then adjoints).
         # tanh(c_{t+1}) and r * h_t are rebuilt per block; the inputs and
         # targets are the caller's.
         spec = ModelSpec(kind, 6, 10, 4)
@@ -596,10 +606,10 @@ class TestNnarxStateTransparency:
         us = rng.normal(size=(3, 2))
         ys = rng.normal(size=(3, 1))
         state = models.nnarx_state(spec, us, ys)
-        nxt, y = models.forward_step(spec, p, state, us[0])
+        y, xs = models.simulate(spec, p, state, us[:1])
         rebuilt = models.nnarx_state(
-            spec, np.vstack([us[1:], us[:1]]), np.vstack([ys[1:], y[None, :]]))
-        assert np.array_equal(nxt, rebuilt)
+            spec, np.vstack([us[1:], us[:1]]), np.vstack([ys[1:], y]))
+        assert np.array_equal(xs[1], rebuilt)
 
     @pytest.mark.parametrize("spec,rows,error", [
         (ModelSpec("gru", 2, 3, 1), 3, "only applies to nnarx"),
